@@ -550,14 +550,9 @@ class TopicGenerator(nn.Module):
                 log_probs = self._log_softmax_raw(logits, keep_live=(h_new, c_new))
                 return log_probs, (h_new, c_new, pages)
 
-            # The fused kernel ships with the array-native selection host;
-            # the reference host stays the executable (bit-exact) spec.
-            search = (
-                nn.batched_beam_search_many_fast
-                if self._decode_kernel == "fused"
-                else nn.batched_beam_search_many
-            )
-            results = search(
+            # Resolved through ``nn`` at call time so wrappers installed on
+            # the package attribute see every decode.
+            results = nn.batched_beam_search_many(
                 step_fn,
                 (h0, c0, np.arange(len(memories), dtype=np.intp)),
                 start_id=self.vocabulary.bos_id,

@@ -7,22 +7,24 @@ Joint-WB, distilled students).
 
 Two implementations share the ranking semantics:
 
-* :func:`beam_search` — the scalar reference: one :data:`StepFn` call per
-  live hypothesis per depth.  Simple, and the ground truth the fast path is
-  tested against.
-* :func:`batched_beam_search` / :func:`batched_beam_search_many` — the
-  vectorized fast path: every live hypothesis (across every sequence in a
+* :func:`beam_search` — the scalar spec: one :data:`StepFn` call per live
+  hypothesis per depth.  A row expands in log-prob order, ties to the
+  higher token id; candidates rank by normalised score, ties to the
+  earlier place (beam slot, then rank in the row).
+* :func:`batched_beam_search` / :func:`batched_beam_search_many` — the one
+  batched host: every live hypothesis (across every sequence in a
   micro-batch) is one row of a single :data:`BatchStepFn` call, so a
   depth-``D`` decode costs ``D`` step calls instead of ``~D·beam_size``
-  per sequence.  Top-k expansion, finished-beam masking and length-penalty
-  ranking run in numpy, with tie-breaking chosen to reproduce the scalar
-  path decision-for-decision: token sequences and scores are bit-identical.
+  per sequence.  Selection is a partial top-``beam_size`` per sequence in
+  numpy with the spec's exact tie rule: token sequences, scores and
+  hypothesis order are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -165,7 +167,7 @@ def beam_search(
                 continue
             log_probs, new_state = step_fn(beam.tokens[-1], beam.state)
             log_probs = np.asarray(log_probs, dtype=np.float64).reshape(-1)
-            top = np.argsort(log_probs)[::-1][:beam_size]
+            top = np.argsort(log_probs, kind="stable")[::-1][:beam_size]
             for token_id in top:
                 token_id = int(token_id)
                 hyp = BeamHypothesis(
@@ -188,6 +190,77 @@ def beam_search(
     return finished
 
 
+def _select_best(
+    values: np.ndarray, widths: Optional[np.ndarray], count: int, tie_keys
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the ``count`` best entries in each row of ``values``.
+
+    Only the first ``widths[r]`` entries of row ``r`` are candidates (all of
+    them when ``widths`` is None); the rest are padding no greater than any
+    candidate of the row.  Larger values rank first, and equal values rank
+    by the :func:`numpy.lexsort` keys ``tie_keys(rows, cols)`` (last key
+    primary, ascending).  The result is grouped by ascending row, best first.
+
+    ``argpartition`` finds each row's threshold value.  Usually exactly
+    ``count`` candidates sit at or above it and no two of them are equal:
+    then each row's survivors are sorted by value alone.  Otherwise every
+    candidate above the threshold survives, the candidates *at* it are
+    ranked by ``tie_keys`` to fill the remaining places, and the survivors
+    are sorted with ``tie_keys``.
+    """
+    num_rows, width = values.shape
+    index = np.arange(num_rows)[:, None]
+    survivors = None  # (rows, m) columns when every row keeps m candidates
+    if count >= width:
+        if widths is None:
+            survivors, ranked = np.broadcast_to(np.arange(width), values.shape), values
+    else:
+        part = values.argpartition(width - count, axis=1)[:, width - count:]
+        ranked = values[index, part]
+        threshold = ranked[:, :1]  # argpartition puts each row's kth value first
+        # Each row has at least ``count`` entries at or above its threshold.
+        if np.count_nonzero(values >= threshold) == num_rows * count and (
+            widths is None or (part < widths[:, None]).all()
+        ):
+            survivors = part
+    if survivors is not None:
+        order = (-ranked).argsort(axis=1, kind="stable")
+        ranked = ranked[index, order]
+        if not (ranked[:, 1:] == ranked[:, :-1]).any():
+            cols = survivors[index, order]
+            return index.repeat(cols.shape[1]), cols.reshape(-1)
+
+    if widths is None:
+        widths = np.full(num_rows, width)
+    real = np.arange(width) < widths[:, None]
+    if count >= width:
+        rows, cols = np.nonzero(real)
+    else:
+        rows, cols = np.nonzero((values > threshold) & real)
+        tie_rows, tie_cols = np.nonzero((values == threshold) & real)
+        order = np.lexsort((*tie_keys(tie_rows, tie_cols), tie_rows))
+        tie_rows, tie_cols = tie_rows[order], tie_cols[order]
+        rank = np.arange(tie_rows.size) - np.searchsorted(tie_rows, tie_rows)
+        keep = rank < (count - np.bincount(rows, minlength=num_rows))[tie_rows]
+        rows = np.concatenate([rows, tie_rows[keep]])
+        cols = np.concatenate([cols, tie_cols[keep]])
+    order = np.lexsort((*tie_keys(rows, cols), -values[rows, cols], rows))
+    return rows[order], cols[order]
+
+
+def _accumulate(scores: np.ndarray, log_probs: np.ndarray, state) -> np.ndarray:
+    """``scores[:, None] + log_probs`` in float64 (an exact upcast).
+
+    With an arena active the float64 block is a ring buffer instead of a
+    fresh array, kept clear of the step's log-probs and ``state`` leaves.
+    """
+    arena = current_arena()
+    if arena is None:
+        return scores[:, None] + log_probs
+    avoid = [log_probs, *_ndarray_leaves(state, [])]
+    return np.add(scores[:, None], log_probs, out=arena.get(log_probs.shape, np.float64, avoid=avoid))
+
+
 def batched_beam_search_many(
     step_fn: BatchStepFn,
     initial_state: object,
@@ -207,136 +280,20 @@ def batched_beam_search_many(
     ``initial_state`` must carry one leading-axis row per sequence (see
     :func:`gather_beam_state` for the accepted shapes); after each expansion
     the surviving hypotheses' parent rows are gathered out of the step's
-    returned state.  Returned hypotheses carry ``state=None`` — callers that
-    need per-hypothesis decoder state should use the scalar reference.
+    returned state.  Hypothesis rows stay grouped by sequence in ascending
+    order — the invariant the fused page-blocked decode kernel relies on.
+    Returned hypotheses carry ``state=None``.
 
-    The expansion/ranking semantics reproduce :func:`beam_search` exactly —
-    same per-row ``argsort`` top-k, same stable candidate ordering (each
-    beam's expansions in beam order), same length-penalty normalisation —
-    so given a step function computing the same log-probabilities, token
-    sequences *and* scores are bit-identical to the scalar reference.
-    """
-    if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
-    if num_sequences < 0:
-        raise ValueError("num_sequences must be >= 0")
-    if num_sequences == 0:
-        return []
-
-    # Live hypotheses, per sequence: token prefixes, accumulated scores, and
-    # each hypothesis' row in the batched state carried into the next step.
-    live_tokens: List[List[List[int]]] = [[[start_id]] for _ in range(num_sequences)]
-    live_scores: List[List[float]] = [[0.0] for _ in range(num_sequences)]
-    finished: List[List[BeamHypothesis]] = [[] for _ in range(num_sequences)]
-    state = initial_state
-
-    for _ in range(max_depth):
-        alive = [g for g in range(num_sequences) if live_tokens[g]]
-        if not alive:
-            break
-        last = np.asarray(
-            [tokens[-1] for g in alive for tokens in live_tokens[g]], dtype=np.int64
-        )
-        log_probs, new_state = step_fn(last, state)
-        arena = current_arena()
-        if (
-            arena is not None
-            and isinstance(log_probs, np.ndarray)
-            and log_probs.dtype != np.float64
-        ):
-            # Ranking runs in float64 regardless of the decode dtype; the
-            # upcast goes through a ring buffer instead of a fresh array.
-            converted = arena.get(log_probs.shape, np.float64, avoid=(log_probs,))
-            converted[...] = log_probs
-            log_probs = converted
-        else:
-            log_probs = np.asarray(log_probs, dtype=np.float64)
-        if log_probs.ndim != 2 or log_probs.shape[0] != last.shape[0]:
-            raise ValueError(
-                f"batched step_fn must return (N, V) log-probs for N={last.shape[0]} "
-                f"hypotheses, got shape {log_probs.shape}"
-            )
-        k = min(beam_size, log_probs.shape[1])
-        # Per-row top-k, identical to the scalar path's argsort-and-reverse.
-        top = np.argsort(log_probs, axis=-1)[:, ::-1][:, :k]
-        top_scores = np.take_along_axis(log_probs, top, axis=-1)
-
-        parent_rows: List[int] = []  # surviving beams' rows in new_state
-        offset = 0
-        for g in alive:
-            n_g = len(live_tokens[g])
-            rows = slice(offset, offset + n_g)
-            # Candidate order matches the scalar path: each live beam's
-            # expansions in beam order, best-first within the beam.
-            cand_scores = (
-                np.asarray(live_scores[g], dtype=np.float64)[:, None] + top_scores[rows]
-            ).reshape(-1)
-            # All candidates at one depth share a length, so the penalty is a
-            # common divisor — computed the same way as normalized_score.
-            if length_penalty:
-                length = max(1, len(live_tokens[g][0]) + 1)
-                norm = cand_scores / (length ** length_penalty)
-            else:
-                norm = cand_scores
-            order = np.argsort(-norm, kind="stable")[:beam_size]
-            next_tokens: List[List[int]] = []
-            next_scores: List[float] = []
-            for position in order:
-                position = int(position)
-                parent = position // k
-                token = int(top[offset + parent, position % k])
-                tokens = live_tokens[g][parent] + [token]
-                score = float(cand_scores[position])
-                if token == end_id:
-                    finished[g].append(
-                        BeamHypothesis(score=score, tokens=tokens, finished=True)
-                    )
-                else:
-                    next_tokens.append(tokens)
-                    next_scores.append(score)
-                    parent_rows.append(offset + parent)
-            live_tokens[g] = next_tokens
-            live_scores[g] = next_scores
-            offset += n_g
-        if not parent_rows:
-            break
-        state = gather_beam_state(new_state, np.asarray(parent_rows, dtype=np.intp))
-
-    results: List[List[BeamHypothesis]] = []
-    for g in range(num_sequences):
-        hypotheses = list(finished[g])
-        hypotheses.extend(  # unfinished hypotheses still count at max depth
-            BeamHypothesis(score=score, tokens=tokens)
-            for tokens, score in zip(live_tokens[g], live_scores[g])
-        )
-        hypotheses.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
-        results.append(hypotheses)
-    return results
-
-
-def batched_beam_search_many_fast(
-    step_fn: BatchStepFn,
-    initial_state: object,
-    start_id: int,
-    end_id: int,
-    num_sequences: int,
-    beam_size: int = 8,
-    max_depth: int = 4,
-    length_penalty: float = 0.0,
-) -> List[List[BeamHypothesis]]:
-    """Array-native beam host for the quantized decode fast path.
-
-    Same contract as :func:`batched_beam_search_many`, with the per-sequence
-    Python selection loop replaced by array code: hypothesis prefixes live in
-    one ``(N, depth)`` token matrix, and the per-depth candidate ranking is
-    one stable argsort over a ``(alive, max_beams·k)`` padded score block
-    instead of one small argsort per sequence.  Selection runs on the same
-    exact float64 accumulated scores with the same top-k and tie order as
-    the reference host, so given identical log-probabilities it picks the
-    same hypotheses; the reference host remains the executable spec.
-
-    Hypothesis rows stay grouped by sequence in ascending order — the
-    invariant the fused page-blocked attention kernel relies on.
+    Selection is array code, one set of numpy calls per depth for all
+    sequences, and reproduces :func:`beam_search` exactly: given the same
+    log-probabilities, token sequences, float64 scores and hypothesis order
+    are bit-identical.  A candidate's place in the scalar search's list is
+    ``(beam slot, rank in its row)``, where a row ranks tokens by
+    log-probability and then by higher token id; candidates are ordered by
+    (normalised score desc, that place asc).  No row is sorted: each
+    sequence's candidates are partitioned at the ``beam_size``-th best
+    score, and only the survivors and the candidates tied at the cut are
+    sorted.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -346,16 +303,17 @@ def batched_beam_search_many_fast(
         return []
 
     tokens = np.full((num_sequences, 1), start_id, dtype=np.int64)
+    last = tokens[:, 0]  # each live row's last token
     scores = np.zeros(num_sequences, dtype=np.float64)
-    seq = np.arange(num_sequences, dtype=np.intp)
+    # Sequences with live hypotheses, ascending, and their live row counts.
+    alive = np.arange(num_sequences, dtype=np.intp)
+    counts = np.ones(num_sequences, dtype=np.intp)
     finished: List[List[BeamHypothesis]] = [[] for _ in range(num_sequences)]
     state = initial_state
 
     for _ in range(max_depth):
         n_rows = tokens.shape[0]
-        if n_rows == 0:
-            break
-        log_probs, new_state = step_fn(np.ascontiguousarray(tokens[:, -1]), state)
+        log_probs, new_state = step_fn(last, state)
         log_probs = np.asarray(log_probs)
         if log_probs.ndim != 2 or log_probs.shape[0] != n_rows:
             raise ValueError(
@@ -363,84 +321,78 @@ def batched_beam_search_many_fast(
                 f"hypotheses, got shape {log_probs.shape}"
             )
         vocab = log_probs.shape[1]
-        k = min(beam_size, vocab)
-        # Top-k sorts the step's native dtype directly (the full-width
-        # float64 upcast the reference host performs is deferred to the k
-        # selected columns — score *accumulation* stays exact float64).
-        top = np.argsort(log_probs, axis=-1)[:, ::-1][:, :k]
-        top_scores = np.take_along_axis(log_probs, top, axis=-1).astype(np.float64)
-        cand = scores[:, None] + top_scores  # (N, k)
+        # The scalar search expands only each row's top min(beam, V) tokens,
+        # but a candidate with r better tokens in its own row has r better
+        # candidates in its sequence, so the sequence's top ``beam_size``
+        # never reaches past a row's top ``beam_size``: every token can be a
+        # candidate, and no row is sorted.
+        cand = _accumulate(scores, log_probs, new_state)
+        # All candidates at one depth share a length, so the penalty is one
+        # divisor — computed the same way as normalized_score.
+        length = tokens.shape[1] + 1
+        norm = cand / (length ** length_penalty) if length_penalty else cand
 
-        # Sequence segmentation (rows are grouped by ascending seq id).
-        boundary = np.empty(n_rows, dtype=bool)
-        boundary[0] = True
-        np.not_equal(seq[1:], seq[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        counts = np.empty(starts.size, dtype=np.intp)
-        counts[:-1] = starts[1:]
-        counts[-1] = n_rows
-        counts -= starts
-        alive_ids = seq[starts]
-        num_alive = starts.size
-        max_beams = int(counts.max())
-        row_block = np.repeat(np.arange(num_alive, dtype=np.intp), counts)
-        row_slot = np.arange(n_rows, dtype=np.intp) - np.repeat(starts, counts)
+        # One block row per alive sequence: its candidates, slot-major.
+        starts = counts.cumsum() - counts
+        sizes = counts.tolist()
+        max_beams = max(sizes)
+        widths = None
+        if min(sizes) == max_beams:
+            block = norm.reshape(alive.size, max_beams * vocab)
+        else:
+            # Ragged: pad past each sequence's live rows with values at or
+            # below every candidate.  Distinct pads keep argpartition fast;
+            # a block of equal pads (say -inf) slows it several-fold.
+            filled = np.arange(max_beams) < counts[:, None]
+            block = np.empty((alive.size, max_beams, vocab))
+            block[filled] = norm
+            block[~filled] = np.subtract(
+                norm.min(), np.arange((filled.size - n_rows) * vocab, dtype=np.float64)
+            ).reshape(-1, vocab)
+            block = block.reshape(alive.size, max_beams * vocab)
+            widths = counts * vocab
 
-        padded = np.full((num_alive, max_beams, k), -np.inf, dtype=np.float64)
-        padded[row_block, row_slot] = cand
-        flat = padded.reshape(num_alive, max_beams * k)
-        # All live prefixes at one depth share a length, so the penalty is a
-        # global positive divisor: it cannot change the per-row ranking, and
-        # the selected raw scores below stay exact.
-        select = np.argsort(-flat, axis=-1, kind="stable")[:, :beam_size]
-        valid = select < (counts[:, None] * k)
+        def place(block_rows, block_cols):
+            # The scalar candidate order: beam slot, then rank in the row
+            # (log-prob desc, then higher token id).
+            slot, token = np.divmod(block_cols, vocab)
+            return -token, -log_probs[starts[block_rows] + slot, token], slot
 
-        parent_local = select // k
-        parent_global = starts[:, None] + parent_local  # (A, beam)
-        token_slot = select % k
-        sel_tokens = top[parent_global, token_slot]
-        sel_scores = cand[parent_global, token_slot]
-        sel_seq = np.broadcast_to(alive_ids[:, None], select.shape)
+        block_rows, block_cols = _select_best(block, widths, beam_size, place)
+        slot, new_tokens = np.divmod(block_cols, vocab)
+        parents = starts[block_rows] + slot
+        scores = cand[parents, new_tokens]
 
-        valid_flat = valid.reshape(-1)
-        parents = parent_global.reshape(-1)[valid_flat]
-        new_tokens = sel_tokens.reshape(-1)[valid_flat]
-        new_scores = sel_scores.reshape(-1)[valid_flat]
-        new_seq = sel_seq.reshape(-1)[valid_flat]
-
+        tokens = np.concatenate([tokens[parents], new_tokens[:, None]], axis=1)
         done = new_tokens == end_id
         if done.any():
-            for parent, token, score, g in zip(
-                parents[done], new_tokens[done], new_scores[done], new_seq[done]
+            for g, prefix, score in zip(
+                alive[block_rows[done]].tolist(), tokens[done].tolist(), scores[done].tolist()
             ):
-                finished[int(g)].append(
-                    BeamHypothesis(
-                        score=float(score),
-                        tokens=tokens[parent].tolist() + [int(token)],
-                        finished=True,
-                    )
-                )
+                finished[g].append(BeamHypothesis(score=score, tokens=prefix, finished=True))
             live = ~done
-            parents, new_tokens = parents[live], new_tokens[live]
-            new_scores, new_seq = new_scores[live], new_seq[live]
-        tokens = tokens[parents]
+            tokens, parents, new_tokens = tokens[live], parents[live], new_tokens[live]
+            scores, block_rows = scores[live], block_rows[live]
+        counts = np.bincount(block_rows, minlength=alive.size)
+        if not counts.all():
+            alive, counts = alive[counts > 0], counts[counts > 0]
         if parents.size == 0:
             break
-        tokens = np.concatenate([tokens, new_tokens[:, None]], axis=1)
-        scores, seq = new_scores, new_seq
+        last = new_tokens
         state = gather_beam_state(new_state, parents)
 
-    results: List[List[BeamHypothesis]] = []
-    for g in range(num_sequences):
-        hypotheses = list(finished[g])
-        rows = np.flatnonzero(seq == g) if tokens.shape[0] else []
-        hypotheses.extend(  # unfinished hypotheses still count at max depth
-            BeamHypothesis(score=float(scores[row]), tokens=tokens[row].tolist())
-            for row in rows
-        )
-        hypotheses.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
-        results.append(hypotheses)
-    return results
+    for g, prefix, score in zip(np.repeat(alive, counts).tolist(), tokens.tolist(), scores.tolist()):
+        # unfinished hypotheses still count at max depth
+        finished[g].append(BeamHypothesis(score=score, tokens=prefix))
+    # Without a penalty the normalised score is the score itself.
+    key = (lambda h: h.normalized_score(length_penalty)) if length_penalty else attrgetter("score")
+    for hypotheses in finished:
+        hypotheses.sort(key=key, reverse=True)
+    return finished
+
+
+#: Alias kept for callers of the former quantized-decode host name.
+batched_beam_search_many_fast = batched_beam_search_many
 
 
 def batched_beam_search(

@@ -36,6 +36,18 @@ def test_generate_batch_matches_scalar_generate(generator, memories, beam_size):
             assert batched[position] == generator.generate(memory, beam_size=beam_size)
 
 
+def test_generate_batch_matches_scalar_generate_at_paper_beam(generator, memories):
+    """Beam 200, depth 4 (the paper's decode): topics and margins per page."""
+    with nn.no_grad():
+        margins = []
+        batched = generator.generate_batch(memories, beam_size=200, max_depth=4, margins=margins)
+        for position, memory in enumerate(memories):
+            scalar_margins = []
+            topic = generator.generate(memory, beam_size=200, max_depth=4, margins=scalar_margins)
+            assert batched[position] == topic
+            assert margins[position] == pytest.approx(scalar_margins[0], abs=1e-10)
+
+
 def test_generate_batch_empty_and_single(generator, memories):
     assert generator.generate_batch([]) == []
     with nn.no_grad():
