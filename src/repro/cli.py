@@ -52,8 +52,8 @@ Commands
     through student-only, cascade and teacher-only serving and record
     docs/sec, latency percentiles, panel scores and the escalation rate
     under the report's ``cascade`` key.  ``--quantized`` switches to the
-    quantized-inference comparison: int8/float16 weights with pre-packed
-    fused kernels and the arena allocator vs the float32 reference decode,
+    quantized-inference comparison: decode with int8/float16 weights vs a
+    float32 copy of the reference model (both on the same decode path),
     task-metric deltas vs the float64 reference, and quantized serving on
     both transports, recorded under the report's ``quantized`` key
     (``--quant-mode`` selects int8 or float16).  ``--compare
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "offline against the simulated human-eval panel)")
     bench.add_argument("--quantized", action="store_true",
                        help="benchmark quantized inference instead: decode "
-                            "throughput of the int8/float16 packed fused kernel "
-                            "+ arena vs the float32 reference, task-metric "
+                            "throughput with int8/float16 weights vs a float32 "
+                            "copy of the reference, task-metric "
                             "deltas vs the float64 reference, and quantized "
                             "serving on both transports, recorded under the "
                             "report's 'quantized' key")

@@ -188,9 +188,6 @@ class BenchResult:
     decode: Optional[dict] = None
     #: peak resident set size of the bench process, MB (None off-POSIX).
     peak_rss_mb: Optional[float] = None
-    #: numpy scratch allocations per document on the batched decode pass
-    #: (arena ``allocations + bypass`` delta / docs; ~0 under a warm arena).
-    allocations_per_doc: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +218,6 @@ class BenchResult:
             "observability_overhead": self.observability_overhead,
             "decode": dict(self.decode) if self.decode is not None else None,
             "peak_rss_mb": self.peak_rss_mb,
-            "allocations_per_doc": self.allocations_per_doc,
             "outputs_match": self.outputs_match,
             "mismatches": list(self.mismatches),
         }
@@ -296,10 +292,6 @@ class BenchResult:
         total_calls = sum(data["calls"] for data in self.layers.values())
         total_seconds = sum(data["seconds"] for data in self.layers.values())
         lines.append(f"  {'total':<24} {total_calls:>6}  {total_seconds * 1000:9.1f}")
-        if self.allocations_per_doc is not None:
-            lines.append(
-                f"  decode scratch allocations/doc: {self.allocations_per_doc:.2f}"
-            )
         if self.peak_rss_mb is not None:
             lines.append(f"  peak RSS: {self.peak_rss_mb:.1f} MB")
         return "\n".join(lines)
@@ -387,25 +379,17 @@ def run_decode_bench(
         ]
         scalar_seconds = time.perf_counter() - start
 
-        before = nn.arena_counters()
         start = time.perf_counter()
         batched_topics = model.generator.generate_batch(
             memories, beam_size=beam_size, max_depth=max_depth
         )
         batched_seconds = time.perf_counter() - start
-        after = nn.arena_counters()
 
     mismatches = [
         doc_id
         for doc_id, left, right in zip(doc_ids, scalar_topics, batched_topics)
         if left != right
     ]
-    # Scratch-allocation pressure on the batched pass.  Outside an arena
-    # every ``nn.scratch`` call is a fresh ``np.empty`` (counted as bypass);
-    # under a warm arena the same pass should report ~0 new allocations.
-    new_buffers = (after["allocations"] - before["allocations"]) + (
-        after["bypass"] - before["bypass"]
-    )
     return {
         "num_pages": len(memories),
         "unique_pages": len(memory_by_html),
@@ -414,7 +398,6 @@ def run_decode_bench(
         "scalar_seconds": scalar_seconds,
         "batched_seconds": batched_seconds,
         "speedup": scalar_seconds / batched_seconds if batched_seconds else float("inf"),
-        "allocations_per_doc": new_buffers / len(memories) if memories else 0.0,
         "outputs_match": not mismatches,
         "mismatches": mismatches,
     }
@@ -591,7 +574,6 @@ def run_serving_bench(
         observability_overhead=overhead,
         decode=decode,
         peak_rss_mb=_peak_rss_mb(),
-        allocations_per_doc=decode.get("allocations_per_doc"),
     )
     if output_path is not None:
         result.save(output_path)
@@ -1851,16 +1833,13 @@ class QuantizedBenchResult:
       *tolerance*, not bit-exactness: ``f1_drop <= f1_tolerance`` (absolute)
       and ``topic_em_drop_rel <= em_tolerance_rel`` (relative).
     * **throughput** — batched topic decode over an encoded serving stream:
-      float32 reference kernel vs the quantized model's pre-packed fused
-      kernel + arena allocator (min-of-``reps`` wall time each).
+      a float32 copy of the reference model vs the quantized model, both
+      through the same decode step and beam host (min-of-``reps`` wall time
+      each), so the speedup is what the quantized weights alone buy.
     * **serving** — the same stream through
       :class:`~repro.core.serving.ConcurrentBriefingPipeline` on each
       requested transport; the quantized snapshot must produce identical
       briefs on both sides of the process boundary.
-
-    ``arena`` carries the steady-state scratch counters of one warm decode
-    pass — ``allocations_per_doc`` ≈ 0 is the O(1)-allocations property the
-    kernel profile gates on.
     """
 
     num_pages: int
@@ -1885,7 +1864,6 @@ class QuantizedBenchResult:
     #: quantized layer census: ``{mode: count}`` over swapped layers.
     quantized_layers: Dict[str, int]
     snapshot_bytes: Dict[str, object]
-    arena: Dict[str, object]
     peak_rss_mb: Optional[float] = None
     #: per transport: seconds / docs_per_second / latency_p50_ms /
     #: latency_p99_ms serving the stream with the quantized snapshot.
@@ -1917,7 +1895,6 @@ class QuantizedBenchResult:
             "within_tolerance": self.within_tolerance,
             "quantized_layers": dict(self.quantized_layers),
             "snapshot_bytes": dict(self.snapshot_bytes),
-            "arena": dict(self.arena),
             "peak_rss_mb": self.peak_rss_mb,
             "transports": {name: dict(data) for name, data in self.transports.items()},
             "outputs_match": self.outputs_match,
@@ -1948,10 +1925,6 @@ class QuantizedBenchResult:
             f"snapshot: {self.snapshot_bytes['float']:,} B float -> "
             f"{self.snapshot_bytes['quantized']:,} B quantized "
             f"({self.snapshot_bytes['ratio']:.2f}x smaller)",
-            f"arena (steady state): {self.arena['allocations']} allocations / "
-            f"{self.arena['reuses']} reuses  "
-            f"({self.arena['allocations_per_doc']:.2f} allocations/doc, "
-            f"{self.arena['retained_bytes'] / 1024:.0f} KiB retained)",
         ]
         for name, data in self.transports.items():
             lines.append(
@@ -1973,8 +1946,8 @@ def _build_quantized_bench_model(seed: int):
 
     Wider than :func:`_build_bench_model` (dim-48 MiniBert, hidden-64
     generator) so the decode comparison exercises real GEMM shapes — at
-    toy widths the fused kernel's no-gather advantage is lost in Python
-    overhead.  The corpus rides along for calibration and quality metrics.
+    toy widths any arithmetic difference is lost in Python overhead.  The
+    corpus rides along for calibration and quality metrics.
     """
     from .. import nn
     from ..data import Vocabulary, build_jasmine_corpus
@@ -2017,11 +1990,12 @@ def run_quantized_bench(
     labelled corpus, calibrates activation ranges on a forward pass,
     quantizes (through a pickle round-trip — the exact path a
     :class:`~repro.core.transport.ModelSnapshot` takes), re-measures
-    quality, then times batched decode over an encoded serving stream —
-    float32 reference kernel vs quantized fused kernel + arena — and
-    finally serves the stream through the concurrent pipeline on each
-    requested transport with the quantized snapshot, checking the briefs
-    agree across the process boundary.
+    quality, then times batched decode over an encoded serving stream — a
+    float32 copy of the reference model vs the quantized model, on the same
+    decode path (the caller's model is left untouched) — and finally serves
+    the stream through the concurrent pipeline on each requested transport
+    with the quantized snapshot, checking the briefs agree across the
+    process boundary.
     """
     import pickle
 
@@ -2086,10 +2060,12 @@ def run_quantized_bench(
     )
     within_tolerance = f1_drop <= f1_tolerance and em_drop_rel <= em_tolerance_rel
 
-    # 4. decode throughput over an encoded serving stream.  Both paths
-    # encode and decode under float32; the reference side keeps the
-    # reference kernel and host, the quantized side brings the packed
-    # fused kernel and the arena.
+    # 4. decode throughput over an encoded serving stream.  Both sides run
+    # float32 weights and activations through the same step and host; the
+    # reference side is a float32 copy (pickle round-trip, then astype) so
+    # the comparison isolates the quantized weights from float64 arithmetic.
+    reference = pickle.loads(pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL))
+    reference.astype(np.float32)
     pages = synthesize_serving_corpus(
         num_pages, seed=seed, duplicate_fraction=duplicate_fraction
     )
@@ -2112,19 +2088,14 @@ def run_quantized_bench(
 
     def _decode(target, memories):
         with nn.no_grad(), nn.default_dtype(np.float32):
-            if getattr(target, "_use_arena", False):
-                with nn.use_arena():
-                    return target.generator.generate_batch(
-                        memories, beam_size=beam_size, max_depth=max_depth
-                    )
             return target.generator.generate_batch(
                 memories, beam_size=beam_size, max_depth=max_depth
             )
 
-    doc_ids, reference_memories, unique_pages = _encode(model)
+    doc_ids, reference_memories, unique_pages = _encode(reference)
     _, quantized_memories, _ = _encode(quantized)
 
-    reference_topics = _decode(model, reference_memories)
+    reference_topics = _decode(reference, reference_memories)
     quantized_topics = _decode(quantized, quantized_memories)
     agreement = sum(
         left == right for left, right in zip(reference_topics, quantized_topics)
@@ -2134,23 +2105,11 @@ def run_quantized_bench(
     quantized_seconds = math.inf
     for _ in range(max(1, reps)):
         start = time.perf_counter()
-        _decode(model, reference_memories)
+        _decode(reference, reference_memories)
         reference_seconds = min(reference_seconds, time.perf_counter() - start)
         start = time.perf_counter()
         _decode(quantized, quantized_memories)
         quantized_seconds = min(quantized_seconds, time.perf_counter() - start)
-
-    # Steady-state allocation pressure: the timing loop warmed the arena
-    # rings, so one more counted pass should allocate ~nothing.
-    nn.reset_arena_counters()
-    _decode(quantized, quantized_memories)
-    counters = nn.arena_counters()
-    arena = dict(counters)
-    arena["allocations_per_doc"] = (
-        (counters["allocations"] + counters["bypass"]) / len(quantized_memories)
-        if quantized_memories
-        else 0.0
-    )
 
     # 5. serve the stream with the quantized snapshot on each transport.
     transport_sections: Dict[str, dict] = {}
@@ -2244,7 +2203,6 @@ def run_quantized_bench(
                 else math.inf
             ),
         },
-        arena=arena,
         peak_rss_mb=_peak_rss_mb(),
         transports=transport_sections,
         outputs_match=not mismatches,

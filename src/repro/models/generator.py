@@ -16,7 +16,7 @@ The module exposes:
   depth 4);
 * :meth:`generate_batch` / :meth:`greedy_hidden_batch` — the vectorized
   decode fast path: every live hypothesis of every page in a micro-batch is
-  one row of a fused no-grad step (cached attention key projections,
+  one row of a single no-grad step (cached attention key projections,
   :meth:`~repro.nn.LSTMCell.step_inference` gate kernel), so decode costs
   ``max_depth`` step calls per batch instead of one Python-level model call
   per hypothesis per step.
@@ -48,13 +48,6 @@ def _beam_margin(hypotheses) -> float:
 
 class TopicGenerator(nn.Module):
     """Bi-LSTM encoder + attentive LSTM decoder producing a topic phrase."""
-
-    #: Which batched decode step to use: ``"reference"`` (the bit-exact float
-    #: path, arena-aware) or ``"fused"`` (grouped per-page GEMMs + packed
-    #: cell — the quantized fast path, bound by task-metric tolerance, not
-    #: bit-exactness).  ``nn.quantize_module`` flips this on quantized copies;
-    #: a class-level default keeps old pickles on the reference kernel.
-    _decode_kernel = "reference"
 
     def __init__(
         self,
@@ -243,7 +236,7 @@ class TopicGenerator(nn.Module):
         mask: np.ndarray,
         proj_keys: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One fused decode step for ``N`` hypotheses → (logits, h_new, c_new).
+        """One batched decode step for ``N`` hypotheses → (logits, h_new, c_new).
 
         Raw numpy mirror of :meth:`_step` — same arithmetic per row (cached
         key projections replace the re-projected bilinear form, and the
@@ -251,11 +244,6 @@ class TopicGenerator(nn.Module):
         matches the unpadded softmax bitwise) — without autograd nodes.
         ``pages`` routes each hypothesis row to its page's memory block.
         """
-        arena = nn.current_arena()
-        if arena is not None and h.dtype == padded.dtype == proj_keys.dtype:
-            return self._batched_raw_step_arena(
-                token_ids, h, c, pages, padded, mask, proj_keys
-            )
         scores = self.attention.scores_from_keys(h, proj_keys[pages])  # (N, M)
         keep = mask[pages]
         neg_inf = np.array(-np.inf, dtype=scores.dtype)
@@ -274,250 +262,11 @@ class TopicGenerator(nn.Module):
         )
         return logits, h_new, c_new
 
-    def _batched_raw_step_arena(
-        self,
-        token_ids: np.ndarray,
-        h: np.ndarray,
-        c: np.ndarray,
-        pages: np.ndarray,
-        padded: np.ndarray,
-        mask: np.ndarray,
-        proj_keys: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The reference step written into arena ring buffers.
-
-        Every operation is the exact counterpart of :meth:`_batched_raw_step`
-        (``np.take`` for fancy gathers, ufuncs with ``out=``, ``np.copyto``
-        with ``where=`` for the masked selects) in the same order — results
-        are bit-identical, pinned by tests/nn/test_arena.py; only the
-        per-step allocations disappear.  ``live`` accumulates every issued
-        buffer so no two overlapping intermediates ever share storage.
-        """
-        arena = nn.current_arena()
-        n_rows = h.shape[0]
-        width = padded.shape[1]
-        two_h = padded.shape[2]
-        hd = h.shape[1]
-        dtype = h.dtype
-        live = [h, c]
-
-        def buf(shape, dt=dtype):
-            buffer = arena.get(shape, dt, avoid=live)
-            live.append(buffer)
-            return buffer
-
-        keys = buf((n_rows, width, proj_keys.shape[2]))
-        np.take(proj_keys, pages, axis=0, out=keys)
-        scores = buf((n_rows, width))
-        self.attention.scores_from_keys(h, keys, out=scores)
-        keep = buf((n_rows, width), np.bool_)
-        np.take(mask, pages, axis=0, out=keep)
-        notkeep = buf((n_rows, width), np.bool_)
-        np.logical_not(keep, out=notkeep)
-        masked = buf((n_rows, width))
-        np.copyto(masked, scores)
-        np.copyto(masked, dtype.type(-np.inf), where=notkeep)
-        row_max = buf((n_rows, 1))
-        np.max(masked, axis=-1, keepdims=True, out=row_max)
-        nonfinite = buf((n_rows, 1), np.bool_)
-        np.isfinite(row_max, out=nonfinite)
-        np.logical_not(nonfinite, out=nonfinite)
-        np.copyto(row_max, 0.0, where=nonfinite)
-        np.subtract(scores, row_max, out=masked)  # masked's select is consumed
-        np.exp(masked, out=masked)
-        np.copyto(masked, 0.0, where=notkeep)
-        total = buf((n_rows, 1))
-        np.sum(masked, axis=-1, keepdims=True, out=total)
-        np.equal(total, 0.0, out=nonfinite)
-        np.copyto(total, 1.0, where=nonfinite)
-        np.divide(masked, total, out=masked)  # attention weights
-        memory = buf((n_rows, width, two_h))
-        np.take(padded, pages, axis=0, out=memory)
-        context3 = buf((n_rows, 1, two_h))
-        np.matmul(masked[:, None, :], memory, out=context3)
-        context = context3[:, 0, :]
-        embed_table = self.embedding.weight.data
-        embed_dim = embed_table.shape[1]
-        embedded = buf((n_rows, embed_dim))
-        np.take(embed_table, np.asarray(token_ids, dtype=np.int64), axis=0, out=embedded)
-        cell_in = buf((n_rows, embed_dim + two_h))
-        cell_in[:, :embed_dim] = embedded
-        cell_in[:, embed_dim:] = context
-        h_new, c_new = self.cell.step_inference(cell_in, (h, c))
-        live.extend([h_new, c_new])
-        out_in = buf((n_rows, hd + two_h))
-        out_in[:, :hd] = h_new
-        out_in[:, hd:] = context
-        logits = buf((n_rows, self.output.weight.data.shape[1]))
-        np.matmul(out_in, self.output.weight.data, out=logits)
-        np.add(logits, self.output.bias.data, out=logits)
-        return logits, h_new, c_new
-
-    def _batched_raw_step_fused(
-        self,
-        token_ids: np.ndarray,
-        h: np.ndarray,
-        c: np.ndarray,
-        pages: np.ndarray,
-        padded: np.ndarray,
-        mask: np.ndarray,
-        proj_keys: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Quantized fast kernel: page-blocked GEMMs + packed cell step.
-
-        ``batched_beam_search_many`` keeps hypothesis rows grouped by
-        sequence in ascending page order, so attention scoring and context
-        mixing run directly against each page's memory block — replacing
-        the reference path's einsum and its per-step ``(N, M, 2h)`` gather
-        copies.  When every live page carries the same number of rows (the
-        steady state: ``beam_size`` hypotheses per page) the whole batch is
-        two stacked ``(P, B, ·) @ (P, ·, ·)`` GEMM calls; ragged row counts
-        fall back to one GEMM per page.  Masked lanes are driven to exactly
-        zero weight via ``exp(-inf) == 0``.  Same math, different summation
-        order — covered by the task-metric tolerance contract, not
-        bit-exactness (the reference kernel stays the executable spec).
-        """
-        dtype = h.dtype
-        if (
-            padded.dtype != dtype
-            or proj_keys.dtype != dtype
-            or self.embedding.weight.data.dtype != dtype
-            or (pages.size > 1 and np.any(pages[1:] < pages[:-1]))
-        ):
-            return self._batched_raw_step(token_ids, h, c, pages, padded, mask, proj_keys)
-        n_rows = h.shape[0]
-        width = padded.shape[1]
-        two_h = padded.shape[2]
-        hd = h.shape[1]
-        live = [h, c]
-
-        def buf(shape, dt=dtype):
-            buffer = nn.scratch(shape, dt, avoid=live)
-            live.append(buffer)
-            return buffer
-
-        if n_rows:
-            boundary = np.empty(n_rows, dtype=bool)
-            boundary[0] = True
-            np.not_equal(pages[1:], pages[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            ends = np.empty(starts.size, dtype=np.intp)
-            ends[:-1] = starts[1:]
-            ends[-1] = n_rows
-        else:
-            starts = ends = np.empty(0, np.intp)
-        sizes = ends - starts
-        num_pages = starts.size
-        uniform = num_pages > 0 and int(sizes.min()) == int(sizes.max())
-        if uniform:
-            # Steady state: every live page has the same B rows.  Two stacked
-            # batched GEMMs cover scoring and context mixing for the whole
-            # step — no per-page Python loop, no (N, M, 2h) gather copies.
-            rows_per_page = int(sizes[0])
-            uniq = pages[starts]
-            if int(uniq[-1]) - int(uniq[0]) == num_pages - 1:
-                # Consecutive live pages: slice views, no copies at all.
-                span = slice(int(uniq[0]), int(uniq[-1]) + 1)
-                keys, memory, keep_pages = proj_keys[span], padded[span], mask[span]
-            else:
-                keys = buf((num_pages, width, two_h))
-                np.take(proj_keys, uniq, axis=0, out=keys)
-                memory = buf((num_pages, width, two_h))
-                np.take(padded, uniq, axis=0, out=memory)
-                keep_pages = buf((num_pages, width), np.bool_)
-                np.take(mask, uniq, axis=0, out=keep_pages)
-            scores3 = buf((num_pages, rows_per_page, width))
-            np.matmul(h.reshape(num_pages, rows_per_page, hd), keys.transpose(0, 2, 1), out=scores3)
-            notkeep = buf((num_pages, width), np.bool_)
-            np.logical_not(keep_pages, out=notkeep)
-            np.copyto(scores3, dtype.type(-np.inf), where=notkeep[:, None, :])
-            row_max = buf((num_pages, rows_per_page, 1))
-            np.max(scores3, axis=-1, keepdims=True, out=row_max)
-            nonfinite = buf((num_pages, rows_per_page, 1), np.bool_)
-            np.isfinite(row_max, out=nonfinite)
-            np.logical_not(nonfinite, out=nonfinite)
-            np.copyto(row_max, 0.0, where=nonfinite)
-            np.subtract(scores3, row_max, out=scores3)
-            np.exp(scores3, out=scores3)  # masked lanes: exp(-inf) == 0 exactly
-            total = buf((num_pages, rows_per_page, 1))
-            np.sum(scores3, axis=-1, keepdims=True, out=total)
-            np.equal(total, 0.0, out=nonfinite)
-            np.copyto(total, 1.0, where=nonfinite)
-            np.divide(scores3, total, out=scores3)  # attention weights
-            context3 = buf((num_pages, rows_per_page, two_h))
-            np.matmul(scores3, memory, out=context3)
-            context = context3.reshape(n_rows, two_h)
-        else:
-            groups = [(int(s), int(e), int(pages[s])) for s, e in zip(starts, ends)]
-            scores = buf((n_rows, width))
-            for s, e, p in groups:
-                np.matmul(h[s:e], proj_keys[p].T, out=scores[s:e])
-            keep = buf((n_rows, width), np.bool_)
-            np.take(mask, pages, axis=0, out=keep)
-            np.logical_not(keep, out=keep)
-            np.copyto(scores, dtype.type(-np.inf), where=keep)
-            row_max = buf((n_rows, 1))
-            np.max(scores, axis=-1, keepdims=True, out=row_max)
-            nonfinite = buf((n_rows, 1), np.bool_)
-            np.isfinite(row_max, out=nonfinite)
-            np.logical_not(nonfinite, out=nonfinite)
-            np.copyto(row_max, 0.0, where=nonfinite)
-            np.subtract(scores, row_max, out=scores)
-            np.exp(scores, out=scores)  # masked lanes: exp(-inf) == 0 exactly
-            total = buf((n_rows, 1))
-            np.sum(scores, axis=-1, keepdims=True, out=total)
-            np.equal(total, 0.0, out=nonfinite)
-            np.copyto(total, 1.0, where=nonfinite)
-            np.divide(scores, total, out=scores)  # attention weights
-            context = buf((n_rows, two_h))
-            for s, e, p in groups:
-                np.matmul(scores[s:e], padded[p], out=context[s:e])
-        embed_table = self.embedding.weight.data
-        embed_dim = embed_table.shape[1]
-        embedded = buf((n_rows, embed_dim))
-        np.take(embed_table, np.asarray(token_ids, dtype=np.int64), axis=0, out=embedded)
-        cell_in = buf((n_rows, embed_dim + two_h))
-        cell_in[:, :embed_dim] = embedded
-        cell_in[:, embed_dim:] = context
-        h_new, c_new = self.cell.step_inference(cell_in, (h, c))
-        live.extend([h_new, c_new])
-        out_in = buf((n_rows, hd + two_h))
-        out_in[:, :hd] = h_new
-        out_in[:, hd:] = context
-        logits = buf((n_rows, self.output.weight.data.shape[1]))
-        np.matmul(out_in, self.output.weight.data, out=logits)
-        np.add(logits, self.output.bias.data, out=logits)
-        return logits, h_new, c_new
-
-    def _decode_step(self):
-        """The batched step implementation selected by ``_decode_kernel``."""
-        if self._decode_kernel == "fused":
-            return self._batched_raw_step_fused
-        return self._batched_raw_step
-
     @staticmethod
-    def _log_softmax_raw(logits: np.ndarray, keep_live=()) -> np.ndarray:
-        """Row-wise log-softmax for the beam, arena-aware and bit-exact.
-
-        The arena branch runs the identical operation sequence (max,
-        subtract, exp, sum, log, subtract) with ``out=`` into ring buffers;
-        ``keep_live`` lists caller-held buffers that must not be recycled.
-        """
-        arena = nn.current_arena()
-        if arena is None:
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        avoid = [logits, *keep_live]
-        row_max = arena.get((logits.shape[0], 1), logits.dtype, avoid=avoid)
-        np.max(logits, axis=-1, keepdims=True, out=row_max)
-        np.subtract(logits, row_max, out=logits)  # logits is dead: shift in place
-        avoid.append(row_max)
-        exp = arena.get(logits.shape, logits.dtype, avoid=avoid)
-        np.exp(logits, out=exp)
-        np.sum(exp, axis=-1, keepdims=True, out=row_max)
-        np.log(row_max, out=row_max)
-        np.subtract(logits, row_max, out=logits)
-        return logits
+    def _log_softmax_raw(logits: np.ndarray) -> np.ndarray:
+        """Row-wise log-softmax for the beam (no autograd)."""
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def generate_batch(
         self,
@@ -526,7 +275,7 @@ class TopicGenerator(nn.Module):
         max_depth: int = 8,
         margins: Optional[List[float]] = None,
     ) -> List[List[str]]:
-        """Beam-search topic phrases for many pages with fused per-depth steps.
+        """Beam-search topic phrases for many pages with one step per depth.
 
         Equivalent to ``[self.generate(m, beam_size, max_depth) for m in
         memories]`` — same top hypothesis per page — but every live beam of
@@ -540,15 +289,13 @@ class TopicGenerator(nn.Module):
             return []
         with nn.no_grad():
             padded, mask, proj_keys, h0, c0 = self._batched_decode_buffers(memories)
-            raw_step = self._decode_step()
 
             def step_fn(token_ids, state):
                 h, c, pages = state
-                logits, h_new, c_new = raw_step(
+                logits, h_new, c_new = self._batched_raw_step(
                     token_ids, h, c, pages, padded, mask, proj_keys
                 )
-                log_probs = self._log_softmax_raw(logits, keep_live=(h_new, c_new))
-                return log_probs, (h_new, c_new, pages)
+                return self._log_softmax_raw(logits), (h_new, c_new, pages)
 
             # Resolved through ``nn`` at call time so wrappers installed on
             # the package attribute see every decode.
@@ -578,7 +325,7 @@ class TopicGenerator(nn.Module):
 
         Per-page equivalent of ``JointWBModel._greedy_topic_hidden`` (hidden
         states appended each step *including* the EOS-producing one); one
-        fused step per depth drives every still-live page.
+        batched step per depth drives every still-live page.
         """
         memories = list(memories)
         if not memories:
@@ -589,15 +336,12 @@ class TopicGenerator(nn.Module):
             pages = np.arange(num_pages, dtype=np.intp)
             tokens = np.full(num_pages, self.vocabulary.bos_id, dtype=np.int64)
             hiddens: List[List[np.ndarray]] = [[] for _ in range(num_pages)]
-            raw_step = self._decode_step()
             for _ in range(max_depth):
-                logits, h, c = raw_step(
+                logits, h, c = self._batched_raw_step(
                     tokens, h, c, pages, padded, mask, proj_keys
                 )
                 for row, page in enumerate(pages):
-                    # Copy: under the arena, h's storage is recycled by the
-                    # next step, so stored rows must own their data.
-                    hiddens[page].append(h[row].copy())
+                    hiddens[page].append(h[row])
                 tokens = logits.argmax(axis=-1)
                 live = tokens != self.vocabulary.eos_id
                 if not live.any():

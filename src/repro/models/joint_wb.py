@@ -132,10 +132,9 @@ class JointWBModel(nn.Module):
     #: Inference hooks armed by ``nn.quantize_module`` on quantized copies
     #: (class-level defaults keep pickles from older snapshots inert):
     #: ``_inference_dtype`` scopes ``predict_batch`` under
-    #: ``nn.default_dtype``, ``_use_arena`` runs it inside the arena
-    #: allocator, ``_quantized_mode`` records "int8"/"float16" provenance.
+    #: ``nn.default_dtype``, ``_quantized_mode`` records "int8"/"float16"
+    #: provenance.
     _inference_dtype = None
-    _use_arena = False
     _quantized_mode = None
 
     def __init__(
@@ -400,13 +399,10 @@ class JointWBModel(nn.Module):
             capture["beam_margins"] = [0.0] * len(documents)
             capture["memories"] = [None] * len(documents)
         with ExitStack() as contexts:
-            # Quantized copies pin their inference precision and run the
-            # decode loop inside the arena allocator; float models enter
-            # neither context and behave exactly as before.
+            # Quantized copies pin their inference precision; float models
+            # run under the caller's dtype.
             if self._inference_dtype is not None:
                 contexts.enter_context(nn.default_dtype(self._inference_dtype))
-            if self._use_arena:
-                contexts.enter_context(nn.use_arena())
             contexts.enter_context(nn.no_grad())
             for batch in iterate_batches(
                 list(enumerate(documents)),

@@ -6,14 +6,6 @@ identification/understanding distillation losses), optimisers with the
 paper's warm-up schedule, and beam search.
 """
 
-from .arena import (
-    Arena,
-    arena_counters,
-    current_arena,
-    reset_arena_counters,
-    scratch,
-    use_arena,
-)
 from .attention import BilinearAttention, MultiHeadSelfAttention, attend, masked_softmax
 from .beam import (
     BeamHypothesis,
@@ -110,12 +102,6 @@ __all__ = [
     "batched_beam_search_many_fast",
     "gather_beam_state",
     "greedy_decode",
-    "Arena",
-    "use_arena",
-    "current_arena",
-    "scratch",
-    "arena_counters",
-    "reset_arena_counters",
     "QuantizedDense",
     "QuantizedEmbedding",
     "QuantizedLSTMCell",

@@ -87,24 +87,14 @@ class BilinearAttention(Module):
         keys = keys.data if isinstance(keys, Tensor) else np.asarray(keys)
         return keys @ self.weight.data.T
 
-    def scores_from_keys(
-        self,
-        queries: np.ndarray,
-        projected_keys: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def scores_from_keys(self, queries: np.ndarray, projected_keys: np.ndarray) -> np.ndarray:
         """Raw bilinear scores against keys cached by :meth:`precompute_keys`.
 
         ``queries`` of shape ``(..., query_dim)`` against ``projected_keys``
         of shape ``(..., m, query_dim)`` (batch axes broadcasting) yields
-        scores of shape ``(..., m)``.  Raw numpy, no autograd.  ``out``
-        (e.g. an arena scratch buffer) receives the scores when given; the
-        einsum computes the same contraction either way, so the values are
-        bit-identical with and without it.
+        scores of shape ``(..., m)``.  Raw numpy, no autograd.
         """
         queries = queries.data if isinstance(queries, Tensor) else np.asarray(queries)
-        if out is not None:
-            return np.einsum("...d,...md->...m", queries, projected_keys, out=out)
         return np.einsum("...d,...md->...m", queries, projected_keys)
 
     def forward(

@@ -28,7 +28,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .arena import current_arena
 from .tensor import Tensor
 
 __all__ = [
@@ -59,18 +58,6 @@ def gather_beam_state(state, indices: np.ndarray):
     (including integer routing arrays such as per-beam page indices),
     :class:`~repro.nn.tensor.Tensor` values, and nested tuples/lists thereof.
     """
-    arena = current_arena()
-    if arena is not None:
-        # Gather every ndarray leaf into a ring buffer: ``np.take`` with
-        # ``out=`` produces exactly ``state[indices]``.  Every source leaf
-        # and every already-issued target rides in ``avoid`` — two leaves
-        # often share one (shape, dtype) key (the decoder's h and c).
-        avoid: List[np.ndarray] = _ndarray_leaves(state, [])
-        return _gather_into_arena(state, indices, arena, avoid)
-    return _gather_copy(state, indices)
-
-
-def _gather_copy(state, indices: np.ndarray):
     if state is None:
         return None
     if isinstance(state, Tensor):
@@ -78,36 +65,7 @@ def _gather_copy(state, indices: np.ndarray):
     if isinstance(state, np.ndarray):
         return state[indices]
     if isinstance(state, (tuple, list)):
-        return type(state)(_gather_copy(part, indices) for part in state)
-    raise TypeError(
-        f"cannot gather beam state of type {type(state).__name__}; use numpy "
-        "arrays, Tensors, None, or nested tuples/lists of those"
-    )
-
-
-def _ndarray_leaves(state, found: "List[np.ndarray]") -> "List[np.ndarray]":
-    if isinstance(state, np.ndarray):
-        found.append(state)
-    elif isinstance(state, Tensor):
-        found.append(state.data)
-    elif isinstance(state, (tuple, list)):
-        for part in state:
-            _ndarray_leaves(part, found)
-    return found
-
-
-def _gather_into_arena(state, indices: np.ndarray, arena, avoid: "List[np.ndarray]"):
-    if state is None:
-        return None
-    if isinstance(state, Tensor):
-        return Tensor(state.data[indices])
-    if isinstance(state, np.ndarray):
-        target = arena.get((len(indices),) + state.shape[1:], state.dtype, avoid=avoid)
-        np.take(state, indices, axis=0, out=target)
-        avoid.append(target)
-        return target
-    if isinstance(state, (tuple, list)):
-        return type(state)(_gather_into_arena(part, indices, arena, avoid) for part in state)
+        return type(state)(gather_beam_state(part, indices) for part in state)
     raise TypeError(
         f"cannot gather beam state of type {type(state).__name__}; use numpy "
         "arrays, Tensors, None, or nested tuples/lists of those"
@@ -248,19 +206,6 @@ def _select_best(
     return rows[order], cols[order]
 
 
-def _accumulate(scores: np.ndarray, log_probs: np.ndarray, state) -> np.ndarray:
-    """``scores[:, None] + log_probs`` in float64 (an exact upcast).
-
-    With an arena active the float64 block is a ring buffer instead of a
-    fresh array, kept clear of the step's log-probs and ``state`` leaves.
-    """
-    arena = current_arena()
-    if arena is None:
-        return scores[:, None] + log_probs
-    avoid = [log_probs, *_ndarray_leaves(state, [])]
-    return np.add(scores[:, None], log_probs, out=arena.get(log_probs.shape, np.float64, avoid=avoid))
-
-
 def batched_beam_search_many(
     step_fn: BatchStepFn,
     initial_state: object,
@@ -281,8 +226,7 @@ def batched_beam_search_many(
     :func:`gather_beam_state` for the accepted shapes); after each expansion
     the surviving hypotheses' parent rows are gathered out of the step's
     returned state.  Hypothesis rows stay grouped by sequence in ascending
-    order — the invariant the fused page-blocked decode kernel relies on.
-    Returned hypotheses carry ``state=None``.
+    order.  Returned hypotheses carry ``state=None``.
 
     Selection is array code, one set of numpy calls per depth for all
     sequences, and reproduces :func:`beam_search` exactly: given the same
@@ -326,7 +270,7 @@ def batched_beam_search_many(
         # candidates in its sequence, so the sequence's top ``beam_size``
         # never reaches past a row's top ``beam_size``: every token can be a
         # candidate, and no row is sorted.
-        cand = _accumulate(scores, log_probs, new_state)
+        cand = scores[:, None] + log_probs  # float64: an exact upcast
         # All candidates at one depth share a length, so the penalty is one
         # divisor — computed the same way as normalized_score.
         length = tokens.shape[1] + 1

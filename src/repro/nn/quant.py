@@ -1,8 +1,8 @@
-"""Quantized inference: int8/float16 weights + pre-packed fused decode kernels.
+"""Quantized weights: an int8/float16 codec plus float32 inference.
 
 The serving stack already trades precision for speed once (float64 training
 → float32 inference via ``Module.astype`` + ``nn.default_dtype``).  This
-module takes the next step on the decode hot path:
+module adds a weight codec on top:
 
 * :func:`quantize_array` — per-channel symmetric int8 (scale = absmax/127
   per output channel) or float16 weight payloads.  Payloads are the
@@ -10,23 +10,20 @@ module takes the next step on the decode hot path:
   scales across the process transport instead of float64 matrices.
 * :class:`QuantizedDense` / :class:`QuantizedLSTMCell` /
   :class:`QuantizedEmbedding` — drop-in subclasses whose ``Parameter``
-  objects hold the *dequantized* float32 weights (so every existing raw
-  numpy fast path works unchanged), rebuilt deterministically from the
-  payload on unpickle — restore is bit-consistent across processes.
-  :class:`QuantizedLSTMCell` additionally pre-packs the gate matrices
-  (``W_x``/``W_h`` concatenated, contiguous, pre-scaled) so
-  ``step_inference`` does **one** packed matmul per step.
+  objects hold the *dequantized* float32 weights, rebuilt deterministically
+  from the payload on unpickle — restore is bit-consistent across
+  processes.  They add no kernels: a quantized model decodes through the
+  same reference step, LSTM no-grad kernel and beam host as a float one.
 * :func:`record_activation_ranges` — the calibration pass: runs any forward
   under instrumented layers and records per-layer input absmax, which
   :func:`quantize_module` uses to fall back to float16 where int8 rounding
   would perturb calibrated activations beyond the error budget.
 * :func:`quantize_module` / ``Module.quantize()`` — deep-copies a model,
-  swaps the quantizable layers, casts the remainder to float32 and arms the
-  fused decode kernels + arena allocator.
+  swaps the quantizable layers, casts the remainder to float32 and pins
+  float32 inference.
 
-Tolerance contract: quantized decode is **not** bit-exact to the float
-path — the float path stays the executable reference (like scalar
-``beam_search`` is for the batched search) and the acceptance gate is task
+Tolerance contract: quantized weights are **not** the float weights — the
+float model stays the executable reference and the acceptance gate is task
 metrics (extraction F1 drop ≤ 0.5 abs, topic exact-match drop ≤ 1 % rel),
 checked by ``repro bench --quantized``.
 
@@ -44,10 +41,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .arena import scratch
 from .layers import Dense, Embedding
 from .module import Module, Parameter
-from .rnn import LSTMCell, _sigmoid_inplace
+from .rnn import LSTMCell
 from .tensor import (
     _MODE,
     _UNSET,
@@ -135,8 +131,8 @@ def _quantization_error(payload: dict, array: np.ndarray) -> float:
 class _QuantizedMixin:
     """Shared pickle protocol: ship payloads, rebuild float params on load.
 
-    ``__getstate__`` drops the dequantized float ``Parameter`` arrays (and
-    any pre-packed buffer) so the blob carries only int8/float16 payloads
+    ``__getstate__`` drops the dequantized float ``Parameter`` arrays so the
+    blob carries only int8/float16 payloads
     plus float32 biases; ``__setstate__`` rebuilds them deterministically —
     the restored weights are bit-identical on every host and process.
     """
@@ -148,7 +144,6 @@ class _QuantizedMixin:
         state["_parameters"] = {}
         for field in self._PARAM_FIELDS:
             state.pop(field, None)
-        state.pop("_packed", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -225,13 +220,10 @@ class QuantizedEmbedding(_QuantizedMixin, Embedding):
 
 
 class QuantizedLSTMCell(_QuantizedMixin, LSTMCell):
-    """An :class:`LSTMCell` with pre-packed, pre-scaled fused gate weights.
+    """An :class:`LSTMCell` whose gate weights live as int8/float16 payloads.
 
-    ``_packed`` is the contiguous ``(input_dim + hidden_dim, 4h)`` stack of
-    the dequantized ``W_x`` over ``W_h``, so the no-grad decode step is one
-    matmul on ``[x ⊕ h]`` + bias instead of two GEMMs and a temporary sum.
-    The packed buffer is rebuilt from the payload on unpickle, never
-    shipped.
+    ``w_x``/``w_h`` hold the dequantized float32 matrices, so the inherited
+    ``forward`` and ``step_inference`` run unchanged.
     """
 
     _PARAM_FIELDS = ("w_x", "w_h", "bias")
@@ -254,68 +246,9 @@ class QuantizedLSTMCell(_QuantizedMixin, LSTMCell):
 
     def _rebuild(self) -> None:
         with default_dtype(np.float32):
-            w_x = dequantize_array(self._payload["w_x"])
-            w_h = dequantize_array(self._payload["w_h"])
-            self.w_x = Parameter(w_x)
-            self.w_h = Parameter(w_h)
+            self.w_x = Parameter(dequantize_array(self._payload["w_x"]))
+            self.w_h = Parameter(dequantize_array(self._payload["w_h"]))
             self.bias = Parameter(self._payload["bias"].copy())
-        # Packed layout permutes the gate columns from the reference
-        # ``[i|f|g|o]`` to ``[i|f|o|g]`` so the three sigmoid gates form one
-        # contiguous block (one wide in-place activation call instead of
-        # three strided ones).  Per-column values are unchanged — the
-        # permutation is invisible outside the packed step.
-        stacked = np.concatenate([w_x, w_h], axis=0)
-        hd = self.hidden_dim
-        order = np.concatenate(
-            [np.arange(2 * hd), np.arange(3 * hd, 4 * hd), np.arange(2 * hd, 3 * hd)]
-        )
-        self._packed = np.ascontiguousarray(stacked[:, order])
-        self._packed_bias = np.ascontiguousarray(self.bias.data[order])
-
-    def step_inference(
-        self,
-        x: Optional[np.ndarray],
-        state: Tuple[np.ndarray, np.ndarray],
-        xw: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused packed step: one matmul on ``[x ⊕ h_prev]`` + in-place gates.
-
-        Callers that pre-hoisted ``x @ W_x`` (the encoder's batched GEMM)
-        pass ``xw`` and get the reference two-GEMM semantics; the decode
-        path passes raw ``x`` and takes the packed kernel, with every
-        intermediate drawn from the arena when one is active.
-        """
-        if xw is not None or x is None:
-            return super().step_inference(x, state, xw=xw)
-        h_prev, c_prev = state
-        packed = self._packed
-        if x.dtype != packed.dtype or h_prev.dtype != packed.dtype:
-            return super().step_inference(x, state, xw=xw)
-        hd = self.hidden_dim
-        in_dim = self.input_dim
-        lead = x.shape[:-1]
-        dtype = packed.dtype
-        cat = scratch(lead + (in_dim + hd,), dtype, avoid=(x, h_prev, c_prev))
-        cat[..., :in_dim] = x
-        cat[..., in_dim:] = h_prev
-        gates = scratch(lead + (4 * hd,), dtype, avoid=(cat, x))
-        np.matmul(cat, packed, out=gates)
-        gates += self._packed_bias
-        # Packed gate layout is [i|f|o|g]: one wide sigmoid, one tanh.
-        _sigmoid_inplace(gates[..., : 3 * hd])
-        i_gate = gates[..., 0:hd]
-        f_gate = gates[..., hd : 2 * hd]
-        o_gate = gates[..., 2 * hd : 3 * hd]
-        g_gate = gates[..., 3 * hd : 4 * hd]
-        np.tanh(g_gate, out=g_gate)
-        c_new = scratch(lead + (hd,), dtype, avoid=(h_prev, c_prev, x))
-        np.multiply(f_gate, c_prev, out=c_new)
-        np.multiply(i_gate, g_gate, out=i_gate)
-        c_new += i_gate
-        h_new = scratch(lead + (hd,), dtype, avoid=(c_new, h_prev, c_prev, x))
-        np.tanh(c_new, out=h_new)
-        h_new *= o_gate
-        return h_new, c_new
 
 
 # ----------------------------------------------------------------------
@@ -461,15 +394,15 @@ def quantize_module(
     calibration: Optional[Dict[str, Dict[str, float]]] = None,
     error_budget: float = 0.5,
 ) -> Module:
-    """A quantized deep copy of ``module`` armed for fast decode.
+    """A quantized deep copy of ``module`` that infers in float32.
 
     The copy goes through pickle (the exact path a :class:`ModelSnapshot`
     takes), swaps every ``Dense``/``Embedding``/``LSTMCell`` for its
     quantized counterpart, casts all remaining parameters to float32, and —
-    where the host model declares the hooks — arms float32 inference
-    (``_inference_dtype``), the arena allocator (``_use_arena``) and the
-    fused decode kernel (``_decode_kernel``).  The original module is left
-    untouched and stays the executable float reference.
+    where the host model declares the hooks — pins float32 inference
+    (``_inference_dtype``) and records the mode (``_quantized_mode``).  The
+    original module is left untouched and stays the executable float
+    reference.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown quantization mode {mode!r} (use {_MODES})")
@@ -481,11 +414,6 @@ def quantize_module(
         clone.zero_grad()
         if hasattr(type(clone), "_inference_dtype"):
             clone._inference_dtype = np.float32
-        if hasattr(type(clone), "_use_arena"):
-            clone._use_arena = True
         if hasattr(type(clone), "_quantized_mode"):
             clone._quantized_mode = mode
-        for sub in clone.modules():
-            if hasattr(type(sub), "_decode_kernel"):
-                sub._decode_kernel = "fused"
     return clone

@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
-from .arena import current_arena
 from .module import Module, Parameter
 from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, stack
 
@@ -22,16 +21,6 @@ __all__ = ["LSTMCell", "LSTM", "BiLSTM"]
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """In-place ``1 / (1 + exp(-x))`` — the exact operation sequence of
-    :func:`_sigmoid`, so results are bit-identical."""
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    np.add(x, 1.0, out=x)
-    np.divide(1.0, x, out=x)
-    return x
 
 
 class LSTMCell(Module):
@@ -97,42 +86,13 @@ class LSTMCell(Module):
         if xw is None:
             xw = x @ self.w_x.data
         hd = self.hidden_dim
-        w_h = self.w_h.data
-        bias = self.bias.data
-        arena = current_arena()
-        if arena is None or not (xw.dtype == h_prev.dtype == w_h.dtype == bias.dtype):
-            gates = xw + h_prev @ w_h + bias
-            i_gate = _sigmoid(gates[..., 0:hd])
-            f_gate = _sigmoid(gates[..., hd : 2 * hd])
-            g_gate = np.tanh(gates[..., 2 * hd : 3 * hd])
-            o_gate = _sigmoid(gates[..., 3 * hd : 4 * hd])
-            c_new = f_gate * c_prev + i_gate * g_gate
-            h_new = o_gate * np.tanh(c_new)
-            return h_new, c_new
-        # Arena path: the same arithmetic, same operation order, written into
-        # ring buffers with out= — bit-identical to the path above (pinned by
-        # tests/nn/test_arena.py), just without per-step allocations.
-        dtype = xw.dtype
-        lead = xw.shape[:-1]
-        gates = arena.get(lead + (4 * hd,), dtype, avoid=(xw,))
-        np.matmul(h_prev, w_h, out=gates)
-        np.add(xw, gates, out=gates)
-        np.add(gates, bias, out=gates)
-        i_gate = gates[..., 0:hd]
-        f_gate = gates[..., hd : 2 * hd]
-        g_gate = gates[..., 2 * hd : 3 * hd]
-        o_gate = gates[..., 3 * hd : 4 * hd]
-        _sigmoid_inplace(i_gate)
-        _sigmoid_inplace(f_gate)
-        np.tanh(g_gate, out=g_gate)
-        _sigmoid_inplace(o_gate)
-        c_new = arena.get(lead + (hd,), dtype, avoid=(h_prev, c_prev, xw))
-        np.multiply(f_gate, c_prev, out=c_new)
-        np.multiply(i_gate, g_gate, out=i_gate)
-        np.add(c_new, i_gate, out=c_new)
-        h_new = arena.get(lead + (hd,), dtype, avoid=(c_new, h_prev, c_prev, xw))
-        np.tanh(c_new, out=h_new)
-        np.multiply(o_gate, h_new, out=h_new)
+        gates = xw + h_prev @ self.w_h.data + self.bias.data
+        i_gate = _sigmoid(gates[..., 0:hd])
+        f_gate = _sigmoid(gates[..., hd : 2 * hd])
+        g_gate = np.tanh(gates[..., 2 * hd : 3 * hd])
+        o_gate = _sigmoid(gates[..., 3 * hd : 4 * hd])
+        c_new = f_gate * c_prev + i_gate * g_gate
+        h_new = o_gate * np.tanh(c_new)
         return h_new, c_new
 
 

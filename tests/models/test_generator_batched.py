@@ -36,16 +36,36 @@ def test_generate_batch_matches_scalar_generate(generator, memories, beam_size):
             assert batched[position] == generator.generate(memory, beam_size=beam_size)
 
 
+def _assert_batch_matches_scalar(generator, memories, beam_size, margin_tol):
+    margins = []
+    batched = generator.generate_batch(
+        memories, beam_size=beam_size, max_depth=4, margins=margins
+    )
+    for position, memory in enumerate(memories):
+        scalar_margins = []
+        topic = generator.generate(
+            memory, beam_size=beam_size, max_depth=4, margins=scalar_margins
+        )
+        assert batched[position] == topic
+        assert margins[position] == pytest.approx(scalar_margins[0], abs=margin_tol)
+
+
 def test_generate_batch_matches_scalar_generate_at_paper_beam(generator, memories):
     """Beam 200, depth 4 (the paper's decode): topics and margins per page."""
     with nn.no_grad():
-        margins = []
-        batched = generator.generate_batch(memories, beam_size=200, max_depth=4, margins=margins)
-        for position, memory in enumerate(memories):
-            scalar_margins = []
-            topic = generator.generate(memory, beam_size=200, max_depth=4, margins=scalar_margins)
-            assert batched[position] == topic
-            assert margins[position] == pytest.approx(scalar_margins[0], abs=1e-10)
+        _assert_batch_matches_scalar(generator, memories, 200, margin_tol=1e-10)
+
+
+@pytest.mark.parametrize("beam_size", [4, 200])
+def test_quantized_generate_batch_matches_scalar_generate(generator, memories, beam_size):
+    """An int8 clone decodes through the same step and host as the float
+    model, in float32: its batched topics and margins equal its own scalar
+    decode exactly."""
+    clone = nn.quantize_module(generator, mode="int8")
+    with nn.no_grad(), nn.default_dtype(np.float32):
+        memories = [nn.Tensor(memory.data) for memory in memories]
+        assert memories[0].data.dtype == np.float32
+        _assert_batch_matches_scalar(clone, memories, beam_size, margin_tol=0.0)
 
 
 def test_generate_batch_empty_and_single(generator, memories):

@@ -203,10 +203,10 @@ def test_batched_state_threading():
 # ----------------------------------------------------------------------
 # The one batched host against the scalar spec, page by page
 # ----------------------------------------------------------------------
-def _page_tables(seed, num_pages, vocab=VOCAB, dtype=np.float64):
+def _page_tables(seed, num_pages, vocab=VOCAB):
     rng = np.random.default_rng(seed)
     tables = rng.normal(size=(num_pages, vocab, vocab))
-    return (tables - np.log(np.exp(tables).sum(axis=2, keepdims=True))).astype(dtype)
+    return tables - np.log(np.exp(tables).sum(axis=2, keepdims=True))
 
 
 def _routed_step(tables):
@@ -257,47 +257,6 @@ def test_fast_host_identical_to_reference_host(beam_size, length_penalty):
 def test_fast_host_tie_breaking_matches_reference():
     tied = np.zeros((2, VOCAB, VOCAB))
     _assert_host_matches_spec(tied, START, END, "tied", beam_size=4, max_depth=3)
-
-
-def test_fast_host_matches_under_arena_with_float32_steps():
-    """float32 log-probs (the quantized decode dtype) upcast to float64 for
-    ranking; with an arena active the upcast rides ring buffers, which must
-    not change any decision."""
-    from repro.nn.arena import Arena, use_arena
-
-    tables = _page_tables(23, num_pages=3, dtype=np.float32)
-    kwargs = dict(num_sequences=3, beam_size=6, max_depth=4)
-    with use_arena(Arena()):
-        fast = nn.batched_beam_search_many(
-            _routed_step(tables), np.arange(3), START, END, **kwargs
-        )
-    refs = _scalar_per_page(tables, START, END, beam_size=6, max_depth=4)
-    for page, (ref, hyps) in enumerate(zip(refs, fast)):
-        assert_identical(ref, hyps, f"arena float32 page={page}")
-
-
-def test_host_state_rows_survive_arena_key_collision():
-    """The float64 candidate block shares an arena key with a state leaf
-    here (rows x vocab == rows x hidden); it must not overwrite it."""
-    from repro.nn.arena import Arena, use_arena
-
-    tables = _page_tables(31, num_pages=2)
-
-    def batch_step(tokens, state):
-        pages, hidden = state
-        out = nn.scratch(hidden.shape, hidden.dtype, avoid=(hidden,))
-        out[...] = hidden + 1.0  # a (N, VOCAB) float64 state leaf
-        log_probs = nn.scratch(hidden.shape, hidden.dtype, avoid=(hidden, out))
-        log_probs[...] = tables[pages, tokens] + 0.01 * hidden[:, :1]
-        return log_probs, (pages, out)
-
-    initial = (np.arange(2), np.zeros((2, VOCAB)))
-    kwargs = dict(num_sequences=2, beam_size=3, max_depth=5)
-    plain = nn.batched_beam_search_many(batch_step, initial, START, END, **kwargs)
-    with use_arena(Arena()):
-        pooled = nn.batched_beam_search_many(batch_step, initial, START, END, **kwargs)
-    for page, (ref, hyps) in enumerate(zip(plain, pooled)):
-        assert_identical(ref, hyps, f"arena collision page={page}")
 
 
 def test_spec_ranks_tied_tokens_higher_id_first():

@@ -1,12 +1,11 @@
-"""Quantized inference: payloads, packed kernels, and dtype hygiene.
+"""Quantized inference: weight payloads, float32 clones, and dtype hygiene.
 
 The contract under test: per-channel symmetric int8 (and float16) weight
 payloads round-trip within their documented error bounds, quantized layers
-pickle deterministically (and smaller), the packed fused LSTM step matches
-the reference step bit-for-bit (its gate permutation is a column reorder,
-not an approximation), and nothing in calibration or quantization leaks a
-thread/process dtype override — the same test-order-pollution class the
-distill checkpoint suite already pins.
+pickle deterministically (and smaller), quantized clones infer in float32,
+and nothing in calibration or quantization leaks a thread/process dtype
+override — the same test-order-pollution class the distill checkpoint
+suite already pins.
 """
 
 import pickle
@@ -76,9 +75,7 @@ class TestQuantizedModule:
     def test_quantized_clone_is_armed_for_fast_decode(self, small_vocab):
         clone = self._model(small_vocab).quantize(mode="int8")
         assert clone._quantized_mode == "int8"
-        assert clone._use_arena
         assert clone._inference_dtype == np.float32
-        assert clone.generator._decode_kernel == "fused"
         assert all(p.data.dtype == np.float32 for p in clone.parameters())
 
     def test_pickle_round_trip_is_deterministic_and_smaller(self, small_vocab):
@@ -118,39 +115,8 @@ class TestQuantizedModule:
             got = [clone.predict_topic(d, beam_size=2) for d in docs]
         agree = sum(a == b for a, b in zip(want, got))
         # int8 noise may flip near-ties on an untrained model; wholesale
-        # divergence means the packed kernel is broken.
+        # divergence means the weight codec is broken.
         assert agree >= len(docs) - 2
-
-
-class TestPackedLSTMCell:
-    def test_packed_step_matches_reference_step_within_float32_tolerance(self, rng):
-        cell = nn.LSTMCell(input_dim=12, hidden_dim=8, rng=rng)
-        cell.astype(np.float32)
-        quant = nn.QuantizedLSTMCell.from_cell(cell, "float16")
-        # Rebuild a plain cell from the dequantized weights so both step
-        # implementations see identical parameters.  The packed path fuses
-        # the two gate GEMMs into one ``[x ⊕ h] @ packed`` — a different
-        # float32 summation order, so the contract is tolerance (a few ulp
-        # through the saturating gates), not bit-exactness.
-        reference = nn.LSTMCell(input_dim=12, hidden_dim=8, rng=rng)
-        reference.w_x.data = quant.w_x.data.copy()
-        reference.w_h.data = quant.w_h.data.copy()
-        reference.bias.data = quant.bias.data.copy()
-        x = rng.normal(size=(5, 12)).astype(np.float32)
-        h = rng.normal(size=(5, 8)).astype(np.float32)
-        c = rng.normal(size=(5, 8)).astype(np.float32)
-        with nn.no_grad():
-            want_h, want_c = reference.step_inference(x, (h, c))
-            got_h, got_c = quant.step_inference(x, (h, c))
-        np.testing.assert_allclose(got_h, want_h, atol=1e-5, rtol=1e-5)
-        np.testing.assert_allclose(got_c, want_c, atol=1e-5, rtol=1e-5)
-
-    def test_packed_buffers_survive_unpickling(self, rng):
-        cell = nn.LSTMCell(input_dim=6, hidden_dim=4, rng=rng)
-        quant = pickle.loads(pickle.dumps(nn.QuantizedLSTMCell.from_cell(cell, "int8")))
-        assert quant._packed.shape == (10, 16)
-        assert quant._packed.flags["C_CONTIGUOUS"]
-        assert quant._packed_bias.shape == (16,)
 
 
 class TestDtypeHygiene:
