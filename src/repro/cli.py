@@ -20,45 +20,25 @@ Commands
     and empty pages, and print the :class:`~repro.runtime.RuntimeStats`
     counters.  Exit code 0 means retries/breakers/degradations fully masked
     the injected faults.
-``bench [--pages 64] [--output BENCH_serving.json] [--smoke]``
-    Serving benchmark: time the same page stream through the sequential and
-    the batched briefing pipelines, check the briefs are identical, and
-    write docs/sec, latency percentiles, cache hit rate, per-stage timings
-    and per-layer forward times to a JSON report.  The report also carries a
-    ``decode`` section timing the scalar reference decoder against the
-    vectorized batched beam search on the same encoded pages.
-    ``--profile-kernels`` prints the per-layer call-count/seconds table (the
-    report's ``layers`` section) so decode-path regressions are visible from
-    the CLI.  ``--smoke`` runs a tiny
-    corpus and exits nonzero if batched outputs diverge from sequential or
-    the cache never hits.  ``--concurrency N`` switches to the concurrent
-    serving comparison instead: per-request single-worker serving vs an
-    N-worker scheduler with micro-batching, throughput recorded per pool
-    size under the report's ``concurrency`` key.  ``--chaos`` switches to
-    the resilience run instead: a Zipfian request stream served while a
+``bench --chaos|--cascade|--quantized [--smoke] [--pages N]``
+    Correctness scenarios over the concurrent serving layer; exactly one
+    mode is required.  ``--chaos`` replays a Zipfian request stream while a
     seeded :class:`~repro.runtime.ChaosWorker` stalls, fails and kills
-    workers; asserts every future resolves and shutdown does not deadlock,
-    and records p50/p99-under-chaos plus shed/restart/quarantine counts
-    under the report's ``resilience`` key (``--soak-rounds N`` replays the
-    stream N times against the same pipeline).  ``--transport
-    thread|process|both`` switches to the transport comparison: the same
-    cache-cold stream through the in-process thread pool and through
-    one-model-replica-per-worker processes, recording docs/sec, p50/p99 and
-    throughput-by-workers per transport (plus a Zipf/burst/straggler load
-    replay) under the report's ``multiprocess`` key.  ``--cascade`` switches
-    to the cascade frontier: calibrate the student/teacher escalation
-    threshold offline against the simulated human-eval panel (or take
-    ``--escalation-threshold`` verbatim), then replay one cache-cold stream
-    through student-only, cascade and teacher-only serving and record
-    docs/sec, latency percentiles, panel scores and the escalation rate
-    under the report's ``cascade`` key.  ``--quantized`` switches to the
-    quantized-inference comparison: decode with int8/float16 weights vs a
-    float32 copy of the reference model (both on the same decode path),
-    task-metric deltas vs the float64 reference, and quantized serving on
-    both transports, recorded under the report's ``quantized`` key
-    (``--quant-mode`` selects int8 or float16).  ``--compare
-    PREV.json`` diffs throughput/p99 against a previous report and exits
-    nonzero past ``--regression-threshold`` (default 20%).
+    workers; it asserts every future resolves and shutdown does not
+    deadlock, and records p50/p99-under-chaos plus shed/restart/quarantine
+    counts under the report's ``resilience`` key (``--soak-rounds N``
+    replays the stream N times against the same pipeline).  ``--cascade``
+    calibrates the student/teacher escalation threshold offline against the
+    simulated human-eval panel (or takes ``--escalation-threshold``
+    verbatim), replays one cache-cold stream through student-only, cascade
+    and teacher-only serving, and checks the cascade takes no third path and
+    escalates within the calibrated band (``cascade`` key).  ``--quantized``
+    checks int8/float16 weights (``--quant-mode``) stay within the
+    task-metric tolerance of the float64 reference and brief identically on
+    both transports (``quantized`` key).  ``--smoke`` defaults the stream to
+    12 pages (64 otherwise; an explicit ``--pages`` always wins) and prints
+    the verdict.  Exit code 1 means the scenario's contract broke.
+    Throughput and latency are measured by ``perfbench/``, not here.
 ``serve-many [page.html ...] [--workers N] [--transport T] [--deadline-ms B]``
     Brief many pages through the concurrent serving layer
     (:class:`~repro.core.serving.ConcurrentBriefingPipeline`): bounded
@@ -91,7 +71,7 @@ Commands
     deterministic faults and print the resulting metrics registry in
     Prometheus text format — a quick way to see every exported series.
 
-``brief``, ``train``, ``health``, ``bench`` and ``metrics`` all accept
+``brief``, ``train``, ``health``, ``serve-many`` and ``metrics`` all accept
 ``--trace PATH`` (write a JSON-lines span trace) and ``--metrics PATH``
 (write a Prometheus text snapshot); omitting both keeps the no-op
 observability path.
@@ -156,28 +136,34 @@ def build_parser() -> argparse.ArgumentParser:
     health.add_argument("--max-attempts", type=int, default=6)
     _add_obs_args(health)
 
-    bench = sub.add_parser("bench", help="serving benchmark: sequential vs batched briefing")
-    bench.add_argument("--pages", type=int, default=64, help="pages in the synthesized stream")
+    bench = sub.add_parser(
+        "bench", help="serving correctness scenarios: chaos, cascade, quantized"
+    )
+    mode = bench.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--chaos", action="store_true",
+                      help="chaos/soak: replay a Zipfian stream with injected "
+                           "worker stalls/exceptions/deaths and assert conservation")
+    mode.add_argument("--cascade", action="store_true",
+                      help="student/teacher cascade frontier (student-only vs "
+                           "cascade vs teacher-only); honors --transport thread|process")
+    mode.add_argument("--quantized", action="store_true",
+                      help="quantized inference: task-metric deltas vs the float64 "
+                           "reference, decode vs a float32 copy, and quantized "
+                           "serving on both transports")
+    bench.add_argument("--pages", type=int, default=None,
+                       help="pages in the synthesized stream (default 12 with "
+                            "--smoke, else 64)")
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument("--batch-size", type=int, default=8)
     bench.add_argument("--beam-size", type=int, default=2)
     bench.add_argument("--output", default="BENCH_serving.json",
                        help="JSON report path ('' to skip writing)")
     bench.add_argument("--float32", action="store_true",
-                       help="run batched inference under float32")
+                       help="serve under float32 (chaos and cascade)")
     bench.add_argument("--smoke", action="store_true",
-                       help="tiny corpus; exit 1 on output mismatch or cold cache")
-    bench.add_argument("--profile-kernels", action="store_true",
-                       help="print the per-layer call-count/seconds table "
-                            "(the report's 'layers' section)")
-    bench.add_argument("--concurrency", type=int, default=0, metavar="N",
-                       help="benchmark the concurrent serving layer with N workers "
-                            "instead of the sequential-vs-batched comparison")
+                       help="small default stream; print the smoke verdict")
     bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="scheduler micro-batch straggler wait (concurrency mode)")
-    bench.add_argument("--chaos", action="store_true",
-                       help="chaos/soak mode: replay a Zipfian stream with injected "
-                            "worker stalls/exceptions/deaths and assert conservation")
+                       help="scheduler micro-batch straggler wait")
     bench.add_argument("--chaos-workers", type=int, default=4,
                        help="worker pool size in chaos mode")
     bench.add_argument("--chaos-exception-rate", type=float, default=0.08,
@@ -192,35 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline budget (chaos mode)")
     bench.add_argument("--transport", choices=("thread", "process", "both"), default=None,
-                       help="benchmark the worker transports head to head on a "
-                            "cache-cold stream (thread pool vs worker processes)")
+                       help="worker transport for --cascade (default thread) and "
+                            "--quantized (default both)")
     bench.add_argument("--workers", type=int, default=4,
-                       help="full pool size in transport mode")
+                       help="worker pool size for --cascade and --quantized")
     bench.add_argument("--mp-context", choices=("fork", "spawn", "forkserver"), default=None,
                        help="multiprocessing start method for the process transport")
-    bench.add_argument("--cascade", action="store_true",
-                       help="benchmark the student/teacher cascade frontier "
-                            "(student-only vs cascade vs teacher-only) instead; "
-                            "honors --transport thread|process")
     bench.add_argument("--escalation-threshold", type=float, default=None,
                        help="cascade escalation threshold (default: calibrate "
                             "offline against the simulated human-eval panel)")
-    bench.add_argument("--quantized", action="store_true",
-                       help="benchmark quantized inference instead: decode "
-                            "throughput with int8/float16 weights vs a float32 "
-                            "copy of the reference, task-metric "
-                            "deltas vs the float64 reference, and quantized "
-                            "serving on both transports, recorded under the "
-                            "report's 'quantized' key")
     bench.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
                        help="weight quantization mode for --quantized")
-    bench.add_argument("--compare", metavar="PREV.json", default=None,
-                       help="diff throughput/p99 against a previous report; "
-                            "exit 1 past the regression threshold")
-    bench.add_argument("--regression-threshold", type=float, default=0.2,
-                       help="relative change that counts as an SLO regression "
-                            "for --compare (default 0.2 = 20%%)")
-    _add_obs_args(bench)
 
     serve = sub.add_parser(
         "serve-many", help="brief many pages through the concurrent worker pool"
@@ -546,46 +514,13 @@ def _command_health(args) -> int:
     return 0 if masked and served else 1
 
 
-def _compare_bench_reports(args) -> int:
-    """``--compare``: diff the freshly written report against a previous one."""
-    if not getattr(args, "compare", None):
-        return 0
-    import json
-
-    from .core import compare_reports
-
-    try:
-        with open(args.compare) as handle:
-            previous = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read --compare report {args.compare}: {exc}", file=sys.stderr)
-        return 1
-    current = {}
-    if args.output:
-        try:
-            with open(args.output) as handle:
-                current = json.load(handle)
-        except (OSError, ValueError):
-            pass
-    comparison = compare_reports(previous, current, threshold=args.regression_threshold)
-    print()
-    print(comparison.format())
-    return 0 if comparison.ok else 1
-
-
 def _command_bench(args) -> int:
-    from .core import (
-        run_chaos_bench,
-        run_concurrency_bench,
-        run_multiprocess_bench,
-        run_serving_bench,
-    )
+    from .core import run_cascade_bench, run_chaos_bench, run_quantized_bench
 
-    tracer, registry = _make_obs(args)
-    num_pages = min(args.pages, 12) if args.smoke else args.pages
+    num_pages = args.pages if args.pages is not None else (12 if args.smoke else 64)
+    dtype = np.float32 if args.float32 else None
+    output_path = args.output or None
     if args.quantized:
-        from .core import run_quantized_bench
-
         transports = (
             ("thread", "process")
             if args.transport in (None, "both")
@@ -599,26 +534,13 @@ def _command_bench(args) -> int:
             max_batch=args.batch_size,
             max_wait_ms=args.max_wait_ms,
             transports=transports,
-            output_path=args.output or None,
+            output_path=output_path,
             mp_context=args.mp_context,
         )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
-        # The smoke gate is quality + determinism only: tolerance vs the
-        # float64 reference and identical briefs across transports.  The
-        # >=1.5x decode speedup is a property of the committed full-scale
-        # report, not of noisy CI boxes.
+        # Quality + determinism only: tolerance vs the float64 reference and
+        # identical briefs across transports.  Speed is perfbench's job.
         ok = result.within_tolerance and result.outputs_match
-        if args.smoke:
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
-    if args.cascade:
-        from .core import run_cascade_bench
-
-        transport = args.transport if args.transport in ("thread", "process") else "thread"
+    elif args.cascade:
         result = run_cascade_bench(
             num_pages=num_pages,
             seed=args.seed,
@@ -626,53 +548,14 @@ def _command_bench(args) -> int:
             max_batch=args.batch_size,
             beam_size=args.beam_size,
             max_wait_ms=args.max_wait_ms,
-            transport=transport,
+            transport=args.transport if args.transport in ("thread", "process") else "thread",
             threshold=args.escalation_threshold,
-            dtype=np.float32 if args.float32 else None,
-            output_path=args.output or None,
+            dtype=dtype,
+            output_path=output_path,
             mp_context=args.mp_context,
         )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
         ok = result.outputs_match and result.conserved and result.within_band
-        if args.smoke:
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
-    if args.transport:
-        transports = ("thread", "process") if args.transport == "both" else (args.transport,)
-        result = run_multiprocess_bench(
-            num_pages=num_pages,
-            seed=args.seed,
-            workers=args.workers,
-            max_batch=args.batch_size,
-            beam_size=args.beam_size,
-            max_wait_ms=args.max_wait_ms,
-            transports=transports,
-            dtype=np.float32 if args.float32 else None,
-            output_path=args.output or None,
-            mp_context=args.mp_context,
-        )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
-        # Telemetry shipping must stay cheap on every transport.  The budget
-        # is 5%; the gate allows slack above it because smoke runs are tiny
-        # and CI boxes are noisy (same philosophy as the perf suite).
-        budget_ok = all(
-            data.get("observability_overhead") is None
-            or data["observability_overhead"] < 0.25
-            for data in result.transports.values()
-        )
-        ok = result.outputs_match and result.conserved and budget_ok
-        if args.smoke:
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
-    if args.chaos:
+    else:
         result = run_chaos_bench(
             num_requests=num_pages,
             unique_pages=max(4, num_pages // 4),
@@ -686,65 +569,16 @@ def _command_bench(args) -> int:
             death_rate=args.chaos_death_rate,
             deadline_ms=args.deadline_ms,
             rounds=args.soak_rounds,
-            dtype=np.float32 if args.float32 else None,
-            output_path=args.output or None,
+            dtype=dtype,
+            output_path=output_path,
         )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
         ok = result.conserved and not result.deadlocked
-        if args.smoke:
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
-    if args.concurrency:
-        result = run_concurrency_bench(
-            num_pages=num_pages,
-            seed=args.seed,
-            workers=args.concurrency,
-            max_batch=args.batch_size,
-            beam_size=args.beam_size,
-            max_wait_ms=args.max_wait_ms,
-            dtype=np.float32 if args.float32 else None,
-            output_path=args.output or None,
-        )
-        print(result.format())
-        if args.output:
-            print(f"\nwrote {args.output}")
-        _write_obs(args, tracer, registry)
-        compare_rc = _compare_bench_reports(args)
-        if args.smoke:
-            ok = result.outputs_match and result.conserved and not result.queue_rejections
-            print(f"smoke: {'ok' if ok else 'FAILED'}")
-            return 0 if ok and not compare_rc else 1
-        return compare_rc
-    result = run_serving_bench(
-        num_pages=num_pages,
-        seed=args.seed,
-        batch_size=args.batch_size,
-        beam_size=args.beam_size,
-        dtype=np.float32 if args.float32 else None,
-        output_path=args.output or None,
-        tracer=tracer if tracer.enabled else None,
-        registry=registry if registry.enabled else None,
-    )
     print(result.format())
-    if args.profile_kernels:
-        print(result.format_kernel_profile())
     if args.output:
         print(f"\nwrote {args.output}")
-    _write_obs(args, tracer, registry)
-    compare_rc = _compare_bench_reports(args)
     if args.smoke:
-        ok = (
-            result.outputs_match
-            and result.cache_hit_rate > 0
-            and (result.decode is None or result.decode["outputs_match"])
-        )
         print(f"smoke: {'ok' if ok else 'FAILED'}")
-        return 0 if ok and not compare_rc else 1
-    return compare_rc
+    return 0 if ok else 1
 
 
 def _command_serve_many(args) -> int:

@@ -2,21 +2,12 @@
 
 from .batched import BatchedBriefingPipeline, BriefCache, content_hash
 from .bench import (
-    BenchResult,
     CascadeBenchResult,
-    ConcurrencyBenchResult,
-    MultiprocessBenchResult,
     QuantizedBenchResult,
     ResilienceBenchResult,
-    compare_reports,
-    merge_bench_report,
     run_cascade_bench,
     run_chaos_bench,
-    run_concurrency_bench,
-    run_decode_bench,
-    run_multiprocess_bench,
     run_quantized_bench,
-    run_serving_bench,
     save_section,
     synthesize_serving_corpus,
     synthesize_zipf_stream,
@@ -32,7 +23,6 @@ from .cascade import (
     make_batched_pipeline,
     quality_by_confidence_band,
 )
-from .load import LoadGenerator, LoadPhase, LoadReport, TimedRequest, run_load
 from .process_pool import ProcessWorkerPool
 from .evaluation import (
     ExtractionMetrics,
@@ -90,27 +80,13 @@ __all__ = [
     "ModelSnapshot",
     "ConsistentHashRouter",
     "ProcessWorkerPool",
-    "LoadGenerator",
-    "LoadPhase",
-    "LoadReport",
-    "TimedRequest",
-    "run_load",
     "content_hash",
-    "BenchResult",
-    "ConcurrencyBenchResult",
     "ResilienceBenchResult",
-    "MultiprocessBenchResult",
     "CascadeBenchResult",
     "QuantizedBenchResult",
     "run_cascade_bench",
-    "run_serving_bench",
-    "run_concurrency_bench",
     "run_chaos_bench",
-    "run_decode_bench",
-    "run_multiprocess_bench",
     "run_quantized_bench",
-    "compare_reports",
-    "merge_bench_report",
     "save_section",
     "synthesize_serving_corpus",
     "synthesize_zipf_stream",

@@ -1,31 +1,29 @@
-"""Serving benchmark: sequential vs batched briefing throughput.
+"""Correctness scenarios behind ``repro bench``: chaos, cascade, quantized.
 
-``repro bench`` (and the ``benchmarks/perf`` smoke tests) time the same page
-stream through :class:`~repro.core.pipeline.BriefingPipeline` one page at a
-time and through :class:`~repro.core.batched.BatchedBriefingPipeline` in
-batches, verify the discrete outputs (topic tokens, attribute spans,
-informative sentences) are identical, and report docs/sec, per-page latency
-percentiles and the brief-cache hit rate.  Results serialise to
-``BENCH_serving.json`` — schema documented in ``docs/ARCHITECTURE.md``.
+Each mode replays a synthesized page stream through the concurrent serving
+layer and checks a contract on the briefs it serves:
 
-With ``observe=True`` (the default) the bench also answers *where the time
-went*: it replays the stream through two fresh batched pipelines — one
-un-observed, one under a live :class:`~repro.obs.Tracer` +
-:class:`~repro.obs.MetricsRegistry` — to measure tracing overhead honestly,
-reads per-stage timings back from the ``briefing_stage_seconds`` histogram,
-and attributes model time per layer class (MiniBert vs BiLSTM vs attention)
-with a :class:`~repro.obs.ForwardProfiler` pass.
+* ``--chaos`` (:func:`run_chaos_bench`) — conservation under injected
+  worker stalls, failures and deaths: every future resolves and shutdown
+  does not deadlock;
+* ``--cascade`` (:func:`run_cascade_bench`) — the student/teacher cascade
+  takes no third path, and its escalation rate stays inside the calibrated
+  band;
+* ``--quantized`` (:func:`run_quantized_bench`) — quantized weights stay
+  within the task-metric tolerance of the float64 reference and brief
+  identically on both transports.
 
-The synthesized corpus repeats a fraction of its pages (default 25%) the way
-real crawl frontiers revisit URLs, so the content-addressed cache has
-something to hit.
+Each mode writes its own section of ``BENCH_serving.json`` (``resilience``,
+``cascade``, ``quantized``) through :func:`save_section`; the schema is in
+``docs/ARCHITECTURE.md``.  Timings recorded next to the verdicts are
+single-run figures on small untrained models; throughput and latency are
+measured by ``perfbench/``, on a trained model, with medians and spreads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,37 +31,28 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs import percentile
+
 __all__ = [
-    "BenchResult",
     "CascadeBenchResult",
-    "ConcurrencyBenchResult",
-    "MultiprocessBenchResult",
     "ResilienceBenchResult",
     "QuantizedBenchResult",
-    "ReportComparison",
-    "compare_reports",
-    "merge_bench_report",
     "save_section",
     "run_cascade_bench",
-    "run_decode_bench",
-    "run_serving_bench",
-    "run_concurrency_bench",
     "run_chaos_bench",
-    "run_multiprocess_bench",
     "run_quantized_bench",
     "synthesize_serving_corpus",
     "synthesize_zipf_stream",
 ]
 
 
-def merge_bench_report(path: str, updates: Dict[str, object]) -> dict:
-    """Merge ``updates`` into the JSON report at ``path`` (never clobber).
+def save_section(path: str, section: str, payload: Dict[str, object]) -> dict:
+    """Merge one bench mode's ``payload`` under ``section`` in the report.
 
-    Every bench mode shares ``BENCH_serving.json``; each writes only its own
-    top-level keys, so running one mode must not erase the sections the
-    other modes recorded (``decode``, ``concurrency``, ``resilience``,
-    ``multiprocess``, …).  A missing or unparsable file starts fresh.
-    Returns the full merged report.
+    All bench modes share ``BENCH_serving.json`` and each owns one top-level
+    key (``"resilience"``, ``"cascade"``, ``"quantized"``), so the write is
+    read-merge-write: sections recorded by the other modes survive.  A
+    missing or unparsable file starts fresh.  Returns the full merged report.
     """
     try:
         with open(path) as handle:
@@ -72,26 +61,11 @@ def merge_bench_report(path: str, updates: Dict[str, object]) -> dict:
             report = {}
     except (OSError, ValueError):
         report = {}
-    report.update(updates)
+    report[section] = dict(payload)
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     return report
-
-
-def save_section(path: str, section: Optional[str], payload: Dict[str, object]) -> dict:
-    """Write one bench mode's results into the shared report.
-
-    Every bench mode funnels through here so the merge discipline lives in
-    exactly one place: ``section=None`` merges ``payload``'s keys at the top
-    level (the serving bench owns several top-level keys), any other value
-    nests the whole payload under that one key (``"concurrency"``,
-    ``"resilience"``, ``"multiprocess"``, ``"cascade"``, ``"quantized"``).
-    Either way the write is read-merge-write, so sibling sections written by
-    the other modes survive.  Returns the full merged report.
-    """
-    updates = dict(payload) if section is None else {section: dict(payload)}
-    return merge_bench_report(path, updates)
 
 
 def _peak_rss_mb() -> Optional[float]:
@@ -152,151 +126,6 @@ def synthesize_serving_corpus(
     return [(f"page-{position:04d}", html) for position, html in enumerate(stream)]
 
 
-@dataclass
-class BenchResult:
-    """One serving-benchmark run; ``to_dict`` is the BENCH_serving.json schema."""
-
-    num_pages: int
-    unique_pages: int
-    batch_size: int
-    sequential_seconds: float
-    batched_seconds: float
-    sequential_docs_per_second: float
-    batched_docs_per_second: float
-    speedup: float
-    sequential_latency_p50_ms: float
-    sequential_latency_p95_ms: float
-    batched_latency_p50_ms: float
-    batched_latency_p95_ms: float
-    cache_hit_rate: float
-    outputs_match: bool
-    mismatches: List[str] = field(default_factory=list)
-    #: brief-cache lookups during the batched run (counts, not just the rate).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: per-stage timings from the ``briefing_stage_seconds`` histogram:
-    #: ``{stage: {count, total_seconds, p50_ms, p95_ms}}``.
-    phases: Dict[str, dict] = field(default_factory=dict)
-    #: per-layer-class forward time: ``{class: {calls, seconds}}``.
-    layers: Dict[str, dict] = field(default_factory=dict)
-    #: (traced seconds / un-traced seconds) - 1 for the same stream;
-    #: ``None`` when the bench ran with ``observe=False``.
-    observability_overhead: Optional[float] = None
-    #: scalar-vs-batched decode micro-benchmark (:func:`run_decode_bench`):
-    #: ``{num_pages, unique_pages, beam_size, max_depth, scalar_seconds,
-    #: batched_seconds, speedup, outputs_match, mismatches}``.
-    decode: Optional[dict] = None
-    #: peak resident set size of the bench process, MB (None off-POSIX).
-    peak_rss_mb: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "num_pages": self.num_pages,
-            "unique_pages": self.unique_pages,
-            "batch_size": self.batch_size,
-            "sequential": {
-                "seconds": self.sequential_seconds,
-                "docs_per_second": self.sequential_docs_per_second,
-                "latency_p50_ms": self.sequential_latency_p50_ms,
-                "latency_p95_ms": self.sequential_latency_p95_ms,
-            },
-            "batched": {
-                "seconds": self.batched_seconds,
-                "docs_per_second": self.batched_docs_per_second,
-                "latency_p50_ms": self.batched_latency_p50_ms,
-                "latency_p95_ms": self.batched_latency_p95_ms,
-            },
-            "speedup": self.speedup,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": self.cache_hit_rate,
-            },
-            "cache_hit_rate": self.cache_hit_rate,
-            "phases": {stage: dict(data) for stage, data in self.phases.items()},
-            "layers": {cls: dict(data) for cls, data in self.layers.items()},
-            "observability_overhead": self.observability_overhead,
-            "decode": dict(self.decode) if self.decode is not None else None,
-            "peak_rss_mb": self.peak_rss_mb,
-            "outputs_match": self.outputs_match,
-            "mismatches": list(self.mismatches),
-        }
-
-    def save(self, path: str) -> None:
-        """Merge this run's sections into the report, keeping siblings.
-
-        The serving bench owns the top-level keys it writes (``sequential``,
-        ``batched``, ``decode``, …); sections written by the other bench
-        modes (``concurrency``, ``resilience``, ``multiprocess``) survive.
-        """
-        save_section(path, None, self.to_dict())
-
-    def format(self) -> str:
-        lines = [
-            f"pages: {self.num_pages} ({self.unique_pages} unique), "
-            f"batch size {self.batch_size}",
-            f"sequential: {self.sequential_docs_per_second:6.2f} docs/s  "
-            f"p50 {self.sequential_latency_p50_ms:.1f} ms  "
-            f"p95 {self.sequential_latency_p95_ms:.1f} ms",
-            f"batched:    {self.batched_docs_per_second:6.2f} docs/s  "
-            f"p50 {self.batched_latency_p50_ms:.1f} ms  "
-            f"p95 {self.batched_latency_p95_ms:.1f} ms",
-            f"speedup: {self.speedup:.2f}x   cache: {self.cache_hits} hits / "
-            f"{self.cache_misses} misses ({self.cache_hit_rate:.0%})",
-            f"outputs match: {self.outputs_match}"
-            + (f" ({len(self.mismatches)} mismatches)" if self.mismatches else ""),
-        ]
-        if self.phases:
-            lines.append("per-stage (batched, traced run):")
-            for stage, data in sorted(
-                self.phases.items(), key=lambda kv: kv[1]["total_seconds"], reverse=True
-            ):
-                lines.append(
-                    f"  {stage:<14} {data['count']:>5} calls  "
-                    f"{data['total_seconds'] * 1000:8.1f} ms total  "
-                    f"p50 {data['p50_ms']:6.2f} ms  p95 {data['p95_ms']:6.2f} ms"
-                )
-        if self.decode:
-            lines.append(
-                f"decode (beam {self.decode['beam_size']}, "
-                f"{self.decode['num_pages']} pages): "
-                f"scalar {self.decode['scalar_seconds'] * 1000:.0f} ms  "
-                f"batched {self.decode['batched_seconds'] * 1000:.0f} ms  "
-                f"speedup {self.decode['speedup']:.2f}x  "
-                f"outputs match: {self.decode['outputs_match']}"
-            )
-        if self.observability_overhead is not None:
-            lines.append(f"observability overhead: {self.observability_overhead:+.1%}")
-        return "\n".join(lines)
-
-    def format_kernel_profile(self) -> str:
-        """Per-layer call-count / seconds table (``repro bench --profile-kernels``).
-
-        Renders the ``layers`` section — the :class:`~repro.obs.ForwardProfiler`
-        attribution pass — so decode-path regressions (e.g. the scalar
-        per-hypothesis loop sneaking back in as hundreds of ``LSTMCell`` /
-        ``BilinearAttention`` calls) are visible straight from the CLI.
-        """
-        if not self.layers:
-            return "kernel profile: not collected (bench ran with observe=False)"
-        lines = ["per-layer forward time (profiled pass):"]
-        lines.append(f"  {'layer':<24} {'calls':>6}  {'total ms':>9}  {'ms/call':>8}")
-        for cls, data in sorted(
-            self.layers.items(), key=lambda kv: kv[1]["seconds"], reverse=True
-        ):
-            per_call = data["seconds"] / data["calls"] * 1000.0 if data["calls"] else 0.0
-            lines.append(
-                f"  {cls:<24} {data['calls']:>6}  {data['seconds'] * 1000:9.1f}  "
-                f"{per_call:8.3f}"
-            )
-        total_calls = sum(data["calls"] for data in self.layers.values())
-        total_seconds = sum(data["seconds"] for data in self.layers.values())
-        lines.append(f"  {'total':<24} {total_calls:>6}  {total_seconds * 1000:9.1f}")
-        if self.peak_rss_mb is not None:
-            lines.append(f"  peak RSS: {self.peak_rss_mb:.1f} MB")
-        return "\n".join(lines)
-
-
 def _build_bench_model(topics: int, pages: int, seed: int):
     """Tiny untrained Joint-WB stack (deterministic outputs, honest compute)."""
     from .. import nn
@@ -315,386 +144,7 @@ def _build_bench_model(topics: int, pages: int, seed: int):
 
 
 def _percentile_ms(latencies: List[float], q: float) -> float:
-    return float(np.percentile(np.asarray(latencies), q) * 1000.0)
-
-
-def _run_batched_stream(pipeline, pages: List[Tuple[str, str]], batch_size: int) -> float:
-    """Push ``pages`` through ``pipeline.brief_many`` in chunks; wall seconds."""
-    start = time.perf_counter()
-    for offset in range(0, len(pages), batch_size):
-        pipeline.brief_many(pages[offset : offset + batch_size])
-    return time.perf_counter() - start
-
-
-def run_decode_bench(
-    model=None,
-    num_pages: int = 64,
-    seed: int = 7,
-    beam_size: int = 8,
-    max_depth: int = 8,
-    pages: Optional[List[Tuple[str, str]]] = None,
-    duplicate_fraction: float = 0.25,
-) -> dict:
-    """Time scalar vs batched topic decode over an encoded page stream.
-
-    Encodes each unique page once (duplicates share the encoded memory, the
-    way the serving cache shares briefs), then decodes every page of the
-    stream twice: through the scalar reference loop — one
-    ``generator.generate`` beam search per page, one model call per
-    hypothesis per step — and through the vectorized
-    ``generator.generate_batch`` fast path, which advances every live beam
-    of every page in one fused step per depth.  The decoded topics must be
-    identical; the returned dict is the ``decode`` section of
-    ``BENCH_serving.json``.
-    """
-    from .. import nn
-    from .pipeline import document_from_raw_html
-
-    if pages is None:
-        pages = synthesize_serving_corpus(
-            num_pages, seed=seed, duplicate_fraction=duplicate_fraction
-        )
-    if model is None:
-        model = _build_bench_model(topics=2, pages=3, seed=seed)
-
-    doc_ids: List[str] = []
-    memories: List = []
-    memory_by_html: Dict[str, object] = {}
-    with nn.no_grad():
-        for doc_id, html in pages:
-            if html not in memory_by_html:
-                try:
-                    document = document_from_raw_html(html, doc_id=doc_id)
-                except Exception:
-                    continue
-                _, _, _, c_g_dual = model._inference_states(document)
-                memory_by_html[html] = c_g_dual
-            doc_ids.append(doc_id)
-            memories.append(memory_by_html[html])
-
-        start = time.perf_counter()
-        scalar_topics = [
-            model.generator.generate(memory, beam_size=beam_size, max_depth=max_depth)
-            for memory in memories
-        ]
-        scalar_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        batched_topics = model.generator.generate_batch(
-            memories, beam_size=beam_size, max_depth=max_depth
-        )
-        batched_seconds = time.perf_counter() - start
-
-    mismatches = [
-        doc_id
-        for doc_id, left, right in zip(doc_ids, scalar_topics, batched_topics)
-        if left != right
-    ]
-    return {
-        "num_pages": len(memories),
-        "unique_pages": len(memory_by_html),
-        "beam_size": beam_size,
-        "max_depth": max_depth,
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup": scalar_seconds / batched_seconds if batched_seconds else float("inf"),
-        "outputs_match": not mismatches,
-        "mismatches": mismatches,
-    }
-
-
-def run_serving_bench(
-    num_pages: int = 64,
-    seed: int = 7,
-    batch_size: int = 8,
-    beam_size: int = 2,
-    duplicate_fraction: float = 0.25,
-    dtype=None,
-    output_path: Optional[str] = None,
-    model=None,
-    observe: bool = True,
-    tracer=None,
-    registry=None,
-    decode_beam_size: int = 8,
-) -> BenchResult:
-    """Time sequential vs batched briefing on a synthesized page stream.
-
-    The batched side consumes the stream in ``batch_size`` chunks (each
-    page's latency is its chunk's wall time — the request waits for its
-    batch), so later chunks exercise the brief cache on repeated content.
-    Pass ``output_path`` to also write ``BENCH_serving.json``.
-
-    ``observe=True`` adds the observability passes (overhead measurement,
-    per-stage timings, per-layer profile); pass your own ``tracer`` /
-    ``registry`` to keep the spans and metrics they produce (the CLI's
-    ``--trace`` / ``--metrics`` do exactly that).
-
-    The report always includes a ``decode`` section
-    (:func:`run_decode_bench` at ``decode_beam_size`` over the same stream)
-    isolating the scalar-vs-batched decode speedup from the rest of the
-    pipeline.
-    """
-    from ..obs import ForwardProfiler, MetricsRegistry, Tracer, bridge_runtime_stats
-    from .batched import BatchedBriefingPipeline
-    from .pipeline import BriefingPipeline
-
-    pages = synthesize_serving_corpus(
-        num_pages, seed=seed, duplicate_fraction=duplicate_fraction
-    )
-    unique_pages = len({html for _, html in pages})
-    if model is None:
-        model = _build_bench_model(topics=2, pages=3, seed=seed)
-
-    sequential = BriefingPipeline(model, beam_size=beam_size)
-    sequential_latencies: List[float] = []
-    start = time.perf_counter()
-    sequential_briefs = []
-    for doc_id, html in pages:
-        t0 = time.perf_counter()
-        sequential_briefs.append(sequential.brief_html(html, doc_id=doc_id))
-        sequential_latencies.append(time.perf_counter() - t0)
-    sequential_seconds = time.perf_counter() - start
-
-    batched = BatchedBriefingPipeline(
-        model, beam_size=beam_size, batch_size=batch_size, dtype=dtype
-    )
-    batched_latencies: List[float] = []
-    batched_briefs = []
-    start = time.perf_counter()
-    for offset in range(0, len(pages), batch_size):
-        chunk = pages[offset : offset + batch_size]
-        t0 = time.perf_counter()
-        batched_briefs.extend(batched.brief_many(chunk))
-        chunk_seconds = time.perf_counter() - t0
-        batched_latencies.extend([chunk_seconds] * len(chunk))
-    batched_seconds = time.perf_counter() - start
-
-    mismatches: List[str] = []
-    for (doc_id, _), left, right in zip(pages, sequential_briefs, batched_briefs):
-        if (
-            left.topic != right.topic
-            or left.attributes != right.attributes
-            or left.informative_sentences != right.informative_sentences
-        ):
-            mismatches.append(doc_id)
-
-    phases: Dict[str, dict] = {}
-    layers: Dict[str, dict] = {}
-    overhead: Optional[float] = None
-    if observe:
-        # Overhead compares *fresh* pipelines over the same stream (same cold
-        # caches), alternating un-traced and traced passes and keeping the
-        # best of each — min-of-N discards scheduler noise, and interleaving
-        # keeps warm-up and machine drift out of the comparison.
-        obs_tracer = tracer if tracer is not None else Tracer()
-        obs_registry = registry if registry is not None else MetricsRegistry()
-        plain_seconds = float("inf")
-        observed_seconds = float("inf")
-        observed = None
-        for _ in range(3):
-            plain = BatchedBriefingPipeline(
-                model, beam_size=beam_size, batch_size=batch_size, dtype=dtype
-            )
-            plain_seconds = min(plain_seconds, _run_batched_stream(plain, pages, batch_size))
-            observed = BatchedBriefingPipeline(
-                model,
-                beam_size=beam_size,
-                batch_size=batch_size,
-                dtype=dtype,
-                tracer=obs_tracer,
-                registry=obs_registry,
-            )
-            observed_seconds = min(
-                observed_seconds, _run_batched_stream(observed, pages, batch_size)
-            )
-        overhead = observed_seconds / plain_seconds - 1.0
-        bridge_runtime_stats(observed.stats, obs_registry)
-
-        stage_seconds = obs_registry.histogram("briefing_stage_seconds")
-        for key in obs_registry.snapshot().labels("briefing_stage_seconds"):
-            stage = dict(key).get("stage", "")
-            phases[stage] = {
-                "count": stage_seconds.count(stage=stage),
-                "total_seconds": stage_seconds.sum(stage=stage),
-                "p50_ms": stage_seconds.percentile(50, stage=stage) * 1000.0,
-                "p95_ms": stage_seconds.percentile(95, stage=stage) * 1000.0,
-            }
-
-        # Layer attribution on one profiled forward pass over a small sample
-        # of unique documents (profiling wraps every submodule forward, so it
-        # is kept out of the overhead-measured run).
-        from .pipeline import document_from_raw_html
-
-        sample: List = []
-        seen_html = set()
-        for doc_id, html in pages:
-            if html in seen_html:
-                continue
-            seen_html.add(html)
-            try:
-                sample.append(document_from_raw_html(html, doc_id=doc_id))
-            except Exception:
-                continue
-            if len(sample) >= batch_size:
-                break
-        if sample:
-            profiler = ForwardProfiler()
-            with profiler.install(model):
-                model.predict_batch(sample, beam_size=beam_size, batch_size=batch_size)
-            layers = {
-                cls: {"calls": timing.calls, "seconds": timing.seconds}
-                for cls, timing in profiler.by_class().items()
-            }
-
-    decode = run_decode_bench(
-        model=model, pages=pages, seed=seed, beam_size=decode_beam_size
-    )
-
-    lookups = batched.stats.cache_hits + batched.stats.cache_misses
-    result = BenchResult(
-        num_pages=len(pages),
-        unique_pages=unique_pages,
-        batch_size=batch_size,
-        sequential_seconds=sequential_seconds,
-        batched_seconds=batched_seconds,
-        sequential_docs_per_second=len(pages) / sequential_seconds,
-        batched_docs_per_second=len(pages) / batched_seconds,
-        speedup=sequential_seconds / batched_seconds,
-        sequential_latency_p50_ms=_percentile_ms(sequential_latencies, 50),
-        sequential_latency_p95_ms=_percentile_ms(sequential_latencies, 95),
-        batched_latency_p50_ms=_percentile_ms(batched_latencies, 50),
-        batched_latency_p95_ms=_percentile_ms(batched_latencies, 95),
-        cache_hit_rate=(batched.stats.cache_hits / lookups) if lookups else 0.0,
-        outputs_match=not mismatches,
-        mismatches=mismatches,
-        cache_hits=batched.stats.cache_hits,
-        cache_misses=batched.stats.cache_misses,
-        phases=phases,
-        layers=layers,
-        observability_overhead=overhead,
-        decode=decode,
-        peak_rss_mb=_peak_rss_mb(),
-    )
-    if output_path is not None:
-        result.save(output_path)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Concurrent serving benchmark (repro bench --concurrency N)
-# ----------------------------------------------------------------------
-@dataclass
-class ConcurrencyBenchResult:
-    """Throughput-vs-workers for the concurrent serving layer.
-
-    The baseline is a *single worker serving the stream one request at a
-    time* through the per-request :class:`BriefingPipeline` — no
-    cross-request micro-batching, no serving-layer caches; what a
-    deployment gets by pointing a request stream at ``brief_html`` before
-    this subsystem existed.  The same timed loop doubles as the output
-    ground truth.  ``per_request_batched_*`` records the intermediate
-    option for transparency: single-worker ``brief_many`` fed one request
-    per call, which keeps the content cache but still can't batch across
-    requests.  The concurrent side submits the same stream to a
-    :class:`~repro.core.serving.ConcurrentBriefingPipeline`, whose
-    scheduler coalesces concurrent requests into micro-batches for
-    ``predict_batch``, so ``speedup`` measures the serving layer as a
-    whole (micro-batching + sharded cache + single-flight dedup).
-    ``outputs_match`` compares every concurrent run (all worker counts)
-    against the sequential ground truth; ``conserved`` checks
-    ``cache_hits + cache_misses == num_pages`` for every run — the
-    invariant the determinism test harness enforces.
-    """
-
-    num_pages: int
-    unique_pages: int
-    workers: int
-    max_batch: int
-    single_worker_seconds: float
-    single_worker_docs_per_second: float
-    per_request_batched_seconds: float
-    per_request_batched_docs_per_second: float
-    concurrent_seconds: float
-    concurrent_docs_per_second: float
-    speedup: float
-    #: docs/sec with micro-batching at each pool size, e.g. {1: ..., 2: ...}.
-    throughput_by_workers: Dict[int, float] = field(default_factory=dict)
-    outputs_match: bool = True
-    mismatches: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    conserved: bool = True
-    queue_rejections: int = 0
-    batches_dispatched: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "num_pages": self.num_pages,
-            "unique_pages": self.unique_pages,
-            "workers": self.workers,
-            "max_batch": self.max_batch,
-            "single_worker": {
-                "seconds": self.single_worker_seconds,
-                "docs_per_second": self.single_worker_docs_per_second,
-            },
-            "per_request_batched": {
-                "seconds": self.per_request_batched_seconds,
-                "docs_per_second": self.per_request_batched_docs_per_second,
-            },
-            "concurrent": {
-                "seconds": self.concurrent_seconds,
-                "docs_per_second": self.concurrent_docs_per_second,
-            },
-            "speedup": self.speedup,
-            "throughput_by_workers": {
-                str(workers): rate for workers, rate in sorted(self.throughput_by_workers.items())
-            },
-            "outputs_match": self.outputs_match,
-            "mismatches": list(self.mismatches),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "conserved": self.conserved,
-            },
-            "queue_rejections": self.queue_rejections,
-            "batches_dispatched": self.batches_dispatched,
-        }
-
-    def save(self, path: str) -> None:
-        """Merge this run under ``"concurrency"`` in the JSON report.
-
-        ``repro bench`` and ``repro bench --concurrency N`` share
-        ``BENCH_serving.json``; merging (rather than overwriting) lets the
-        two modes coexist in one report.
-        """
-        save_section(path, "concurrency", self.to_dict())
-
-    def format(self) -> str:
-        lines = [
-            f"pages: {self.num_pages} ({self.unique_pages} unique), "
-            f"max_batch {self.max_batch}",
-            f"single worker (per-request pipeline): "
-            f"{self.single_worker_docs_per_second:6.2f} docs/s",
-            f"single worker (brief_many, batches of one): "
-            f"{self.per_request_batched_docs_per_second:6.2f} docs/s",
-            f"concurrent ({self.workers} workers, micro-batched): "
-            f"{self.concurrent_docs_per_second:6.2f} docs/s",
-            f"speedup: {self.speedup:.2f}x",
-            "throughput by workers:",
-        ]
-        for workers, rate in sorted(self.throughput_by_workers.items()):
-            lines.append(f"  {workers:>2} workers: {rate:6.2f} docs/s")
-        lines.append(
-            f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
-            f"(conserved: {self.conserved})   "
-            f"rejections: {self.queue_rejections}   "
-            f"batches: {self.batches_dispatched}"
-        )
-        lines.append(
-            f"outputs match: {self.outputs_match}"
-            + (f" ({len(self.mismatches)} mismatches)" if self.mismatches else "")
-        )
-        return "\n".join(lines)
+    return percentile(latencies, q) * 1000.0
 
 
 def _briefs_differ(left, right) -> bool:
@@ -703,117 +153,6 @@ def _briefs_differ(left, right) -> bool:
         or left.attributes != right.attributes
         or left.informative_sentences != right.informative_sentences
     )
-
-
-def run_concurrency_bench(
-    num_pages: int = 64,
-    seed: int = 7,
-    workers: int = 4,
-    max_batch: int = 16,
-    beam_size: int = 2,
-    max_wait_ms: float = 2.0,
-    duplicate_fraction: float = 0.25,
-    dtype=None,
-    output_path: Optional[str] = None,
-    model=None,
-) -> ConcurrencyBenchResult:
-    """Benchmark concurrent serving against per-request single-worker serving.
-
-    Times three things on the same synthesized stream: the sequential
-    :class:`BriefingPipeline` loop (the throughput baseline *and* the
-    output ground truth — one request at a time, no serving layer), a
-    single-threaded per-request ``brief_many`` loop (recorded for
-    transparency), and a :class:`~repro.core.serving.ConcurrentBriefingPipeline`
-    at pool sizes ``{1, 2, workers}``.  Every concurrent run's briefs must
-    be bit-identical to the sequential ground truth and conserve
-    ``cache_hits + cache_misses == num_pages``.
-    """
-    from .batched import BatchedBriefingPipeline
-    from .pipeline import BriefingPipeline
-    from .serving import ConcurrentBriefingPipeline
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    pages = synthesize_serving_corpus(
-        num_pages, seed=seed, duplicate_fraction=duplicate_fraction
-    )
-    unique_pages = len({html for _, html in pages})
-    if model is None:
-        model = _build_bench_model(topics=2, pages=3, seed=seed)
-
-    # Baseline: one worker, one request at a time through the per-request
-    # pipeline — the pre-serving-layer deployment.  Doubles as ground truth.
-    sequential = BriefingPipeline(model, beam_size=beam_size)
-    start = time.perf_counter()
-    expected = [sequential.brief_html(html, doc_id=doc_id) for doc_id, html in pages]
-    single_seconds = time.perf_counter() - start
-
-    # Transparency figure: brief_many fed one request per call keeps the
-    # content cache but still can't micro-batch across requests.
-    single = BatchedBriefingPipeline(model, beam_size=beam_size, batch_size=1, dtype=dtype)
-    start = time.perf_counter()
-    for doc_id, html in pages:
-        single.brief_many([(doc_id, html)])
-    per_request_seconds = time.perf_counter() - start
-
-    mismatches: List[str] = []
-    conserved = True
-    throughput: Dict[int, float] = {}
-    queue_rejections = 0
-    batches_dispatched = 0
-    cache_hits = cache_misses = 0
-    concurrent_seconds = float("nan")
-    for pool_size in sorted({1, min(2, workers), workers}):
-        server = ConcurrentBriefingPipeline(
-            model,
-            num_workers=pool_size,
-            beam_size=beam_size,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_queue=max(2 * len(pages), 64),
-            dtype=dtype,
-        )
-        start = time.perf_counter()
-        briefs = server.brief_many(pages)
-        elapsed = time.perf_counter() - start
-        server.shutdown()
-        throughput[pool_size] = len(pages) / elapsed
-        merged = server.merged_stats()
-        if merged.cache_hits + merged.cache_misses != len(pages):
-            conserved = False
-        for (doc_id, _), left, right in zip(pages, expected, briefs):
-            if _briefs_differ(left, right):
-                mismatches.append(f"workers={pool_size}:{doc_id}")
-        if pool_size == workers:
-            concurrent_seconds = elapsed
-            cache_hits, cache_misses = merged.cache_hits, merged.cache_misses
-            queue_rejections = merged.queue_rejections
-            batches_dispatched = merged.batches_dispatched
-
-    result = ConcurrencyBenchResult(
-        num_pages=len(pages),
-        unique_pages=unique_pages,
-        workers=workers,
-        max_batch=max_batch,
-        single_worker_seconds=single_seconds,
-        single_worker_docs_per_second=len(pages) / single_seconds,
-        per_request_batched_seconds=per_request_seconds,
-        per_request_batched_docs_per_second=len(pages) / per_request_seconds,
-        concurrent_seconds=concurrent_seconds,
-        concurrent_docs_per_second=len(pages) / concurrent_seconds,
-        speedup=single_seconds / concurrent_seconds,
-        throughput_by_workers=throughput,
-        outputs_match=not mismatches,
-        mismatches=mismatches,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        conserved=conserved,
-        queue_rejections=queue_rejections,
-        batches_dispatched=batches_dispatched,
-    )
-    if output_path is not None:
-        result.save(output_path)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -940,8 +279,7 @@ class ResilienceBenchResult:
     def save(self, path: str) -> None:
         """Merge this run under ``"resilience"`` in the JSON report.
 
-        Same merge discipline as :meth:`ConcurrencyBenchResult.save`: all
-        bench modes share ``BENCH_serving.json``.
+        All bench modes share ``BENCH_serving.json`` (see :func:`save_section`).
         """
         save_section(path, "resilience", self.to_dict())
 
@@ -1081,7 +419,6 @@ def run_chaos_bench(
     merged = server.merged_stats()
 
     complete = sum(1 for brief in results if brief.complete)
-    latencies = np.asarray(latencies_ms) if latencies_ms else np.asarray([0.0])
     total = len(futures)
     result = ResilienceBenchResult(
         num_requests=total,
@@ -1097,8 +434,8 @@ def run_chaos_bench(
         fault_free_seconds=fault_free_seconds,
         fault_free_docs_per_second=total / fault_free_seconds,
         throughput_ratio=fault_free_seconds / elapsed,
-        p50_ms=float(np.percentile(latencies, 50)),
-        p99_ms=float(np.percentile(latencies, 99)),
+        p50_ms=percentile(latencies_ms, 50),
+        p99_ms=percentile(latencies_ms, 99),
         conserved=unresolved == 0,
         unresolved=unresolved,
         stuck_workers=list(stuck),
@@ -1112,324 +449,6 @@ def run_chaos_bench(
         queue_rejections=merged.queue_rejections,
         complete_briefs=complete,
         degraded_briefs=len(results) - complete,
-    )
-    if output_path is not None:
-        result.save(output_path)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Multi-process transport benchmark (repro bench --transport ...)
-# ----------------------------------------------------------------------
-@dataclass
-class MultiprocessBenchResult:
-    """Thread vs process transport on a compute-bound (cache-cold) stream.
-
-    Each transport replays the same stream through a
-    :class:`~repro.core.serving.ConcurrentBriefingPipeline` at several pool
-    sizes; the stream has no duplicate content by default, so every request
-    costs a model pass and the GIL ceiling is what's being measured.
-    ``speedup`` is process-transport docs/s over thread-transport docs/s at
-    the full worker count — on a multi-core host this is where breaking out
-    of the GIL shows up; ``cpu_count`` is recorded so a single-core run's
-    numbers aren't misread.  ``outputs_match`` holds across *every* run and
-    transport against the sequential ground truth, and ``conserved`` checks
-    ``cache_hits + cache_misses == num_pages`` per run.  ``load`` is an
-    open-loop Zipf/burst/straggler replay (see :mod:`repro.core.load`).
-    """
-
-    num_pages: int
-    unique_pages: int
-    workers: int
-    max_batch: int
-    beam_size: int
-    cpu_count: int
-    start_method: str
-    sequential_seconds: float
-    sequential_docs_per_second: float
-    #: per transport: seconds / docs_per_second / latency percentiles /
-    #: throughput_by_workers at each pool size / observability_overhead
-    #: (observed-vs-blind at the full worker count; None when skipped).
-    transports: Dict[str, dict] = field(default_factory=dict)
-    speedup: Optional[float] = None
-    outputs_match: bool = True
-    mismatches: List[str] = field(default_factory=list)
-    conserved: bool = True
-    load: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "num_pages": self.num_pages,
-            "unique_pages": self.unique_pages,
-            "workers": self.workers,
-            "max_batch": self.max_batch,
-            "beam_size": self.beam_size,
-            "cpu_count": self.cpu_count,
-            "start_method": self.start_method,
-            "sequential": {
-                "seconds": self.sequential_seconds,
-                "docs_per_second": self.sequential_docs_per_second,
-            },
-            "transports": {name: dict(data) for name, data in self.transports.items()},
-            "speedup": self.speedup,
-            "outputs_match": self.outputs_match,
-            "mismatches": list(self.mismatches),
-            "conserved": self.conserved,
-            "load": dict(self.load) if self.load is not None else None,
-        }
-
-    def save(self, path: str) -> None:
-        """Merge this run under ``"multiprocess"`` in the JSON report."""
-        save_section(path, "multiprocess", self.to_dict())
-
-    def format(self) -> str:
-        lines = [
-            f"pages: {self.num_pages} ({self.unique_pages} unique, cache-cold), "
-            f"max_batch {self.max_batch}, {self.workers} workers, "
-            f"{self.cpu_count} cpus, start method {self.start_method}",
-            f"sequential baseline: {self.sequential_docs_per_second:6.2f} docs/s",
-        ]
-        for name, data in self.transports.items():
-            lines.append(
-                f"{name + ':':<9} {data['docs_per_second']:6.2f} docs/s  "
-                f"p50 {data['latency_p50_ms']:.1f} ms  p99 {data['latency_p99_ms']:.1f} ms"
-            )
-            for workers, rate in sorted(
-                data["throughput_by_workers"].items(), key=lambda kv: int(kv[0])
-            ):
-                lines.append(f"  {int(workers):>2} workers: {rate:6.2f} docs/s")
-            if data.get("observability_overhead") is not None:
-                lines.append(
-                    f"  observability overhead: {data['observability_overhead']:+.1%}"
-                )
-        if self.speedup is not None:
-            lines.append(f"process vs thread speedup: {self.speedup:.2f}x")
-        lines.append(
-            f"outputs match: {self.outputs_match}"
-            + (f" ({len(self.mismatches)} mismatches)" if self.mismatches else "")
-            + f"   conserved: {self.conserved}"
-        )
-        if self.load is not None:
-            lines.append(
-                f"load replay ({self.load['transport']}): "
-                f"{self.load['requests']} requests  "
-                f"p50 {self.load['latency_p50_ms']:.1f} ms  "
-                f"p99 {self.load['latency_p99_ms']:.1f} ms  "
-                f"{self.load['throughput']:.2f} docs/s"
-            )
-        return "\n".join(lines)
-
-
-def run_multiprocess_bench(
-    num_pages: int = 64,
-    seed: int = 7,
-    workers: int = 4,
-    max_batch: int = 8,
-    beam_size: int = 2,
-    max_wait_ms: float = 2.0,
-    transports: Tuple[str, ...] = ("thread", "process"),
-    duplicate_fraction: float = 0.0,
-    dtype=None,
-    output_path: Optional[str] = None,
-    model=None,
-    mp_context: Optional[str] = None,
-    include_load: bool = True,
-    measure_overhead: bool = True,
-) -> MultiprocessBenchResult:
-    """Benchmark the worker transports head to head on a cache-cold stream.
-
-    The stream is compute-bound by construction (``duplicate_fraction=0``:
-    no repeats for the caches to absorb), so throughput measures model
-    compute parallelism — the thread transport serialises on the GIL, the
-    process transport should scale with cores.  Per transport and pool size
-    the run records docs/s; at the full worker count it also records
-    closed-loop per-request p50/p99 latency.  Every run's briefs are
-    compared bit-for-bit against the sequential ground truth and checked
-    for conservation.  ``include_load`` adds one open-loop
-    Zipf + burst + straggler replay (via :mod:`repro.core.load`) against
-    the last transport benched.
-
-    ``measure_overhead`` additionally times observed (``observe=True``:
-    tracing, metrics, telemetry shipping over the pipes) against blind runs
-    at the full worker count — min-of-3 each, interleaved so warm-up and
-    machine drift cancel — and records the ratio per transport: for the
-    process transport this is the full cost of cross-process trace
-    propagation and snapshot-delta shipping, held to the same ≤5% budget as
-    the in-process instrumentation.
-    """
-    from .load import LoadGenerator, LoadPhase, run_load
-    from .pipeline import BriefingPipeline
-    from .serving import ConcurrentBriefingPipeline
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    for transport in transports:
-        if transport not in ("thread", "process"):
-            raise ValueError(f"unknown transport {transport!r}")
-    pages = synthesize_serving_corpus(
-        num_pages, seed=seed, duplicate_fraction=duplicate_fraction
-    )
-    unique_pages = len({html for _, html in pages})
-    if model is None:
-        model = _build_bench_model(topics=2, pages=3, seed=seed)
-
-    sequential = BriefingPipeline(model, beam_size=beam_size)
-    start = time.perf_counter()
-    expected = [sequential.brief_html(html, doc_id=doc_id) for doc_id, html in pages]
-    sequential_seconds = time.perf_counter() - start
-
-    mismatches: List[str] = []
-    conserved = True
-    per_transport: Dict[str, dict] = {}
-    for transport in transports:
-        throughput: Dict[int, float] = {}
-        latencies: List[float] = []
-        full_seconds = float("nan")
-        for pool_size in sorted({1, min(2, workers), workers}):
-            server = ConcurrentBriefingPipeline(
-                model,
-                num_workers=pool_size,
-                transport=transport,
-                beam_size=beam_size,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                max_queue=max(2 * len(pages), 64),
-                dtype=dtype,
-                mp_context=mp_context,
-            )
-            record = pool_size == workers
-            submitted: List[float] = []
-            done: List[Optional[float]] = [None] * len(pages)
-            start = time.perf_counter()
-            futures = []
-            for position, (doc_id, html) in enumerate(pages):
-                submitted.append(time.perf_counter())
-                future = server.submit(html, doc_id=doc_id)
-                if record:
-                    future.add_done_callback(
-                        lambda _, position=position: done.__setitem__(
-                            position, time.perf_counter()
-                        )
-                    )
-                futures.append(future)
-            briefs = [future.result(timeout=300) for future in futures]
-            elapsed = time.perf_counter() - start
-            server.shutdown(timeout=60)
-            throughput[pool_size] = len(pages) / elapsed
-            merged = server.merged_stats()
-            if merged.cache_hits + merged.cache_misses != len(pages):
-                conserved = False
-            for (doc_id, _), left, right in zip(pages, expected, briefs):
-                if _briefs_differ(left, right):
-                    mismatches.append(f"{transport}:workers={pool_size}:{doc_id}")
-            if record:
-                full_seconds = elapsed
-                latencies = [
-                    finish - begin
-                    for begin, finish in zip(submitted, done)
-                    if finish is not None
-                ]
-        overhead: Optional[float] = None
-        if measure_overhead:
-            # Same idiom as run_serving_bench: fresh pipelines (cold caches)
-            # per pass, blind and observed interleaved, min-of-3 so one
-            # noisy pass or slow spawn can't fake a regression either way.
-            def _timed_pass(observe: bool) -> float:
-                server = ConcurrentBriefingPipeline(
-                    model,
-                    num_workers=workers,
-                    transport=transport,
-                    beam_size=beam_size,
-                    max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
-                    max_queue=max(2 * len(pages), 64),
-                    dtype=dtype,
-                    mp_context=mp_context,
-                    observe=observe,
-                )
-                try:
-                    begin = time.perf_counter()
-                    futures = [
-                        server.submit(html, doc_id=doc_id) for doc_id, html in pages
-                    ]
-                    for future in futures:
-                        future.result(timeout=300)
-                    return time.perf_counter() - begin
-                finally:
-                    server.shutdown(timeout=60)
-
-            blind_seconds = float("inf")
-            observed_seconds = float("inf")
-            for _ in range(3):
-                blind_seconds = min(blind_seconds, _timed_pass(False))
-                observed_seconds = min(observed_seconds, _timed_pass(True))
-            overhead = observed_seconds / blind_seconds - 1.0
-        per_transport[transport] = {
-            "seconds": full_seconds,
-            "docs_per_second": len(pages) / full_seconds,
-            "latency_p50_ms": _percentile_ms(latencies, 50) if latencies else 0.0,
-            "latency_p99_ms": _percentile_ms(latencies, 99) if latencies else 0.0,
-            "throughput_by_workers": {
-                str(pool): rate for pool, rate in sorted(throughput.items())
-            },
-            "observability_overhead": overhead,
-        }
-
-    speedup = None
-    if "thread" in per_transport and "process" in per_transport:
-        speedup = (
-            per_transport["process"]["docs_per_second"]
-            / per_transport["thread"]["docs_per_second"]
-        )
-
-    load_section = None
-    if include_load and transports:
-        transport = transports[-1]
-        generator = LoadGenerator(
-            pages,
-            seed=seed,
-            zipf_alpha=1.2,
-            phases=(
-                LoadPhase("steady", max(4, num_pages // 2), 50.0),
-                LoadPhase("burst", max(2, num_pages // 4), math.inf),
-                LoadPhase("cooldown", max(2, num_pages // 4), 25.0),
-            ),
-            straggler_fraction=0.125,
-            straggler_delay_ms=20.0,
-        )
-        server = ConcurrentBriefingPipeline(
-            model,
-            num_workers=workers,
-            transport=transport,
-            beam_size=beam_size,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_queue=max(2 * num_pages, 64),
-            dtype=dtype,
-            mp_context=mp_context,
-        )
-        try:
-            report = run_load(server, generator.schedule())
-        finally:
-            server.shutdown(timeout=60)
-        load_section = {"transport": transport, **report.to_dict()}
-
-    result = MultiprocessBenchResult(
-        num_pages=len(pages),
-        unique_pages=unique_pages,
-        workers=workers,
-        max_batch=max_batch,
-        beam_size=beam_size,
-        cpu_count=os.cpu_count() or 1,
-        start_method=mp_context or "fork",
-        sequential_seconds=sequential_seconds,
-        sequential_docs_per_second=len(pages) / sequential_seconds,
-        transports=per_transport,
-        speedup=speedup,
-        outputs_match=not mismatches,
-        mismatches=mismatches,
-        conserved=conserved,
-        load=load_section,
     )
     if output_path is not None:
         result.save(output_path)
@@ -1769,8 +788,8 @@ def run_cascade_bench(
         frontier[tier_name] = {
             "seconds": elapsed,
             "docs_per_second": len(pages) / elapsed,
-            "latency_p50_ms": _percentile_ms(latencies, 50) if latencies else 0.0,
-            "latency_p95_ms": _percentile_ms(latencies, 95) if latencies else 0.0,
+            "latency_p50_ms": _percentile_ms(latencies, 50),
+            "latency_p95_ms": _percentile_ms(latencies, 95),
             "panel_score": panel,
         }
         briefs_by_tier[tier_name] = briefs
@@ -2148,8 +1167,8 @@ def run_quantized_bench(
         transport_sections[name] = {
             "seconds": seconds,
             "docs_per_second": len(pages) / seconds if seconds else 0.0,
-            "latency_p50_ms": _percentile_ms(latencies, 50) if latencies else 0.0,
-            "latency_p99_ms": _percentile_ms(latencies, 99) if latencies else 0.0,
+            "latency_p50_ms": _percentile_ms(latencies, 50),
+            "latency_p99_ms": _percentile_ms(latencies, 99),
         }
         briefs_by_transport[name] = briefs
 
@@ -2211,117 +1230,3 @@ def run_quantized_bench(
     if output_path is not None:
         result.save(output_path)
     return result
-
-
-# ----------------------------------------------------------------------
-# Report comparison (repro bench --compare prev.json)
-# ----------------------------------------------------------------------
-#: (dotted path into BENCH_serving.json, metric direction).  ``throughput``
-#: regresses when it drops; ``latency`` regresses when it rises.
-_COMPARE_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("sequential.docs_per_second", "throughput"),
-    ("batched.docs_per_second", "throughput"),
-    ("batched.latency_p95_ms", "latency"),
-    ("decode.speedup", "throughput"),
-    ("concurrency.concurrent.docs_per_second", "throughput"),
-    ("resilience.throughput.docs_per_second", "throughput"),
-    ("resilience.latency_ms.p99", "latency"),
-    ("multiprocess.transports.thread.docs_per_second", "throughput"),
-    ("multiprocess.transports.process.docs_per_second", "throughput"),
-    ("multiprocess.transports.thread.latency_p99_ms", "latency"),
-    ("multiprocess.transports.process.latency_p99_ms", "latency"),
-    ("multiprocess.load.latency_p99_ms", "latency"),
-    ("cascade.frontier.student_only.docs_per_second", "throughput"),
-    ("cascade.frontier.cascade.docs_per_second", "throughput"),
-    ("cascade.frontier.teacher_only.docs_per_second", "throughput"),
-    ("cascade.frontier.cascade.latency_p95_ms", "latency"),
-    ("quantized.decode.speedup", "throughput"),
-    ("quantized.decode.quantized_docs_per_second", "throughput"),
-    ("quantized.transports.thread.docs_per_second", "throughput"),
-    ("quantized.transports.process.docs_per_second", "throughput"),
-    ("quantized.transports.thread.latency_p99_ms", "latency"),
-    ("quantized.transports.process.latency_p99_ms", "latency"),
-)
-
-
-def _dig(report: dict, path: str):
-    node = report
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node if isinstance(node, (int, float)) and not isinstance(node, bool) else None
-
-
-@dataclass
-class ReportComparison:
-    """Outcome of diffing two BENCH_serving.json reports."""
-
-    threshold: float
-    compared: List[str] = field(default_factory=list)
-    regressions: List[str] = field(default_factory=list)
-    improvements: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def format(self) -> str:
-        lines = [
-            f"compared {len(self.compared)} shared metrics "
-            f"(regression threshold {self.threshold:.0%})"
-        ]
-        for line in self.regressions:
-            lines.append(f"  REGRESSION {line}")
-        for line in self.improvements:
-            lines.append(f"  improved   {line}")
-        if not self.regressions:
-            lines.append("  no SLO regressions")
-        return "\n".join(lines)
-
-
-def compare_reports(
-    previous: dict, current: dict, threshold: float = 0.2
-) -> ReportComparison:
-    """Diff throughput/latency metrics shared by two bench reports.
-
-    Only metrics present (and numeric) in *both* reports are compared, so a
-    report that never ran a given bench mode can't fail the gate on it.  A
-    throughput metric regresses when it falls more than ``threshold`` below
-    the previous value; a latency metric when it rises more than
-    ``threshold`` above it (tiny latencies are compared with a 1 ms floor
-    so micro-jitter on near-zero numbers can't fail CI).
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    comparison = ReportComparison(threshold=threshold)
-    for path, kind in _COMPARE_METRICS:
-        before = _dig(previous, path)
-        after = _dig(current, path)
-        if before is None or after is None:
-            continue
-        comparison.compared.append(path)
-        if kind == "throughput":
-            if before > 0 and after < before * (1.0 - threshold):
-                comparison.regressions.append(
-                    f"{path}: {before:.2f} -> {after:.2f} "
-                    f"({(after - before) / before:+.1%})"
-                )
-            elif before > 0 and after > before * (1.0 + threshold):
-                comparison.improvements.append(
-                    f"{path}: {before:.2f} -> {after:.2f} "
-                    f"({(after - before) / before:+.1%})"
-                )
-        else:
-            floor = max(before, 1.0)
-            if after > floor * (1.0 + threshold):
-                comparison.regressions.append(
-                    f"{path}: {before:.2f} ms -> {after:.2f} ms "
-                    f"(+{(after - floor) / floor:.1%})"
-                )
-            elif before > 1.0 and after < before * (1.0 - threshold):
-                comparison.improvements.append(
-                    f"{path}: {before:.2f} ms -> {after:.2f} ms "
-                    f"({(after - before) / before:+.1%})"
-                )
-    return comparison

@@ -1,11 +1,11 @@
-"""``repro.obs`` — structured tracing, metrics, export and profiling.
+"""``repro.obs`` — structured tracing, metrics, export and SLOs.
 
 Observability for the briefing service, one layer *below*
 ``repro.runtime`` in the stack: pure standard library, no imports from any
 other ``repro`` package, so every layer above (runtime, html, core, cli) can
 thread a tracer and a metrics registry through without cycles.
 
-Four parts:
+Five parts:
 
 * :mod:`~repro.obs.trace` — a :class:`Tracer` producing nested
   :class:`Span`\\ s (monotonic start/duration, parent ids, attributes,
@@ -15,11 +15,10 @@ Four parts:
   mergeable :class:`MetricsSnapshot`\\ s;
 * :mod:`~repro.obs.export` — JSON-lines span export and Prometheus text
   rendering, both pure functions over file-like objects;
-* :mod:`~repro.obs.profile` — an opt-in per-layer forward-timing hook for
-  ``nn.Module`` trees;
 * :mod:`~repro.obs.slo` — rolling-window SLO objectives with burn rates
   (:class:`SLOTracker`) and a bounded structured :class:`EventJournal` of
-  discrete serving state changes;
+  discrete serving state changes, plus :func:`percentile`, the one exact
+  percentile over raw samples;
 * :mod:`~repro.obs.status` — :func:`render_status`, the pure text renderer
   behind ``repro top`` and ``serve-many --status-interval``.
 
@@ -53,8 +52,7 @@ from .metrics import (
     bridge_runtime_stats,
     snapshot_delta,
 )
-from .profile import ForwardProfiler, LayerTiming
-from .slo import OUTCOMES, EventJournal, SLOTracker
+from .slo import OUTCOMES, EventJournal, SLOTracker, percentile
 from .status import render_status
 from .trace import (
     NOOP_SPAN,
@@ -87,12 +85,11 @@ __all__ = [
     "SLOTracker",
     "EventJournal",
     "OUTCOMES",
+    "percentile",
     "render_status",
     "write_spans_jsonl",
     "write_trace_jsonl",
     "write_prometheus",
     "render_prometheus",
     "parse_prometheus_text",
-    "ForwardProfiler",
-    "LayerTiming",
 ]

@@ -35,6 +35,10 @@ state changes — governor level moves, worker restarts, poison quarantines —
 that the continuous metrics can only hint at.  ``write_jsonl`` serialises it
 one JSON object per line.
 
+:func:`percentile` is the package's one exact percentile over raw samples
+(the same linear interpolation as ``numpy.percentile``'s default); the
+tracker and the ``repro bench`` scenarios both use it.
+
 Like the rest of ``repro.obs`` this module is stdlib-only and imports no
 other ``repro`` package; the serving layer feeds it through plain callables.
 """
@@ -45,9 +49,9 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, TextIO, Tuple
 
-__all__ = ["SLOTracker", "EventJournal", "OUTCOMES"]
+__all__ = ["SLOTracker", "EventJournal", "OUTCOMES", "percentile"]
 
 #: Request outcomes the tracker understands.  ``ok`` — complete brief;
 #: ``error`` — degraded brief (parse/render/model/serve failure);
@@ -121,10 +125,9 @@ class SLOTracker:
         """Current objective values, budgets, and burn rates as plain data."""
         samples = self._window()
         total = len(samples)
-        latencies = sorted(
-            s[2] for s in samples if s[1] in _SERVED and s[2] is not None
+        p99 = percentile(
+            (s[2] for s in samples if s[1] in _SERVED and s[2] is not None), 99.0
         )
-        p99 = _percentile(latencies, 99.0) if latencies else 0.0
         errors = sum(1 for s in samples if s[1] in _ERRORS)
         sheds = sum(1 for s in samples if s[1] == "shed")
         served = sum(1 for s in samples if s[1] in _SERVED)
@@ -190,12 +193,14 @@ class SLOTracker:
         return snap
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    """Exact linear-interpolated percentile of an ascending list."""
+def percentile(values: Iterable[float], q: float) -> float:
+    """Exact ``q``-th percentile (0–100) of ``values``, linearly interpolated.
+
+    Matches ``numpy.percentile``'s default method; an empty input reads 0.0.
+    """
+    sorted_values = sorted(values)
     if not sorted_values:
         return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
     rank = (q / 100.0) * (len(sorted_values) - 1)
     lower = int(rank)
     upper = min(lower + 1, len(sorted_values) - 1)

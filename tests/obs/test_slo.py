@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from repro.obs import OUTCOMES, EventJournal, MetricsRegistry, SLOTracker
+import numpy as np
+
+from repro.obs import OUTCOMES, EventJournal, MetricsRegistry, SLOTracker, percentile
 
 
 class FakeClock:
@@ -44,6 +46,20 @@ def test_latency_percentile_only_counts_served_requests():
     p99 = slo.snapshot()["objectives"]["latency_p99"]
     assert 0.02 < p99["value"] <= 0.03
     assert p99["burn_rate"] == pytest.approx(p99["value"] / 0.1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 100])
+def test_percentile_matches_numpy_default_method(size):
+    values = np.random.default_rng(size).exponential(size=size)
+    shuffled = list(values)  # percentile sorts internally
+    for q in (0, 1, 25, 50, 90, 95, 99, 99.9, 100):
+        assert percentile(shuffled, q) == pytest.approx(np.percentile(values, q), rel=1e-12)
+
+
+def test_percentile_of_no_samples_reads_zero():
+    """``np.percentile`` raises on no samples; an idle window reads 0.0."""
+    assert percentile([], 50) == 0.0
+    assert percentile(iter(()), 99) == 0.0
 
 
 def test_unknown_outcome_counts_as_error():

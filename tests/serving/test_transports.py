@@ -59,10 +59,12 @@ class PicklablePoisonModel:
 
 
 def test_stream_outputs_and_conservation(harness, transport):
-    """The full page stream is bit-identical to sequential on both transports."""
+    """The full page stream is bit-identical to sequential on both transports,
+    and the bounded admission queue never rejects it."""
     briefs, stats = harness.run_concurrent(2, transport=transport)
     harness.assert_identical(briefs, f"transport={transport}")
     harness.assert_conserved(stats)
+    assert stats.queue_rejections == 0
 
 
 def test_dead_on_arrival_never_reaches_a_worker(serving_model, transport):

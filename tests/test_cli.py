@@ -31,20 +31,55 @@ def test_parser_health_arguments():
 
 
 def test_parser_bench_arguments():
-    args = build_parser().parse_args(["bench", "--pages", "16", "--smoke", "--output", ""])
+    args = build_parser().parse_args(
+        ["bench", "--chaos", "--pages", "16", "--smoke", "--output", ""]
+    )
     assert args.command == "bench"
+    assert args.chaos and not args.cascade and not args.quantized
     assert args.pages == 16
     assert args.smoke
     assert args.output == ""
+    assert build_parser().parse_args(["bench", "--cascade"]).pages is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench"],
+        ["bench", "--chaos", "--cascade"],
+        ["bench", "--chaos", "--compare", "prev.json"],
+        ["bench", "--chaos", "--trace", "t.jsonl"],
+    ],
+)
+def test_bench_requires_exactly_one_mode(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "usage: repro" in capsys.readouterr().err
+
+
+def _chaos_smoke(tmp_path, capsys, *extra):
+    import json
+
+    report = tmp_path / "BENCH_serving.json"
+    assert main(["bench", "--chaos", "--smoke", "--output", str(report), *extra]) == 0
+    out = capsys.readouterr().out
+    assert "smoke: ok" in out
+    return json.loads(report.read_text())["resilience"]
 
 
 def test_bench_smoke_command(tmp_path, capsys):
-    report = tmp_path / "BENCH_serving.json"
-    assert main(["bench", "--smoke", "--output", str(report)]) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    assert "smoke: ok" in out
-    assert report.exists()
+    """``--smoke`` alone runs the small default stream."""
+    section = _chaos_smoke(tmp_path, capsys)
+    assert section["num_requests"] == 12
+    assert section["conservation"]["conserved"] is True
+
+
+def test_bench_smoke_honours_explicit_pages(tmp_path, capsys):
+    """An explicit ``--pages`` wins over the ``--smoke`` default."""
+    section = _chaos_smoke(tmp_path, capsys, "--pages", "32")
+    assert section["num_requests"] == 32
+    assert section["unique_pages"] == 8
 
 
 def test_health_command_masks_faults(capsys):
@@ -88,14 +123,14 @@ def test_parser_obs_arguments_on_observable_commands():
         ["brief", "page.html", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["train", "--save", "m.npz", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["health", "--trace", "t.jsonl", "--metrics", "m.prom"],
-        ["bench", "--trace", "t.jsonl", "--metrics", "m.prom"],
+        ["serve-many", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["metrics", "--trace", "t.jsonl", "--metrics", "m.prom"],
     ):
         args = build_parser().parse_args(argv)
         assert args.trace == "t.jsonl"
         assert args.metrics == "m.prom"
     # Defaults keep the no-op observability path.
-    args = build_parser().parse_args(["bench"])
+    args = build_parser().parse_args(["health"])
     assert args.trace is None and args.metrics is None
 
 
