@@ -23,7 +23,6 @@ from .cascade import (
     make_batched_pipeline,
     quality_by_confidence_band,
 )
-from .process_pool import ProcessWorkerPool
 from .evaluation import (
     ExtractionMetrics,
     GenerationMetrics,
@@ -45,7 +44,7 @@ from .serving import (
     WorkerSupervisor,
 )
 from .significance import ModelComparison, compare_generation_models
-from .transport import ConsistentHashRouter, ModelSnapshot, WorkerTransport
+from .transport import ConsistentHashRouter, ModelSnapshot
 from .sensitivity import MixtureResult, content_sensitivity, make_mixture, topic_affinity
 from .stats import McNemarResult, cohen_kappa, mcnemar, pairwise_kappa_summary
 from .training import TrainConfig, Trainer, TrainResult
@@ -76,10 +75,8 @@ __all__ = [
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",
-    "WorkerTransport",
     "ModelSnapshot",
     "ConsistentHashRouter",
-    "ProcessWorkerPool",
     "content_hash",
     "ResilienceBenchResult",
     "CascadeBenchResult",

@@ -38,7 +38,7 @@ import numpy as np
 from .. import nn
 from ..data.corpus import Document
 from ..models.joint_wb import BriefPrediction, JointWBModel
-from ..obs import NOOP_REGISTRY, NOOP_TRACER
+from ..obs import NOOP_REGISTRY, NOOP_TRACER, MetricsSnapshot, snapshot_delta
 from ..runtime.errors import BriefingError, DeadlineExceeded
 from ..runtime.stats import RuntimeStats
 from .briefing import Degradation, PartialBrief
@@ -169,6 +169,7 @@ class BatchedBriefingPipeline:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.registry = registry if registry is not None else NOOP_REGISTRY
         self._observing = bool(self.tracer.enabled or self.registry.enabled)
+        self._shipped = MetricsSnapshot()
         self._stage_seconds = self.registry.histogram(
             "briefing_stage_seconds", help="wall time per briefing pipeline stage"
         )
@@ -197,6 +198,22 @@ class BatchedBriefingPipeline:
             tracer=self.tracer,
             registry=self.registry,
         )
+
+    def telemetry_delta(self):
+        """``(metrics delta, finished spans)`` since the last call; ``None`` when blind.
+
+        The unit a serving worker ships with each reply: the registry's
+        increment (a mergeable :func:`~repro.obs.snapshot_delta`) and the
+        spans the tracer finished, which it then forgets.
+        """
+        if not self._observing:
+            return None
+        current = self.registry.snapshot()
+        delta = snapshot_delta(current, self._shipped)
+        self._shipped = current
+        spans = self.tracer.spans
+        self.tracer.clear()
+        return delta, spans
 
     # ------------------------------------------------------------------
     def _dtype_context(self):

@@ -1,160 +1,72 @@
-"""The *process* worker transport: one model copy per worker process.
+"""The pipe channel: a serving worker whose model replica lives in a process.
 
 Thread workers share one GIL, so model compute serialises no matter how many
-workers the pool holds.  :class:`ProcessWorkerPool` implements the
-:class:`~repro.core.transport.WorkerTransport` protocol over N worker
-*processes*, each restoring its own copy of the weights exactly once at
-fork/spawn from a :class:`~repro.core.transport.ModelSnapshot` and serving
-micro-batches fed over a duplex pipe with batch-level framing.
+workers the pool holds.  :class:`~repro.core.serving.WorkerPool` runs the
+same parent-side loop for every worker; what differs per transport is the
+channel that loop calls.  A thread worker calls
+:func:`~repro.core.serving._serve_payload` in-thread; a process worker calls
+a :class:`PipeChannel`, which ships the batch to a child process that
+restored a :class:`~repro.core.transport.ModelSnapshot` exactly once at
+fork/spawn and runs the *same* function there, once per ``serve`` frame::
 
-Topology, per worker index::
+    parent loop ──("serve", payload, student_only)────────▶ worker process
+                ◀──("done", briefs, stats_delta, telemetry)──  (model copy +
+                ──("flush",)──▶ ◀──("telemetry", telemetry)──   local caches)
+                ──("stop",)───▶ ◀──("bye",)──
 
-    submit ─▶ ConsistentHashRouter ─▶ per-shard RequestScheduler
-                                          │ next_batch()
-                                          ▼
-            parent dispatcher thread ── pipe ── worker process
-              (deadline sweep, chaos,             (model copy +
-               stats merge, front-door            local hot caches)
-               cache fill, resolve)
-
-* **Routing** — the front door consistent-hashes each page's content hash
-  onto a worker shard, so repeated content always lands on the same process
-  and that process's *local* brief cache stays hot behind the shared
-  :class:`~repro.core.serving.ShardedBriefCache` front tier.
-* **Framing** — the parent sends
-  ``("serve", [(doc_id, html, remaining_s, trace)])`` and the child replies
-  ``("done", briefs, stats_delta, telemetry)``; deadlines cross the boundary
-  as *remaining seconds* (monotonic clocks don't transfer) and are
-  re-anchored to the child's clock, where the batched pipeline enforces them
-  per stage.  ``trace`` is the request's ``(trace_id, span_id)`` pair (or
-  ``None``), so the child's ``brief_many`` subtree parents under the same
-  admission span the front door opened — one connected trace per request,
-  reassembled parent-side.
-* **Telemetry** — when the pool observes, each child runs a real tracer and
-  metrics registry and piggybacks the *increment* since its last reply onto
-  every ``done`` message: a mergeable
-  :func:`~repro.obs.metrics.snapshot_delta` plus its finished spans as
-  dicts.  Deltas merge associatively, so the parent-side accumulation is
-  arrival-order independent.  An idle child ships nothing on its own;
-  ``metrics_snapshot()`` / ``trace_spans()`` send an explicit ``("flush",)``
-  probe (skipped without blocking if the dispatcher is mid-batch — that
-  telemetry arrives on the reply instead).
-* **Failure** — a dead pipe is a dead worker: the dispatcher exits leaving
-  ``current_batch`` held and ``exited`` unset, exactly the signature
-  :class:`~repro.core.serving.WorkerSupervisor` scans for; resurrection
-  re-spawns the process with a fresh generation and re-queues survivors into
-  the same shard.  Chaos faults are injected parent-side so the shared
-  seeded schedule and death caps stay exact: an injected
-  :class:`~repro.runtime.chaos.WorkerDeath` *terminates the worker process*.
-  Telemetry already merged parent-side survives the crash; at most one
-  batch's increments die with the child.
-* **Determinism** — the snapshot carries the weights, the model's RNG state
-  and the ``nn`` default dtype, so process-transport briefs are
-  bit-identical to thread-transport briefs.
+* **Payload** — ``[(doc_id, html, remaining_s, trace)]``: deadlines cross as
+  *remaining seconds* (monotonic clocks don't transfer) and ``trace`` is the
+  request's ``(trace_id, span_id)`` admission context, so the child's
+  ``brief_many`` subtree joins the request's trace.
+* **Telemetry** — when observing, every reply carries the child pipeline's
+  :meth:`~repro.core.batched.BatchedBriefingPipeline.telemetry_delta`; spans
+  cross as dicts and come back as :class:`~repro.obs.SpanRecord`\\ s.  A
+  ``flush`` probe collects whatever an idle child has not shipped yet.
+* **Failure** — a dead child surfaces as :class:`EOFError` from the channel.
+  A real in-child :class:`~repro.runtime.chaos.WorkerDeath` exits the
+  process without replying, the way a segfault would.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
-import warnings
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..obs import (
-    NOOP_REGISTRY,
-    NOOP_TRACER,
-    MetricsRegistry,
-    MetricsSnapshot,
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    snapshot_delta,
-)
+from ..obs import SpanRecord
 from ..runtime.chaos import WorkerDeath
-from ..runtime.stats import RuntimeStats
-from .batched import BatchedBriefingPipeline, _copy_brief, content_hash
-from .briefing import Degradation, PartialBrief
-from .cascade import _CANONICAL_REASONS, make_batched_pipeline
-from .pipeline import _reason
-from .serving import RequestScheduler, _deadline_partial, _resolve
-from .transport import ConsistentHashRouter, ModelSnapshot, WorkerTransport
 
-__all__ = ["ProcessWorkerPool"]
+__all__ = ["PipeChannel"]
 
 #: exit code a worker process dies with on an (injected) in-process crash.
 _DEATH_EXIT_CODE = 17
 
-#: how long a flush probe waits for a mid-batch dispatcher before giving up.
+#: how long a new worker process may take to restore its snapshot.
+_SPAWN_TIMEOUT = 30.0
+
+#: how long a flush probe waits for a mid-batch loop before giving up.
 _FLUSH_LOCK_TIMEOUT = 0.25
 
-#: how long a flush probe waits for the child's telemetry reply.
-_FLUSH_REPLY_TIMEOUT = 2.0
+
+def _to_pipe(telemetry):
+    return None if telemetry is None else (telemetry[0], [span.to_dict() for span in telemetry[1]])
 
 
-def _degraded_brief(exc: BaseException) -> PartialBrief:
-    return PartialBrief(
-        topic=[],
-        attributes=[],
-        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-    )
+def _from_pipe(telemetry):
+    return None if telemetry is None else (telemetry[0], [SpanRecord(data) for data in telemetry[1]])
 
 
-def _stats_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    """Counter increments between two ``RuntimeStats.as_dict`` snapshots."""
-    return {name: after[name] - before.get(name, 0) for name in after if after[name] != before.get(name, 0)}
-
-
-def _process_worker_main(conn, snapshot: ModelSnapshot, config: dict) -> None:
-    """One worker process: restore the snapshot once, serve batches forever.
+def _process_worker_main(conn, snapshot, config: dict) -> None:
+    """One worker process: restore the snapshot once, serve frames until ``stop``.
 
     Top-level (not a closure) so ``spawn``/``forkserver`` contexts can
-    import it.  The restored pipeline owns *local* caches sized by
-    ``worker_cache_size`` — the hot tier the router's shard affinity feeds.
-
-    When ``config["observe"]`` is set the child runs a real tracer (span ids
-    prefixed ``w{index}g{generation}.`` so they stay globally unique across
-    the pool) and metrics registry, and attaches the increment since its
-    last reply to every ``done`` message; a ``("flush",)`` probe collects
-    the same increment from an idle child.
+    import it; ``config`` holds the worker pipeline's keyword arguments.
     """
+    from .serving import _serve_payload, _worker_pipeline  # serving imports this module
+
     try:
         model, dtype = snapshot.restore()
-        tracer = NOOP_TRACER
-        registry = NOOP_REGISTRY
-        if config.get("observe"):
-            tracer = Tracer(id_prefix=f"w{config['index']}g{config['generation']}.")
-            registry = MetricsRegistry()
-        # The factory gives a restored CascadeModel the tiered pipeline (the
-        # escalation threshold and budget ride inside the pickled model, so
-        # no extra config keys cross the spawn boundary); anything else gets
-        # the plain batched pipeline.  Caches are process-local either way.
-        pipeline = make_batched_pipeline(
-            model,
-            beam_size=config["beam_size"],
-            batch_size=config["batch_size"],
-            brief_cache_size=config["cache_size"],
-            render_cache_size=config["cache_size"],
-            hash_fn=config["hash_fn"],
-            dtype=dtype,
-            tracer=tracer,
-            registry=registry,
-        )
-        shipped = MetricsSnapshot()
-
-        def telemetry() -> Optional[dict]:
-            """The observable increment since the last reply (or ``None``)."""
-            nonlocal shipped
-            if not registry.enabled and not tracer.enabled:
-                return None
-            current = registry.snapshot()
-            delta = snapshot_delta(current, shipped)
-            shipped = current
-            spans = [span.to_dict() for span in tracer.spans]
-            tracer.clear()
-            return {"metrics": delta, "spans": spans}
-
+        pipeline = _worker_pipeline(model, dtype=dtype, **config)
         conn.send(("ready", os.getpid()))
         while True:
             message = conn.recv()
@@ -162,638 +74,95 @@ def _process_worker_main(conn, snapshot: ModelSnapshot, config: dict) -> None:
                 conn.send(("bye",))
                 return
             if message[0] == "flush":
-                conn.send(("telemetry", telemetry()))
+                conn.send(("telemetry", _to_pipe(pipeline.telemetry_delta())))
                 continue
-            payload = message[1]
-            # Governor state lives parent-side; the student-only overload
-            # flag crosses the pipe with the batch it applies to.
-            student_only = bool(message[2]) if len(message) > 2 else False
-            before = pipeline.stats.as_dict()
-            now = time.monotonic()
-            pages = [(doc_id, html) for doc_id, html, _, _ in payload]
-            # Deadlines arrive as remaining budgets; re-anchor them to this
-            # process's monotonic clock for the per-stage checks.
-            deadlines = [
-                None if remaining is None else now + remaining
-                for _, _, remaining, _ in payload
-            ]
-            # Trace contexts arrive as plain (trace_id, span_id) tuples;
-            # rebuild them so the batch subtree parents under the admission
-            # spans opened on the other side of the pipe.
-            contexts = [
-                None if trace is None else TraceContext(*trace)
-                for _, _, _, trace in payload
-            ]
-            try:
-                briefs = pipeline.brief_many(
-                    pages,
-                    deadlines=deadlines,
-                    trace_contexts=contexts,
-                    student_only=student_only,
-                )
-            except WorkerDeath:
-                raise
-            except BaseException as exc:  # brief_many never raises; last resort
-                briefs = [_degraded_brief(exc) for _ in pages]
-            conn.send(
-                (
-                    "done",
-                    briefs,
-                    _stats_delta(before, pipeline.stats.as_dict()),
-                    telemetry(),
-                )
-            )
+            _, payload, student_only = message
+            briefs, delta, telemetry = _serve_payload(pipeline, payload, student_only, time.monotonic)
+            conn.send(("done", briefs, delta, _to_pipe(telemetry)))
     except (EOFError, OSError, KeyboardInterrupt):
         return  # parent went away — nothing left to serve
     except WorkerDeath:
         # A real in-process crash (e.g. poison content): die the way a
-        # segfault would — no reply, nonzero exit — so the parent dispatcher
-        # sees the pipe go dead while the batch is still held.
+        # segfault would — no reply, nonzero exit — so the parent loop sees
+        # the pipe go dead while the batch is still held.
         os._exit(_DEATH_EXIT_CODE)
 
 
-class _ProcessWorker:
-    """One process-transport worker record (the supervisor's surface).
+class PipeChannel:
+    """The parent end of one worker process: its pipe, process and pipe lock.
 
-    Mirrors :class:`~repro.core.serving._Worker`: ``thread`` here is the
-    parent-side *dispatcher* thread, ``process`` the worker process itself.
-    ``alive()`` reports the *dispatcher*, not the process: the dispatcher
-    notices a dead pipe within one poll tick and exits holding the batch, so
-    by the time the supervisor sees ``alive() == False`` the batch state is
-    final — the same no-race guarantee the thread transport gets from worker
-    death being thread death.  ``heartbeat``/``current_batch``/``exited``/
-    ``handled`` have identical supervisor semantics to the thread transport.
-
-    ``lock`` serialises pipe use between the dispatcher (held across one
-    whole send/recv exchange) and flush probes.  ``snapshot``/``spans``
-    accumulate the child's shipped telemetry parent-side; ``tracer``/
-    ``registry`` hold the *parent-side* halves of the worker's story — the
-    per-request ``serve`` spans and the dispatch-time deadline histogram the
-    thread transport records in its worker loop.
+    Calling the channel serves one batch payload in the child and returns
+    ``(briefs, stats_delta, telemetry)``; a dead child raises
+    :class:`EOFError`.  ``lock`` covers each whole frame exchange, so a
+    :meth:`flush` probe never interleaves with a batch.  The process is
+    spawned at construction, before the pool starts any thread, so a
+    ``fork`` start method never forks a multi-threaded parent mid-lock.
     """
 
-    __slots__ = (
-        "index",
-        "generation",
-        "process",
-        "conn",
-        "thread",
-        "heartbeat",
-        "current_batch",
-        "exited",
-        "handled",
-        "stats",
-        "ready",
-        "lock",
-        "snapshot",
-        "spans",
-        "tracer",
-        "registry",
-        "deadline_hist",
-    )
-
-    def __init__(self, index: int, generation: int = 0, *, tracer=NOOP_TRACER,
-                 registry=NOOP_REGISTRY) -> None:
-        self.index = index
-        self.generation = generation
-        self.process = None
-        self.conn = None
-        self.thread: Optional[threading.Thread] = None
-        self.heartbeat: Optional[float] = None
-        self.current_batch: Optional[list] = None
-        self.exited = False
-        self.handled = False
-        self.stats = RuntimeStats()
-        self.ready = False
-        self.lock = threading.Lock()
-        self.snapshot = MetricsSnapshot()
-        self.spans: List[SpanRecord] = []
-        self.tracer = tracer
-        self.registry = registry
-        self.deadline_hist = registry.histogram(
-            "request_deadline_remaining_seconds",
-            help="remaining deadline budget sampled at worker dispatch",
-        )
-
-    @property
-    def started(self) -> bool:
-        return self.thread is not None
-
-    def alive(self) -> bool:
-        return self.thread is not None and self.thread.is_alive()
-
-
-class ProcessWorkerPool(WorkerTransport):
-    """N worker processes behind per-shard schedulers and a hash ring.
-
-    Each worker index owns a bounded :class:`RequestScheduler` shard
-    (capacity ``ceil(max_queue / num_workers)`` — a full shard raises
-    :class:`~repro.runtime.errors.QueueFull` even if others have room,
-    which is the price of cache affinity), a duplex pipe, a worker process
-    and a parent-side dispatcher thread that pulls micro-batches, sweeps
-    expired deadlines, runs chaos injection, forwards the batch, merges the
-    child's stats delta and telemetry, feeds complete briefs into the shared
-    front-door cache and resolves the futures.
-
-    With ``observe=True`` the pool implements the full transport
-    observability contract: ``metrics_snapshot()`` merges every child's
-    shipped registry deltas with the parent-side per-worker registries and
-    stamps ``worker``/``transport``/``generation`` labels at merge time;
-    ``trace_spans()`` returns the child spans (as
-    :class:`~repro.obs.SpanRecord`\\ s) alongside the parent-side ``serve``
-    spans, provenance-stamped the same way.  Without it both return empty —
-    and warn, once, so the blind spot is never silent.
-
-    Worker processes are spawned in the constructor — *before* any
-    dispatcher or supervisor thread starts — so a ``fork`` start method
-    never forks a multi-threaded parent mid-lock.
-    """
-
-    transport_name = "process"
-
-    def __init__(
-        self,
-        snapshot: ModelSnapshot,
-        num_workers: int = 2,
-        *,
-        beam_size: int = 4,
-        batch_size: int = 8,
-        max_queue: int = 256,
-        max_batch: int = 8,
-        max_wait_ms: float = 2.0,
-        front_cache=None,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
-        clock: Optional[Callable[[], float]] = None,
-        on_expired: Optional[Callable[[object], None]] = None,
-        wait_scale: Optional[Callable[[], float]] = None,
-        governor=None,
-        chaos=None,
-        mp_context: Optional[str] = None,
-        worker_cache_size: int = 256,
-        spawn_timeout: float = 30.0,
-        vnodes: int = 64,
-        observe: bool = False,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if not isinstance(snapshot, ModelSnapshot):
-            snapshot = ModelSnapshot(snapshot)
-        methods = multiprocessing.get_all_start_methods()
-        method = mp_context if mp_context is not None else ("fork" if "fork" in methods else methods[0])
-        self.start_method = method
-        self._ctx = multiprocessing.get_context(method)
-        self.clock = clock if clock is not None else time.monotonic
-        self.governor = governor
-        self.chaos = chaos
-        self.front_cache = front_cache
-        self.observe = observe
-        self._snapshot = snapshot
-        self._hash_fn = hash_fn if hash_fn is not None else content_hash
-        self._beam_size = beam_size
-        self._batch_size = batch_size
-        self._worker_cache_size = worker_cache_size
-        self._spawn_timeout = spawn_timeout
-        self._warned_blind = False
-        self._router = ConsistentHashRouter(num_workers, vnodes=vnodes)
-        per_shard = max(1, -(-max_queue // num_workers))
-        self.schedulers: List[RequestScheduler] = [
-            RequestScheduler(
-                max_queue=per_shard,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                clock=clock,
-                on_expired=on_expired,
-                wait_scale=wait_scale,
-            )
-            for _ in range(num_workers)
-        ]
-        self._lock = threading.Lock()
-        self._retired: List[_ProcessWorker] = []
-        self._workers: List[_ProcessWorker] = [
-            self._make_worker(index, 0) for index in range(num_workers)
-        ]
-
-    # -- spawning ------------------------------------------------------
-    def _make_worker(self, index: int, generation: int) -> _ProcessWorker:
-        # The parent-side tracer owns this worker's "serve" spans; its "d"
-        # prefix keeps dispatcher span ids disjoint from the child's "w" ids.
-        tracer = Tracer(id_prefix=f"d{index}g{generation}.") if self.observe else NOOP_TRACER
-        registry = MetricsRegistry() if self.observe else NOOP_REGISTRY
-        worker = _ProcessWorker(index, generation, tracer=tracer, registry=registry)
-        parent_conn, child_conn = self._ctx.Pipe()
-        config = {
-            "beam_size": self._beam_size,
-            "batch_size": self._batch_size,
-            "cache_size": self._worker_cache_size,
-            "hash_fn": None if self._hash_fn is content_hash else self._hash_fn,
-            "observe": self.observe,
-            "index": index,
-            "generation": generation,
-        }
-        process = self._ctx.Process(
+    def __init__(self, ctx, snapshot, config: dict) -> None:
+        parent_conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(
             target=_process_worker_main,
-            args=(child_conn, self._snapshot, config),
-            name=f"brief-proc-{index}-g{generation}",
+            args=(child_conn, snapshot, config),
+            name=f"brief-proc-{config['index']}-g{config['generation']}",
             daemon=True,
         )
-        process.start()
+        self.process.start()
         # Drop the parent's handle on the child end so a dead worker turns
         # into EOF on our end instead of a silent hang.
         child_conn.close()
-        worker.conn = parent_conn
-        worker.process = process
-        return worker
+        self.conn = parent_conn
+        self.lock = threading.Lock()
 
-    def _await_ready(self, worker: _ProcessWorker) -> None:
+    def wait_ready(self) -> None:
+        """Block until the child restored its snapshot, died, or timed out."""
         try:
-            if worker.conn.poll(self._spawn_timeout):
-                message = worker.conn.recv()
-                worker.ready = message[0] == "ready"
+            if self.conn.poll(_SPAWN_TIMEOUT):
+                self.conn.recv()
         except (EOFError, OSError):
-            worker.ready = False  # boot crash — the dispatcher surfaces it
+            pass  # boot crash — the first batch surfaces it
 
-    def _start_worker(self, worker: _ProcessWorker) -> None:
-        self._await_ready(worker)
-        thread = threading.Thread(
-            target=self._dispatch,
-            args=(worker,),
-            name=f"brief-worker-{worker.index}-g{worker.generation}",
-            daemon=True,
-        )
-        worker.thread = thread
-        thread.start()
+    def _recv(self):
+        while not self.conn.poll(0.05):
+            if not self.process.is_alive() and not self.conn.poll(0):
+                raise EOFError(f"worker process {self.process.name} died")
+        return self.conn.recv()
 
-    def start(self) -> None:
-        """Start a dispatcher per already-spawned worker process (idempotent)."""
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            if worker.thread is None:
-                self._start_worker(worker)
+    def __call__(self, payload: list, student_only: bool):
+        with self.lock:
+            self.conn.send(("serve", payload, student_only))
+            _, briefs, delta, telemetry = self._recv()
+        return briefs, delta, _from_pipe(telemetry)
 
-    def restart_worker(self, worker: _ProcessWorker) -> Optional[_ProcessWorker]:
-        """Re-spawn a dead/wedged worker's process with a fresh generation.
+    def flush(self):
+        """Telemetry an idle child has not shipped; ``None`` if busy or gone."""
+        if not self.process.is_alive() or not self.lock.acquire(timeout=_FLUSH_LOCK_TIMEOUT):
+            return None
+        try:
+            self.conn.send(("flush",))
+            return _from_pipe(self._recv()[1])
+        except (EOFError, OSError):
+            return None
+        finally:
+            self.lock.release()
 
-        The old process is *not* terminated here: a wedged child may still be
-        mid-batch, and killing it under its dispatcher would force a second
-        requeue of work the supervisor just re-queued.  Like a zombie thread
-        in the thread transport, it either finishes late (``_resolve`` is
-        idempotent) or lives until :meth:`reap`.
-        """
-        with self._lock:
-            if self._workers[worker.index] is not worker:
-                return None
-            replacement = self._make_worker(worker.index, worker.generation + 1)
-            self._retired.append(worker)
-            self._workers[worker.index] = replacement
-        self._start_worker(replacement)
-        return replacement
+    def stop(self) -> None:
+        """Ask the child to exit and wait for it (a dead child is fine)."""
+        try:
+            with self.lock:
+                self.conn.send(("stop",))
+                if self.conn.poll(1.0):
+                    self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        self.process.join(timeout=2.0)
 
-    def _kill(self, worker: _ProcessWorker) -> None:
-        process = worker.process
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
-
-    def _is_current(self, worker: _ProcessWorker) -> bool:
-        with self._lock:
-            return self._workers[worker.index] is worker
-
-    # -- transport surface ---------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        return len(self._workers)
-
-    @property
-    def workers(self) -> List[_ProcessWorker]:
-        with self._lock:
-            return list(self._workers)
-
-    @property
-    def depth(self) -> int:
-        return sum(scheduler.depth for scheduler in self.schedulers)
-
-    def submit(self, request) -> None:
-        """Route by content hash so a page always lands on the same shard."""
-        shard = self._router.route(str(self._hash_fn(request.html)))
-        self.schedulers[shard].submit(request)
+    def kill(self) -> None:
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=2.0)
 
     def close(self) -> None:
-        for scheduler in self.schedulers:
-            scheduler.close()
-
-    def drain(self) -> list:
-        items: list = []
-        for scheduler in self.schedulers:
-            items.extend(scheduler.drain())
-        return items
-
-    def requeue(self, worker: _ProcessWorker, requests) -> None:
-        # Survivors stay on the dead worker's shard: its replacement owns
-        # the same slice of the ring (and will rebuild the same hot cache).
-        self.schedulers[worker.index].requeue(requests)
-
-    def join(self, timeout: Optional[float] = None) -> List[str]:
-        """Wait for every dispatcher to exit (schedulers must be closed)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            alive = [
-                worker.thread
-                for worker in self.workers
-                if worker.thread is not None and worker.thread.is_alive()
-            ]
-            if not alive:
-                return []
-            for thread in alive:
-                if deadline is None:
-                    thread.join()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    thread.join(timeout=remaining)
-            if deadline is not None and time.monotonic() >= deadline:
-                return [thread.name for thread in alive if thread.is_alive()]
-
-    def stuck_workers(self) -> List[_ProcessWorker]:
-        return [
-            worker
-            for worker in self.workers
-            if worker.thread is not None and worker.thread.is_alive()
-        ]
-
-    def reap(self) -> None:
-        """Terminate every worker process still alive and release the pipes."""
-        with self._lock:
-            everyone = list(self._workers) + list(self._retired)
-        for worker in everyone:
-            self._kill(worker)
-            try:
-                worker.conn.close()
-            except (OSError, AttributeError):
-                pass
-
-    # -- dispatch ------------------------------------------------------
-    def _dispatch(self, worker: _ProcessWorker) -> None:
-        scheduler = self.schedulers[worker.index]
-        while True:
-            worker.heartbeat = self.clock()
-            if not self._is_current(worker):
-                return  # replaced while idle; the new dispatcher owns the shard
-            batch = scheduler.next_batch()
-            if batch is None:
-                self._stop_child(worker)
-                worker.exited = True
-                return
-            worker.heartbeat = self.clock()
-            worker.current_batch = batch
-            if self._serve_remote(worker, batch):
-                worker.current_batch = None
-                continue
-            # Transport failure: the worker process died under this batch.
-            # Exit holding it, with ``exited`` unset — the exact dead-worker
-            # signature the supervisor (or the shutdown sweep) resolves.  A
-            # dispatcher already replaced after a wedge never reaches here
-            # with unhandled work: the supervisor re-queued its batch's
-            # survivors when it swapped the worker out.
-            if not self._is_current(worker):
-                worker.current_batch = None
-            return
-
-    def _recv(self, worker: _ProcessWorker):
-        while not worker.conn.poll(0.05):
-            if not worker.process.is_alive() and not worker.conn.poll(0):
-                raise EOFError(f"worker process {worker.index} died")
-        return worker.conn.recv()
-
-    def _merge_telemetry(self, worker: _ProcessWorker, payload: Optional[dict]) -> None:
-        """Fold one shipped telemetry increment into the worker's record.
-
-        Deltas merge associatively and spans only append, so ordering
-        between batch replies and flush probes doesn't matter.
-        """
-        if not payload:
-            return
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            worker.snapshot = worker.snapshot.merge(metrics)
-        for data in payload.get("spans") or ():
-            worker.spans.append(SpanRecord(data))
-
-    def _serve_remote(self, worker: _ProcessWorker, batch: list) -> bool:
-        """Ship one batch to the worker process; False when the worker died."""
-        worker.stats.inc("batches_dispatched")
-        now = self.clock()
-        live: list = []
-        payload: list = []
-        for request in batch:
-            if request.expired(now):
-                worker.stats.inc("deadline_expirations")
-                _resolve(request.future, _deadline_partial("before dispatch"))
-            else:
-                remaining = (
-                    None if request.deadline is None else max(0.0, request.deadline - now)
-                )
-                if remaining is not None:
-                    worker.deadline_hist.observe(remaining)
-                trace = getattr(request, "trace", None)
-                live.append(request)
-                payload.append(
-                    (
-                        request.doc_id,
-                        request.html,
-                        remaining,
-                        None if trace is None else tuple(trace),
-                    )
-                )
-        if not live:
-            return True
-        if self.chaos is not None:
-            # Injection happens parent-side so the seeded schedule and the
-            # shared death caps stay exact across transports; an injected
-            # WorkerDeath *is* a process death here.
-            try:
-                self.chaos.on_batch(worker.index, len(live))
-            except WorkerDeath:
-                self._kill(worker)
-                return False
-            except Exception as exc:  # injected transient fault — degrade
-                for request in live:
-                    _resolve(request.future, _degraded_brief(exc))
-                return True
-        started = self.clock()
-        # One detached "serve" span per live request, opened parent-side
-        # (the dispatcher is the worker's parent half) under the request's
-        # admission span — the same tree shape as the thread transport.
-        serve_spans: List[Tuple[object, object]] = []
-        if worker.tracer.enabled:
-            for request in live:
-                trace = getattr(request, "trace", None)
-                if trace is None:
-                    continue
-                serve_spans.append(
-                    (
-                        request,
-                        worker.tracer.open(
-                            "serve",
-                            trace=trace,
-                            doc_id=request.doc_id,
-                            batch_pages=len(live),
-                            shard=worker.index,
-                        ),
-                    )
-                )
-        # Overload forces the cascade to student-only service; the flag is
-        # sampled once per batch parent-side (where the governor lives) and
-        # shipped with the payload.
-        student_only = self.governor is not None and self.governor.level >= 2
-        try:
-            # The pipe lock covers the whole exchange so a concurrent flush
-            # probe can never interleave its frames with ours.
-            with worker.lock:
-                worker.conn.send(("serve", payload, student_only))
-                message = self._recv(worker)
-                while message[0] != "done":
-                    if message[0] == "telemetry":
-                        self._merge_telemetry(worker, message[1])
-                    message = self._recv(worker)
-            _, briefs, delta, telemetry = message
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            for _, span in serve_spans:
-                span.record_error(exc).finish()
-            return False
-        self._merge_telemetry(worker, telemetry)
-        for name, amount in delta.items():
-            worker.stats.inc(name, amount)
-        if self.governor is not None:
-            self.governor.observe_batch(self.clock() - started, len(live))
-        for request, brief in zip(live, briefs):
-            # Only canonical answers reach the shared front tier: a student
-            # brief served because a deadline or the governor suppressed its
-            # escalation is situational and must not answer future requests.
-            if (
-                self.front_cache is not None
-                and brief.complete
-                and brief.tier_reason in _CANONICAL_REASONS
-            ):
-                self.front_cache.put(request.html, _copy_brief(brief))
-            _resolve(request.future, brief)
-        for _, span in serve_spans:
-            span.finish()
-        return True
-
-    def _stop_child(self, worker: _ProcessWorker) -> None:
-        try:
-            with worker.lock:
-                worker.conn.send(("stop",))
-                if worker.conn.poll(1.0):
-                    message = worker.conn.recv()
-                    # A raced flush probe's telemetry frames land ahead of
-                    # the "bye"; fold them in rather than dropping them.
-                    while message[0] == "telemetry" and worker.conn.poll(1.0):
-                        self._merge_telemetry(worker, message[1])
-                        message = worker.conn.recv()
-        except (EOFError, OSError, BrokenPipeError):
-            pass
-        if worker.process is not None:
-            worker.process.join(timeout=2.0)
-
-    # -- merged observability ------------------------------------------
-    def _all_workers(self) -> List[_ProcessWorker]:
-        with self._lock:
-            return list(self._workers) + list(self._retired)
-
-    def merged_stats(self) -> RuntimeStats:
-        merged = RuntimeStats()
-        for worker in self._all_workers():
-            merged = merged.merge(worker.stats)
-        return merged
-
-    def _warn_blind(self) -> None:
-        if self._warned_blind:
-            return
-        self._warned_blind = True
-        warnings.warn(
-            "ProcessWorkerPool was built with observe=False: "
-            "metrics_snapshot() and trace_spans() return empty data. "
-            "Pass observe=True (ConcurrentBriefingPipeline(..., observe=True)) "
-            "to ship worker telemetry across the process boundary.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    def _flush_worker(self, worker: _ProcessWorker) -> None:
-        """Pull pending telemetry from an idle child without blocking serving.
-
-        Skips silently when the dispatcher holds the pipe (that batch's
-        reply carries the telemetry anyway) or the child is gone (whatever
-        it had shipped is already merged; the rest died with it).
-        """
-        process = worker.process
-        if worker.conn is None or process is None or not process.is_alive():
-            return
-        if not worker.lock.acquire(timeout=_FLUSH_LOCK_TIMEOUT):
-            return
-        try:
-            worker.conn.send(("flush",))
-            deadline = time.monotonic() + _FLUSH_REPLY_TIMEOUT
-            while worker.conn.poll(max(0.0, deadline - time.monotonic())):
-                message = worker.conn.recv()
-                if message[0] == "telemetry":
-                    self._merge_telemetry(worker, message[1])
-                    return
-                if time.monotonic() >= deadline:
-                    return
-        except (EOFError, OSError, BrokenPipeError):
-            return
-        finally:
-            worker.lock.release()
-
-    def metrics_snapshot(self) -> MetricsSnapshot:
-        """Merged worker metrics, reassembled from shipped deltas.
-
-        Each worker contributes its child-side series (accumulated from the
-        per-batch deltas, topped up by a flush probe when idle) merged with
-        its parent-side registry (the dispatch-time deadline histogram),
-        stamped with ``worker`` / ``transport`` / ``generation`` labels at
-        merge time — the same provenance contract as the thread transport,
-        so cross-transport dashboards and
-        :meth:`~repro.obs.MetricsSnapshot.aggregate` work unchanged.
-        """
-        if not self.observe:
-            self._warn_blind()
-            return MetricsSnapshot()
-        merged = MetricsSnapshot()
-        for worker in self._all_workers():
-            self._flush_worker(worker)
-            combined = worker.snapshot.merge(worker.registry.snapshot())
-            merged = merged.merge(
-                combined.with_labels(
-                    worker=worker.index,
-                    transport=self.transport_name,
-                    generation=worker.generation,
-                )
-            )
-        return merged
-
-    def trace_spans(self) -> list:
-        """Finished spans from both sides of every worker's pipe.
-
-        Child spans arrive as :class:`~repro.obs.SpanRecord`\\ s (shipped as
-        dicts on batch replies), parent-side ``serve`` spans come straight
-        from the dispatcher's tracer; both get the worker's provenance
-        attributes, and ids stay globally unique thanks to the per-tracer
-        ``w``/``d`` prefixes.
-        """
-        if not self.observe:
-            self._warn_blind()
-            return []
-        spans = []
-        for worker in self._all_workers():
-            self._flush_worker(worker)
-            for span in list(worker.spans) + list(worker.tracer.spans):
-                span.attributes.setdefault("worker", worker.index)
-                span.attributes.setdefault("transport", self.transport_name)
-                span.attributes.setdefault("generation", worker.generation)
-                spans.append(span)
-        return spans
+        """Terminate the child if it still runs and release the pipe."""
+        self.kill()
+        self.conn.close()

@@ -26,13 +26,16 @@ Layers, bottom up:
   in-flight count and an EWMA of batch latency and degrades in steps —
   shrink the micro-batch straggler wait, reject low-priority requests
   (``Overloaded``), shed everything non-cached to cache-only serving.
-* :class:`WorkerPool` — N briefing workers over *shared read-only model
-  weights* and the shared caches, each with its **own**
-  :class:`~repro.runtime.stats.RuntimeStats`, tracer and metrics registry
-  (none of which are thread-safe to share); the per-worker state merges on
-  read via ``RuntimeStats.merge`` and the associative
-  :meth:`~repro.obs.metrics.MetricsSnapshot.merge`.  Workers heartbeat and
-  record the batch they hold, so a supervisor can spot dead/wedged ones.
+* :class:`WorkerPool` — N briefing workers, one record and one loop each,
+  over either transport: threads whose pipelines share the read-only model
+  weights and the sharded caches, or worker processes that each restore a
+  :class:`~repro.core.transport.ModelSnapshot` behind a hash router and
+  their own scheduler shard.  Every loop feeds :func:`_serve_payload` —
+  in-thread, or inside the child through the pipe channel of
+  :mod:`repro.core.process_pool` — and folds each reply's stats and
+  telemetry delta into the worker's record; merged reads combine the
+  records.  Workers heartbeat and record the batch they hold, so a
+  supervisor can spot dead/wedged ones.
 * :class:`WorkerSupervisor` — resurrects dead or wedged workers with fresh
   per-worker state, re-queues the batch the dead worker held (at-most-once
   re-dispatch: resolved futures are never double-set), and quarantines
@@ -49,9 +52,12 @@ Layers, bottom up:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import multiprocessing
 import threading
 import time
+import warnings
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
@@ -65,17 +71,20 @@ from ..obs import (
     MetricsRegistry,
     MetricsSnapshot,
     SLOTracker,
+    TraceContext,
     Tracer,
 )
 from ..runtime.chaos import WorkerDeath
 from ..runtime.errors import DeadlineExceeded, Overloaded, QueueFull
 from ..runtime.retry import CircuitBreaker
 from ..runtime.stats import RuntimeStats
+from ..nn import get_dtype_override, set_default_dtype
 from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
-from .cascade import CascadeModel, make_batched_pipeline
+from .cascade import _CANONICAL_REASONS, CascadeModel, make_batched_pipeline
 from .pipeline import _reason
-from .transport import ModelSnapshot, WorkerTransport
+from .process_pool import PipeChannel
+from .transport import ConsistentHashRouter, ModelSnapshot
 
 __all__ = [
     "ShardedBriefCache",
@@ -109,6 +118,15 @@ def _deadline_partial(where: str) -> PartialBrief:
         topic=[],
         attributes=[],
         degradations=[Degradation("deadline", "expired", _reason(exc))],
+    )
+
+
+def _empty_brief(exc: BaseException) -> PartialBrief:
+    """The typed brief a request the serving layer could not brief resolves to."""
+    return PartialBrief(
+        topic=[],
+        attributes=[],
+        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
     )
 
 
@@ -594,48 +612,107 @@ class _Request:
             self.deadline = max(self.deadline, deadline)
 
 
+def _worker_pipeline(model, index: int, generation: int, observe: bool, **options):
+    """One worker's private pipeline (and, observing, its own tracer and registry).
+
+    Worker pipelines on both transports are built here: in-thread by the
+    pool, in a worker process by :mod:`repro.core.process_pool`.  The
+    factory gives a :class:`CascadeModel` the tiered pipeline.  Span ids
+    carry a ``w{index}g{generation}.`` prefix so they stay unique across the
+    pool, resurrected workers included.
+    """
+    return make_batched_pipeline(
+        model,
+        tracer=Tracer(id_prefix=f"w{index}g{generation}.") if observe else NOOP_TRACER,
+        registry=MetricsRegistry() if observe else NOOP_REGISTRY,
+        **options,
+    )
+
+
+def _serve_payload(pipeline: BatchedBriefingPipeline, payload: list, student_only: bool, clock):
+    """Brief one batch payload: ``(briefs, stats_delta, telemetry)``.
+
+    The one place a worker pipeline runs ``brief_many``, whichever channel
+    feeds it: a thread worker calls it directly, a worker process once per
+    ``serve`` frame.  ``payload`` holds ``(doc_id, html, remaining_s,
+    trace)`` tuples; remaining budgets are re-anchored to ``clock`` (the
+    pool clock in-thread, ``time.monotonic`` in a child) and traces become
+    :class:`~repro.obs.TraceContext`\\ s again.  ``stats_delta`` holds the
+    counters the batch moved; ``telemetry`` is the pipeline's
+    :meth:`~repro.core.batched.BatchedBriefingPipeline.telemetry_delta`.
+    """
+    before = pipeline.stats.as_dict()
+    now = clock()
+    try:
+        briefs = pipeline.brief_many(
+            [(doc_id, html) for doc_id, html, _, _ in payload],
+            deadlines=[None if remaining is None else now + remaining for _, _, remaining, _ in payload],
+            clock=clock,
+            trace_contexts=[None if trace is None else TraceContext(*trace) for _, _, _, trace in payload],
+            student_only=student_only,
+        )
+    except Exception as exc:  # brief_many never raises; last resort
+        briefs = [_empty_brief(exc) for _ in payload]
+    after = pipeline.stats.as_dict()
+    delta = {name: after[name] - before[name] for name in after if after[name] != before[name]}
+    return briefs, delta, pipeline.telemetry_delta()
+
+
 class _Worker:
-    """One pool member: a private pipeline plus private observability state.
+    """One pool member: the record its loop updates and the supervisor scans.
 
     ``heartbeat`` (a clock sample) and ``current_batch`` are the supervisor's
-    window into the worker: a live thread with a stale heartbeat and a held
-    batch is *wedged*; a dead thread with ``exited`` unset *died* mid-batch.
-    ``generation`` increments on every resurrection so restarted threads are
-    distinguishable.
+    window into the worker: a live loop with a stale heartbeat and a held
+    batch is *wedged*; a finished loop with ``exited`` unset *died*
+    mid-batch.  ``generation`` increments on every resurrection.
+
+    ``channel`` serves one batch payload: :func:`_serve_payload` on the
+    worker's own pipeline for a thread worker, a
+    :class:`~repro.core.process_pool.PipeChannel` for a worker process
+    (``process``; ``None`` for threads).  ``stats``, ``snapshot`` and
+    ``spans`` accumulate what the channel's replies ship; ``tracer`` and
+    ``registry`` are the loop's own — the per-request ``serve`` spans (ids
+    prefixed ``d{index}g{generation}.``) and the dispatch-time deadline
+    histogram.
     """
 
     __slots__ = (
         "index",
-        "pipeline",
-        "stats",
-        "tracer",
-        "registry",
-        "thread",
         "generation",
+        "channel",
+        "process",
+        "thread",
         "heartbeat",
         "current_batch",
         "exited",
         "handled",
+        "stats",
+        "tracer",
+        "registry",
         "deadline_hist",
+        "snapshot",
+        "spans",
     )
 
-    def __init__(self, index: int, pipeline: BatchedBriefingPipeline, stats: RuntimeStats,
-                 tracer, registry, generation: int = 0) -> None:
+    def __init__(self, index: int, generation: int, channel, observe: bool) -> None:
         self.index = index
-        self.pipeline = pipeline
-        self.stats = stats
-        self.tracer = tracer
-        self.registry = registry
-        self.thread: Optional[threading.Thread] = None
         self.generation = generation
+        self.channel = channel
+        self.process = getattr(channel, "process", None)
+        self.thread: Optional[threading.Thread] = None
         self.heartbeat: Optional[float] = None
         self.current_batch: Optional[List[_Request]] = None
         self.exited = False
         self.handled = False
-        self.deadline_hist = registry.histogram(
+        self.stats = RuntimeStats()
+        self.tracer = Tracer(id_prefix=f"d{index}g{generation}.") if observe else NOOP_TRACER
+        self.registry = MetricsRegistry() if observe else NOOP_REGISTRY
+        self.deadline_hist = self.registry.histogram(
             "request_deadline_remaining_seconds",
             help="remaining deadline budget sampled at worker dispatch",
         )
+        self.snapshot = MetricsSnapshot()
+        self.spans: list = []
 
     @property
     def started(self) -> bool:
@@ -643,43 +720,56 @@ class _Worker:
         return self.thread is not None
 
     def alive(self) -> bool:
-        """Transport-agnostic liveness: for a thread worker, the thread itself."""
+        """Liveness on both transports: the worker's loop thread."""
         return self.thread is not None and self.thread.is_alive()
 
 
-class WorkerPool(WorkerTransport):
-    """The *thread* transport: N briefing workers draining one scheduler.
+class WorkerPool:
+    """N briefing workers: one record, one loop and one channel per worker.
 
-    All workers share the (read-only) model weights and the sharded caches;
-    everything mutable — ``RuntimeStats``, tracer, metrics registry, the
-    fallback pipeline — is per-worker, because none of those are safe to
-    share across threads.  ``merged_stats()`` / ``metrics_snapshot()`` /
-    ``trace_spans()`` combine the per-worker state on read (metric merging
-    is associative, so the result is worker-order independent), including
-    the state of *retired* workers (ones that died and were replaced), so
-    resurrection never loses counters.
+    The transports differ only in the data the loop runs on:
 
-    ``chaos`` is an optional :class:`~repro.runtime.chaos.ChaosWorker`
-    invoked once per dispatched batch; ``governor`` (if given) receives
-    batch-latency observations.
+    * ``thread`` — every worker drains one shared :class:`RequestScheduler`,
+      and its pipeline, built here over the (read-only) model, shares the
+      front brief, render and student caches, so the pipeline fills the
+      front cache itself.
+    * ``process`` — each worker owns a bounded scheduler shard (capacity
+      ``ceil(max_queue / num_workers)``; a full shard raises
+      :class:`~repro.runtime.errors.QueueFull` even if others have room,
+      the price of cache affinity) behind a :class:`ConsistentHashRouter`,
+      and a worker process restores a :class:`ModelSnapshot` with caches
+      local to it; the loop fills the front cache with canonical briefs.
 
-    As a :class:`~repro.core.transport.WorkerTransport` the pool also fronts
-    its scheduler (``submit``/``depth``/``close``/``drain``/``requeue``), so
-    the pipeline and supervisor never touch the queue directly and the
-    process transport can shard it differently.
+    Each loop heartbeats, takes a micro-batch, sweeps expired requests,
+    runs ``chaos`` (a :class:`~repro.runtime.chaos.ChaosWorker`), opens the
+    per-request ``serve`` spans, calls the channel, folds the reply's stats
+    and telemetry into the record, feeds ``governor``, fills the front cache
+    and resolves the futures.  A lost worker — :class:`WorkerDeath` raised
+    in the thread or injected, or a dead pipe — kills its process (if any)
+    and leaves the loop holding the batch with ``exited`` unset: the
+    signature :class:`WorkerSupervisor` scans for.  A replaced worker's loop
+    exits before taking another batch.
+
+    ``merged_stats()`` / ``metrics_snapshot()`` / ``trace_spans()`` combine
+    every worker's record, retired ones included, so resurrection never
+    loses counts; metric series and spans are stamped with ``worker`` /
+    ``transport`` / ``generation`` provenance at read time.  Without
+    ``observe`` the last two return empty data and warn once.
     """
-
-    transport_name = "thread"
 
     def __init__(
         self,
-        model: JointWBModel,
-        scheduler: RequestScheduler,
+        model,
         num_workers: int = 2,
         *,
+        transport: str = "thread",
         beam_size: int = 4,
-        batch_size: int = 8,
-        brief_cache=None,
+        max_batch: int = 8,
+        max_wait_ms: float = 2.0,
+        max_queue: int = 256,
+        brief_cache_size: int = 256,
+        render_cache_size: int = 256,
+        front_cache=None,
         render_cache=None,
         student_cache=None,
         hash_fn: Optional[Callable[[str], Hashable]] = None,
@@ -688,51 +778,78 @@ class WorkerPool(WorkerTransport):
         chaos=None,
         clock: Optional[Callable[[], float]] = None,
         governor: Optional[ServingGovernor] = None,
+        on_expired: Optional[Callable[[object], None]] = None,
+        mp_context: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self.scheduler = scheduler
+        self.transport_name = transport
         self.observe = observe
         self.chaos = chaos
         self.governor = governor
         self.clock = clock if clock is not None else time.monotonic
-        self._model = model
-        self._beam_size = beam_size
-        self._batch_size = batch_size
-        self._brief_cache = brief_cache
-        self._render_cache = render_cache
-        self._student_cache = student_cache
-        self._hash_fn = hash_fn
-        self._dtype = dtype
+        self._hash_fn = hash_fn if hash_fn is not None else content_hash
+        self._warned_blind = False
+        options = dict(beam_size=beam_size, batch_size=max_batch, hash_fn=hash_fn)
+        if transport == "process":
+            methods = multiprocessing.get_all_start_methods()
+            self.start_method = mp_context or ("fork" if "fork" in methods else methods[0])
+            self._ctx = multiprocessing.get_context(self.start_method)
+            self._model = model if isinstance(model, ModelSnapshot) else ModelSnapshot(model, dtype=dtype)
+            self._options = dict(
+                options, brief_cache_size=brief_cache_size, render_cache_size=render_cache_size
+            )
+            self._front_cache = front_cache
+            shards = num_workers
+        else:
+            if isinstance(model, ModelSnapshot):
+                # ``restore()`` is written for worker processes and sets the
+                # process-wide nn dtype; preserve the caller's override so
+                # accepting a snapshot never mutates in-process dtype state.
+                prior = get_dtype_override()
+                try:
+                    model, snapshot_dtype = model.restore()
+                finally:
+                    set_default_dtype(prior)
+                if dtype is None:
+                    dtype = snapshot_dtype
+            self.start_method = None
+            self._model = model
+            self._options = dict(
+                options,
+                dtype=dtype,
+                brief_cache=front_cache,
+                render_cache=render_cache,
+                student_cache=student_cache,
+            )
+            self._front_cache = None  # the shared-cache pipelines fill it
+            shards = 1
+        self._router = ConsistentHashRouter(shards)
+        self.schedulers = [
+            RequestScheduler(
+                max_queue=-(-max_queue // shards),
+                max_batch=max_batch,
+                max_wait_ms=max_wait_ms,
+                clock=clock,
+                on_expired=on_expired,
+                wait_scale=governor.wait_scale if governor is not None else None,
+            )
+            for _ in range(shards)
+        ]
         self._lock = threading.Lock()
         self._retired: List[_Worker] = []
-        self._workers: List[_Worker] = [
-            self._make_worker(index, 0) for index in range(num_workers)
-        ]
+        # Worker processes spawn here, before any loop or supervisor thread
+        # starts, so a ``fork`` never copies a multi-threaded parent.
+        self._workers = [self._make_worker(index, 0) for index in range(num_workers)]
 
     def _make_worker(self, index: int, generation: int) -> _Worker:
-        stats = RuntimeStats()
-        # The id prefix keeps span ids globally unique across the pool's many
-        # tracers, so reassembled traces never collide parent ids.
-        tracer = Tracer(id_prefix=f"w{index}g{generation}.") if self.observe else NOOP_TRACER
-        registry = MetricsRegistry() if self.observe else NOOP_REGISTRY
-        # The factory picks the tiered cascade pipeline for a CascadeModel
-        # (with the pool-shared student-tier cache) and the plain batched
-        # pipeline for everything else.
-        pipeline = make_batched_pipeline(
-            self._model,
-            beam_size=self._beam_size,
-            stats=stats,
-            batch_size=self._batch_size,
-            hash_fn=self._hash_fn,
-            dtype=self._dtype,
-            tracer=tracer,
-            registry=registry,
-            brief_cache=self._brief_cache,
-            render_cache=self._render_cache,
-            student_cache=self._student_cache,
-        )
-        return _Worker(index, pipeline, stats, tracer, registry, generation)
+        if self.transport_name == "process":
+            config = dict(self._options, index=index, generation=generation, observe=self.observe)
+            channel = PipeChannel(self._ctx, self._model, config)
+        else:
+            pipeline = _worker_pipeline(self._model, index, generation, self.observe, **self._options)
+            channel = functools.partial(_serve_payload, pipeline, clock=self.clock)
+        return _Worker(index, generation, channel, self.observe)
 
     @property
     def num_workers(self) -> int:
@@ -744,51 +861,77 @@ class WorkerPool(WorkerTransport):
         with self._lock:
             return list(self._workers)
 
-    # -- transport surface: the pool fronts its one shared scheduler --------
+    def _all_workers(self) -> List[_Worker]:
+        with self._lock:
+            return list(self._workers) + list(self._retired)
+
+    def _is_current(self, worker: _Worker) -> bool:
+        with self._lock:
+            return self._workers[worker.index] is worker
+
+    def _queue(self, worker: _Worker) -> RequestScheduler:
+        return self.schedulers[worker.index if len(self.schedulers) > 1 else 0]
+
+    # -- admission: the pool fronts its scheduler(s) -----------------------
     @property
     def depth(self) -> int:
-        return self.scheduler.depth
+        """Requests admitted but not yet handed to a worker."""
+        return sum(scheduler.depth for scheduler in self.schedulers)
 
-    def submit(self, request) -> None:
-        self.scheduler.submit(request)
+    def submit(self, request: _Request) -> None:
+        """Admit one request or raise :class:`QueueFull` (never blocks).
+
+        Across shards, route by content hash so a page always lands on the
+        same worker process and its local cache stays hot.
+        """
+        shard = 0
+        if len(self.schedulers) > 1:
+            shard = self._router.route(str(self._hash_fn(request.html)))
+        self.schedulers[shard].submit(request)
 
     def close(self) -> None:
-        self.scheduler.close()
+        """Stop admission; queued work keeps draining (clean shutdown)."""
+        for scheduler in self.schedulers:
+            scheduler.close()
 
     def drain(self) -> list:
-        return self.scheduler.drain()
+        """Remove and return everything still queued (shutdown sweeper)."""
+        return [request for scheduler in self.schedulers for request in scheduler.drain()]
 
     def requeue(self, worker: _Worker, requests: Iterable[object]) -> None:
-        # Threads share one queue: any worker's survivors go to the front
-        # of it regardless of which worker died.
-        self.scheduler.requeue(requests)
+        """Re-admit a failed worker's survivors at the front of its queue.
 
+        On the process transport that is the worker's own shard: its
+        replacement owns the same slice of the ring.
+        """
+        self._queue(worker).requeue(requests)
+
+    # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Spawn one daemon thread per worker (idempotent)."""
-        with self._lock:
-            workers = list(self._workers)
-        for worker in workers:
-            if worker.thread is not None:
-                continue
-            self._start_worker(worker)
+        """Start one loop per worker (idempotent)."""
+        for worker in self.workers:
+            if worker.thread is None:
+                self._start_worker(worker)
 
     def _start_worker(self, worker: _Worker) -> None:
-        thread = threading.Thread(
+        if worker.process is not None:
+            worker.channel.wait_ready()
+        worker.thread = threading.Thread(
             target=self._run,
             args=(worker,),
             name=f"brief-worker-{worker.index}-g{worker.generation}",
             daemon=True,
         )
-        worker.thread = thread
-        thread.start()
+        worker.thread.start()
 
     def restart_worker(self, worker: _Worker) -> Optional[_Worker]:
         """Replace a dead/wedged worker with a fresh generation.
 
-        The old worker's stats/tracer/registry are retired (still counted in
-        merged reads); the replacement gets entirely fresh per-worker state,
-        so a crash can never leave a worker with corrupted internals.
-        Returns the replacement, or ``None`` if ``worker`` was already
+        The old record is retired (still counted in merged reads); the
+        replacement gets entirely fresh per-worker state.  A wedged worker
+        process is *not* terminated: like a wedged thread it finishes late
+        (``_resolve`` is idempotent), its loop then exits, and :meth:`reap`
+        catches anything left.  Returns ``None`` if ``worker`` was already
         replaced (two supervision passes racing).
         """
         with self._lock:
@@ -801,7 +944,7 @@ class WorkerPool(WorkerTransport):
         return replacement
 
     def join(self, timeout: Optional[float] = None) -> List[str]:
-        """Wait for every started worker to exit (scheduler must be closed).
+        """Wait for every started worker to exit (schedulers must be closed).
 
         A single absolute deadline is shared across all joins — ``timeout``
         bounds the *total* wall time, not each worker's.  Returns the names
@@ -811,11 +954,7 @@ class WorkerPool(WorkerTransport):
         while True:
             # Fresh snapshot each round: the supervisor may have swapped in
             # replacement workers while we were joining the previous ones.
-            alive = [
-                worker.thread
-                for worker in self.workers
-                if worker.thread is not None and worker.thread.is_alive()
-            ]
+            alive = [worker.thread for worker in self.stuck_workers()]
             if not alive:
                 return []
             for thread in alive:
@@ -830,32 +969,38 @@ class WorkerPool(WorkerTransport):
                 return [thread.name for thread in alive if thread.is_alive()]
 
     def stuck_workers(self) -> List[_Worker]:
-        """Workers whose thread is still alive after a failed join."""
-        return [
-            worker
-            for worker in self.workers
-            if worker.thread is not None and worker.thread.is_alive()
-        ]
+        """Workers whose loop is still running (after a failed join)."""
+        return [worker for worker in self.workers if worker.alive()]
 
+    def reap(self) -> None:
+        """Terminate every worker process still alive and release the pipes."""
+        for worker in self._all_workers():
+            if worker.process is not None:
+                worker.channel.close()
+
+    # -- the worker loop ---------------------------------------------------
     def _run(self, worker: _Worker) -> None:
+        queue = self._queue(worker)
         while True:
             worker.heartbeat = self.clock()
-            batch: Optional[List[_Request]] = self.scheduler.next_batch()
+            if not self._is_current(worker):
+                batch = None  # replaced after a wedge: the replacement serves on
+            else:
+                batch = queue.next_batch()
             if batch is None:
+                if worker.process is not None:
+                    worker.channel.stop()
                 worker.exited = True
                 return
             worker.heartbeat = self.clock()
             worker.current_batch = batch
             try:
                 self._serve_batch(worker, batch)
-            except WorkerDeath:
-                # The injected crash: the thread terminates right here with
-                # ``exited`` unset and ``current_batch`` still held — the
-                # exact signature the supervisor scans for.  Returning (vs
-                # propagating) only silences the default excepthook noise.
+            except (WorkerDeath, EOFError, OSError):
+                # A lost worker: return holding the batch, ``exited`` unset.
+                if worker.process is not None:
+                    worker.channel.kill()
                 return
-            # Only a normal completion clears the held batch: if the worker
-            # dies inside _serve_batch the supervisor finds the batch here.
             worker.current_batch = None
 
     def _serve_batch(self, worker: _Worker, batch: List[_Request]) -> None:
@@ -866,85 +1011,82 @@ class WorkerPool(WorkerTransport):
             if request.expired(now):
                 worker.stats.inc("deadline_expirations")
                 _resolve(request.future, _deadline_partial("before dispatch"))
-            else:
-                if request.deadline is not None:
-                    worker.deadline_hist.observe(max(0.0, request.deadline - now))
-                live.append(request)
+                continue
+            if request.deadline is not None:
+                worker.deadline_hist.observe(request.deadline - now)
+            live.append(request)
         if not live:
             return
         if self.chaos is not None:
+            # An injected WorkerDeath (a BaseException) propagates: the
+            # worker is lost exactly as if the model had crashed it.
             try:
                 self.chaos.on_batch(worker.index, len(live))
             except Exception as exc:  # injected transient fault — degrade
-                self._degrade_batch(worker, live, exc)
+                for request in live:
+                    _resolve(request.future, _empty_brief(exc))
                 return
-            # WorkerDeath is a BaseException and deliberately NOT caught:
-            # the thread dies holding the batch, for the supervisor to find.
         started = self.clock()
-        # One detached "serve" span per live request, parented under its
-        # admission span: the per-request view of the shared batch.  The
-        # batch's own brief_many subtree is parented under the leader's
-        # context inside the pipeline.
-        serve_spans: List[Tuple[_Request, object]] = []
-        trace_contexts = None
+        # One detached "serve" span per traced request, under its admission
+        # span: the per-request view of the shared batch.
+        spans = []
         if worker.tracer.enabled:
-            trace_contexts = [request.trace for request in live]
-            for request in live:
-                if request.trace is None:
-                    continue
-                serve_spans.append(
-                    (
-                        request,
-                        worker.tracer.open(
-                            "serve",
-                            trace=request.trace,
-                            doc_id=request.doc_id,
-                            batch_pages=len(live),
-                            shard=worker.index,
-                        ),
-                    )
+            spans = [
+                worker.tracer.open(
+                    "serve",
+                    trace=request.trace,
+                    doc_id=request.doc_id,
+                    batch_pages=len(live),
+                    shard=worker.index,
                 )
-        # Overload forces the cascade to student-only service: at shedding or
-        # cache_only no teacher escalation may be spent on this batch.  The
-        # flag is computed once per batch so every document in it sees one
-        # consistent policy.
+                for request in live
+                if request.trace is not None
+            ]
+        # Overload forces the cascade to student-only service: sampled once
+        # per batch, so every page in it sees one policy.
         student_only = self.governor is not None and self.governor.level >= 2
-        try:
-            briefs = worker.pipeline.brief_many(
-                [(request.doc_id, request.html) for request in live],
-                deadlines=[request.deadline for request in live],
-                clock=self.clock,
-                trace_contexts=trace_contexts,
-                student_only=student_only,
+        payload = [
+            (
+                request.doc_id,
+                request.html,
+                None if request.deadline is None else max(0.0, request.deadline - started),
+                None if request.trace is None else tuple(request.trace),
             )
-        except Exception as exc:  # brief_many never raises; last resort
-            for _, span in serve_spans:
+            for request in live
+        ]
+        try:
+            briefs, delta, telemetry = worker.channel(payload, student_only)
+        except (WorkerDeath, EOFError, OSError) as exc:
+            for span in spans:
                 span.record_error(exc).finish()
-            self._degrade_batch(worker, live, exc)
-            return
+            raise
+        for name, amount in delta.items():
+            worker.stats.inc(name, amount)
+        self._fold(worker, telemetry)
         if self.governor is not None:
             self.governor.observe_batch(self.clock() - started, len(live))
         for request, brief in zip(live, briefs):
+            # Only canonical answers reach the front tier: a student brief
+            # served because a deadline or the governor suppressed its
+            # escalation is situational and must not answer future requests.
+            if (
+                self._front_cache is not None
+                and brief.complete
+                and brief.tier_reason in _CANONICAL_REASONS
+            ):
+                self._front_cache.put(request.html, _copy_brief(brief))
             _resolve(request.future, brief)
-        for _, span in serve_spans:
+        for span in spans:
             span.finish()
 
-    def _degrade_batch(self, worker: _Worker, batch: List[_Request], exc: BaseException) -> None:
-        for request in batch:
-            _resolve(
-                request.future,
-                PartialBrief(
-                    topic=[],
-                    attributes=[],
-                    degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                ),
-            )
+    def _fold(self, worker: _Worker, telemetry) -> None:
+        """Merge one shipped ``(metrics delta, spans)`` increment into the record."""
+        if telemetry is not None:
+            with self._lock:  # a flush probe may fold concurrently
+                worker.snapshot = worker.snapshot.merge(telemetry[0])
+                worker.spans.extend(telemetry[1])
 
-    # ------------------------------------------------------------------
-    def _all_workers(self) -> List[_Worker]:
-        with self._lock:
-            return list(self._workers) + list(self._retired)
-
+    # -- merged reads ------------------------------------------------------
     def merged_stats(self) -> RuntimeStats:
         """Element-wise sum of every worker's counters (retired included)."""
         merged = RuntimeStats()
@@ -952,8 +1094,27 @@ class WorkerPool(WorkerTransport):
             merged = merged.merge(worker.stats)
         return merged
 
+    def _observed_workers(self) -> List[_Worker]:
+        """Every record after a flush probe; warns once (and is empty) when blind."""
+        if not self.observe:
+            if not self._warned_blind:
+                self._warned_blind = True
+                warnings.warn(
+                    "WorkerPool was built with observe=False: metrics_snapshot() and "
+                    "trace_spans() return empty data. Pass observe=True "
+                    "(ConcurrentBriefingPipeline(..., observe=True)) to collect worker telemetry.",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return []
+        workers = self._all_workers()
+        for worker in workers:
+            if worker.process is not None:
+                self._fold(worker, worker.channel.flush())
+        return workers
+
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """Associative merge of every worker's registry snapshot.
+        """Associative merge of every worker's shipped and loop-side series.
 
         Each worker's series are stamped with ``worker`` / ``transport`` /
         ``generation`` provenance labels at merge time (recorded labels win);
@@ -961,9 +1122,9 @@ class WorkerPool(WorkerTransport):
         pool-wide totals.
         """
         merged = MetricsSnapshot()
-        for worker in self._all_workers():
+        for worker in self._observed_workers():
             merged = merged.merge(
-                worker.registry.snapshot().with_labels(
+                worker.snapshot.merge(worker.registry.snapshot()).with_labels(
                     worker=worker.index,
                     transport=self.transport_name,
                     generation=worker.generation,
@@ -972,10 +1133,16 @@ class WorkerPool(WorkerTransport):
         return merged
 
     def trace_spans(self) -> list:
-        """Finished spans from every worker tracer (ids unique per worker)."""
+        """Finished spans from every worker, both halves, retired included.
+
+        Span ids are unique across the pool (``w``/``d`` prefixes per worker
+        and generation), and every span carries ``worker`` / ``transport`` /
+        ``generation`` attributes; spans recorded in a worker process come
+        back as :class:`~repro.obs.SpanRecord`\\ s with the same surface.
+        """
         spans = []
-        for worker in self._all_workers():
-            for span in worker.tracer.spans:
+        for worker in self._observed_workers():
+            for span in list(worker.spans) + list(worker.tracer.spans):
                 span.attributes.setdefault("worker", worker.index)
                 span.attributes.setdefault("transport", self.transport_name)
                 span.attributes.setdefault("generation", worker.generation)
@@ -987,13 +1154,12 @@ class WorkerSupervisor:
     """Detect dead/wedged workers, resurrect them, re-queue their batches.
 
     Runs a daemon loop (or is driven manually via :meth:`check` in tests)
-    over any :class:`~repro.core.transport.WorkerTransport`'s workers —
-    thread workers and process workers look the same through the record's
-    ``started``/``alive()``/``heartbeat``/``current_batch`` surface:
+    over a :class:`WorkerPool`'s worker records, the same on both
+    transports:
 
-    * a worker that is **dead** (``alive()`` false — thread gone, or the
-      worker *process* gone) without having seen the exit signal died
-      mid-batch (e.g. :class:`~repro.runtime.chaos.WorkerDeath`);
+    * a worker that is **dead** (``alive()`` false — its loop returned
+      after a thread death or a lost worker process) without having seen
+      the exit signal died mid-batch (e.g. :class:`~repro.runtime.chaos.WorkerDeath`);
     * a worker that is **alive** but has held the same batch past
       ``wedge_timeout`` seconds with a stale heartbeat is *wedged*.
 
@@ -1016,8 +1182,7 @@ class WorkerSupervisor:
 
     def __init__(
         self,
-        pool: WorkerTransport,
-        scheduler: Optional[RequestScheduler] = None,
+        pool: WorkerPool,
         *,
         poll_interval: float = 0.02,
         wedge_timeout: Optional[float] = None,
@@ -1035,7 +1200,6 @@ class WorkerSupervisor:
         if poison_threshold < 1:
             raise ValueError(f"poison_threshold must be >= 1, got {poison_threshold}")
         self.pool = pool
-        self.scheduler = scheduler
         self.poll_interval = poll_interval
         self.wedge_timeout = wedge_timeout
         self.max_attempts = max_attempts
@@ -1168,14 +1332,7 @@ class WorkerSupervisor:
             # work resolves degraded instead of being re-queued.
             exc = Overloaded("worker lost at shutdown", reason="shutdown")
             for request in survivors:
-                _resolve(
-                    request.future,
-                    PartialBrief(
-                        topic=[],
-                        attributes=[],
-                        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                    ),
-                )
+                _resolve(request.future, _empty_brief(exc))
 
     def _quarantine(self, request: _Request) -> None:
         self.stats.inc("poison_quarantined")
@@ -1290,8 +1447,6 @@ class ConcurrentBriefingPipeline:
         chaos=None,
         breaker: Optional[CircuitBreaker] = None,
         mp_context: Optional[str] = None,
-        worker_cache_size: int = 256,
-        spawn_timeout: float = 30.0,
         slo: Optional[SLOTracker] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
@@ -1320,72 +1475,31 @@ class ConcurrentBriefingPipeline:
         elif governor is False:
             governor = None
         self.governor = governor
-        if transport == "process":
-            from .process_pool import ProcessWorkerPool  # avoid an import cycle
-
-            snapshot = model if isinstance(model, ModelSnapshot) else ModelSnapshot(model, dtype=dtype)
-            # The process transport shards the admission queue per worker;
-            # there is no single scheduler to expose.
-            self.scheduler = None
-            self.pool: WorkerTransport = ProcessWorkerPool(
-                snapshot,
-                num_workers,
-                beam_size=beam_size,
-                batch_size=max_batch,
-                max_queue=max_queue,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                front_cache=self.brief_cache,
-                hash_fn=hash_fn,
-                clock=clock,
-                on_expired=self._on_queue_expired,
-                wait_scale=governor.wait_scale if governor is not None else None,
-                governor=governor,
-                chaos=chaos,
-                mp_context=mp_context,
-                worker_cache_size=worker_cache_size,
-                spawn_timeout=spawn_timeout,
-                observe=observe,
-            )
-        else:
-            if isinstance(model, ModelSnapshot):
-                # Thread workers run in-process, so restore here — but
-                # ``restore()`` is written for worker processes and sets the
-                # process-wide nn dtype; preserve the caller's override so
-                # accepting a snapshot never mutates in-process dtype state.
-                from ..nn import get_dtype_override, set_default_dtype
-
-                prior = get_dtype_override()
-                try:
-                    model, snapshot_dtype = model.restore()
-                finally:
-                    set_default_dtype(prior)
-                if dtype is None:
-                    dtype = snapshot_dtype
-            self.scheduler = RequestScheduler(
-                max_queue=max_queue,
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                clock=clock,
-                on_expired=self._on_queue_expired,
-                wait_scale=governor.wait_scale if governor is not None else None,
-            )
-            self.pool = WorkerPool(
-                model,
-                self.scheduler,
-                num_workers,
-                beam_size=beam_size,
-                batch_size=max_batch,
-                brief_cache=self.brief_cache,
-                render_cache=self.render_cache,
-                student_cache=self.student_cache,
-                hash_fn=hash_fn,
-                dtype=dtype,
-                observe=observe,
-                chaos=chaos,
-                clock=clock,
-                governor=governor,
-            )
+        self.pool = WorkerPool(
+            model,
+            num_workers,
+            transport=transport,
+            beam_size=beam_size,
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            max_queue=max_queue,
+            brief_cache_size=brief_cache_size,
+            render_cache_size=render_cache_size,
+            front_cache=self.brief_cache,
+            render_cache=self.render_cache,
+            student_cache=self.student_cache,
+            hash_fn=hash_fn,
+            dtype=dtype,
+            observe=observe,
+            chaos=chaos,
+            clock=clock,
+            governor=governor,
+            on_expired=self._on_queue_expired,
+            mp_context=mp_context,
+        )
+        #: the thread transport's one shared admission queue (the process
+        #: transport shards it per worker, so there is none to expose).
+        self.scheduler = self.pool.schedulers[0] if transport == "thread" else None
         self.registry = MetricsRegistry() if observe else NOOP_REGISTRY
         # Frontend tracer: one detached "admission" span per submit, the root
         # of each request's trace.  Shared across submitting threads, so
@@ -1422,7 +1536,6 @@ class ConcurrentBriefingPipeline:
         if supervise:
             self.supervisor = WorkerSupervisor(
                 self.pool,
-                self.scheduler,
                 poll_interval=supervisor_poll_ms / 1000.0,
                 wedge_timeout=None if wedge_timeout_ms is None else wedge_timeout_ms / 1000.0,
                 breaker=breaker,
@@ -1484,14 +1597,7 @@ class ConcurrentBriefingPipeline:
         # that no worker picked up before the deadline) resolves degraded.
         exc = Overloaded("pipeline shut down before the request was served", reason="shutdown")
         for request in self.pool.drain():
-            _resolve(
-                request.future,
-                PartialBrief(
-                    topic=[],
-                    attributes=[],
-                    degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                ),
-            )
+            _resolve(request.future, _empty_brief(exc))
         # A worker that never let go of its batch — stuck (alive past the
         # join deadline) or dead without supervision (e.g. a worker process
         # lost with ``supervise=False``) — still holds admitted futures;
@@ -1503,14 +1609,7 @@ class ConcurrentBriefingPipeline:
                 leftovers.setdefault(id(worker), worker)
         for worker in leftovers.values():
             for request in list(worker.current_batch or []):
-                _resolve(
-                    request.future,
-                    PartialBrief(
-                        topic=[],
-                        attributes=[],
-                        degradations=[Degradation("serve", "empty_brief", _reason(exc))],
-                    ),
-                )
+                _resolve(request.future, _empty_brief(exc))
         self.pool.reap()
         self.stuck_workers = stuck
         if self.journal is not None:

@@ -6,8 +6,9 @@ errors (the URL is dead for the rest of the run), truncated or garbled HTML,
 and latency spikes.  :class:`ChaosModel` does the same for the model stages of
 the briefing pipeline.  :class:`ChaosWorker` aims the same treatment at the
 concurrent serving layer: injected exceptions, stalls and outright *deaths*
-inside :class:`~repro.core.serving.WorkerPool` threads, so the supervisor /
-re-queue / conservation machinery is testable without real crashes.  All
+in :class:`~repro.core.serving.WorkerPool` worker loops (on either
+transport), so the supervisor / re-queue / conservation machinery is
+testable without real crashes.  All
 randomness comes from ``random.Random(seed)``: the same seed yields the same
 fault schedule, so chaos tests are ordinary deterministic tests.
 """
@@ -156,17 +157,17 @@ class WorkerDeath(BaseException):
 class ChaosWorker:
     """Seeded fault injection inside serving worker threads.
 
-    Installed into :class:`~repro.core.serving.WorkerPool`; the worker loop
-    calls :meth:`on_batch` once per dispatched micro-batch, which (per the
-    independent rates) may
+    Installed into :class:`~repro.core.serving.WorkerPool`; each worker's
+    loop calls :meth:`on_batch` once per dispatched micro-batch, parent-side
+    on both transports, which (per the independent rates) may
 
     * **stall** — hand ``stall_seconds`` to the sleep hook, simulating a
       wedged model call (heartbeats go stale, latency spikes);
     * **raise** a transient :class:`~repro.runtime.errors.ModelError` —
       the batch degrades through the worker's last-resort handler, the
       worker survives;
-    * **die** — raise :class:`WorkerDeath`, killing the worker thread while
-      it still holds the batch.
+    * **die** — raise :class:`WorkerDeath`: the worker is lost while it
+      still holds the batch (its loop returns; a worker process is killed).
 
     Each worker index draws from its own seeded ``random.Random`` stream
     (the shared seed mixed with the index), so a worker's fault schedule is

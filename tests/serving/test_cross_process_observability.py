@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import ConcurrentBriefingPipeline
 from repro.obs import MetricsRegistry, MetricsSnapshot, snapshot_delta
+from repro.runtime import ChaosWorker
 
 from .test_deadlines import PAGE_A
 
@@ -85,6 +86,30 @@ def test_request_spans_form_one_connected_trace(serving_model, transport):
     workers = {span.attributes["worker"] for span in spans}
     assert "frontend" in workers and (workers - {"frontend"})
     assert all(span.attributes.get("transport") == transport for span in spans)
+
+
+@pytest.mark.parametrize("transport", ["thread", "process"])
+def test_span_ids_unique_across_the_pool_with_retired_workers(serving_model, transport):
+    """A worker dies and is resurrected mid-stream: the retired generation's
+    spans and the replacement's still have pool-unique ids, and every
+    request's trace stays connected."""
+    chaos = ChaosWorker(death_rate=1.0, seed=3, max_deaths=1)
+    server = _observed_server(
+        serving_model, transport, chaos=chaos, max_wait_ms=0.0, supervisor_poll_ms=5.0
+    )
+    try:
+        briefs = server.brief_many(PAGES)
+    finally:
+        server.shutdown(timeout=60)
+    assert chaos.deaths == 1
+    assert all(brief.complete for brief in briefs)
+    spans = server.trace_spans()
+    assert len({span.span_id for span in spans}) == len(spans)
+    assert {span.attributes["generation"] for span in spans if span.name == "serve"} >= {0, 1}
+    traces = _by_trace(spans)
+    assert len(traces) == len(PAGES)
+    for trace in traces.values():
+        _assert_connected(trace)
 
 
 def test_transports_produce_equivalent_telemetry(serving_model):
@@ -212,6 +237,21 @@ def test_blind_process_pool_warns_once(serving_model):
         assert "observe=True" in str(runtime[0].message)
     finally:
         server.shutdown(timeout=60)
+
+
+def test_blind_thread_pool_warns_once(serving_model):
+    server = ConcurrentBriefingPipeline(serving_model, num_workers=1, beam_size=2)
+    try:
+        assert server.submit(PAGE_A, doc_id="a").result(timeout=30).complete
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert server.pool.metrics_snapshot().names == []
+            assert server.pool.trace_spans() == []
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert "observe=True" in str(runtime[0].message)
+    finally:
+        server.shutdown(timeout=30)
 
 
 # ----------------------------------------------------------------------

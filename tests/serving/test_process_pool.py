@@ -105,7 +105,7 @@ def test_router_single_shard_and_validation():
 
 
 # ----------------------------------------------------------------------
-# ProcessWorkerPool through the pipeline front door
+# The process transport through the pipeline front door
 # ----------------------------------------------------------------------
 def test_process_transport_serves_and_counts(serving_model):
     server = ConcurrentBriefingPipeline(

@@ -138,6 +138,41 @@ def test_wedged_worker_is_detected_and_replaced(serving_model):
     assert server.merged_stats().worker_restarts >= 1
 
 
+def test_replaced_worker_takes_no_further_batches(serving_model):
+    """A wedged worker that finishes late after being replaced exits instead
+    of serving more batches under a retired record nobody supervises."""
+    gated = GatedModel(serving_model)
+    server = ConcurrentBriefingPipeline(
+        gated, num_workers=1, beam_size=2, max_batch=4, max_wait_ms=0.0,
+        supervisor_poll_ms=5.0, wedge_timeout_ms=50.0,
+    )
+    try:
+        first = server.submit(PAGE_A, doc_id="a")
+        assert gated.started.wait(timeout=30)
+        zombie = server.pool.workers[0]
+        deadline = time.monotonic() + 30.0
+        while server.merged_stats().worker_restarts < 1:
+            assert time.monotonic() < deadline, "wedged worker never detected"
+            time.sleep(0.01)
+        gated.release.set()
+        assert first.result(timeout=30).complete
+        futures = [
+            server.submit(
+                f"<html><body><p>after the wedge {i}</p><p>the price is {i}</p></body></html>",
+                doc_id=f"after-{i}",
+            )
+            for i in range(40)
+        ]
+        for future in futures:
+            assert future.result(timeout=30) is not None
+        zombie.thread.join(timeout=5.0)
+        assert not zombie.thread.is_alive()
+        assert zombie.stats.batches_dispatched == 1
+    finally:
+        gated.release.set()
+        server.shutdown(timeout=30)
+
+
 def test_shutdown_under_load_resolves_every_future(serving_model):
     """Conservation through a shutdown storm: every admitted future resolves
     (served or typed-degraded), none hangs, no worker gets stuck."""
