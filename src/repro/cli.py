@@ -20,19 +20,14 @@ Commands
     and empty pages, and print the :class:`~repro.runtime.RuntimeStats`
     counters.  Exit code 0 means retries/breakers/degradations fully masked
     the injected faults.
-``bench --chaos|--cascade|--quantized [--smoke] [--pages N]``
+``bench --chaos|--quantized [--smoke] [--pages N]``
     Correctness scenarios over the concurrent serving layer; exactly one
     mode is required.  ``--chaos`` replays a Zipfian request stream while a
     seeded :class:`~repro.runtime.ChaosWorker` stalls, fails and kills
     workers; it asserts every future resolves and shutdown does not
     deadlock, and records p50/p99-under-chaos plus shed/restart/quarantine
     counts under the report's ``resilience`` key (``--soak-rounds N``
-    replays the stream N times against the same pipeline).  ``--cascade``
-    calibrates the student/teacher escalation threshold offline against the
-    simulated human-eval panel (or takes ``--escalation-threshold``
-    verbatim), replays one cache-cold stream through student-only, cascade
-    and teacher-only serving, and checks the cascade takes no third path and
-    escalates within the calibrated band (``cascade`` key).  ``--quantized``
+    replays the stream N times against the same pipeline).  ``--quantized``
     checks int8/float16 weights (``--quant-mode``) stay within the
     task-metric tolerance of the float64 reference and brief identically on
     both transports (``quantized`` key).  ``--smoke`` defaults the stream to
@@ -48,13 +43,8 @@ Commands
     gives every request an absolute budget; expired requests resolve to
     typed ``DeadlineExceeded`` briefs instead of hanging.  ``--transport
     process`` serves through worker processes (each holding its own model
-    replica) instead of threads.  ``--cascade`` serves through the
-    confidence-gated student/teacher cascade (``--escalation-threshold``
-    pins the threshold; omitted, it is calibrated offline against the
-    simulated human-eval panel).  ``--quantized`` serves int8 weights
-    (calibrated on the corpus); combined with ``--cascade`` only the
-    student tier is quantized and the float teacher stays the quality
-    backstop.  Prints one topic line per page plus the
+    replica) instead of threads.  ``--quantized`` serves int8 weights
+    (calibrated on the corpus).  Prints one topic line per page plus the
     merged worker-pool counters.  ``--status-interval S`` prints a live
     status frame (queue depth, governor level, per-worker throughput, SLO
     burn) to stderr every S seconds while serving; ``--journal PATH``
@@ -137,15 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(health)
 
     bench = sub.add_parser(
-        "bench", help="serving correctness scenarios: chaos, cascade, quantized"
+        "bench", help="serving correctness scenarios: chaos, quantized"
     )
     mode = bench.add_mutually_exclusive_group(required=True)
     mode.add_argument("--chaos", action="store_true",
                       help="chaos/soak: replay a Zipfian stream with injected "
                            "worker stalls/exceptions/deaths and assert conservation")
-    mode.add_argument("--cascade", action="store_true",
-                      help="student/teacher cascade frontier (student-only vs "
-                           "cascade vs teacher-only); honors --transport thread|process")
     mode.add_argument("--quantized", action="store_true",
                       help="quantized inference: task-metric deltas vs the float64 "
                            "reference, decode vs a float32 copy, and quantized "
@@ -159,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--output", default="BENCH_serving.json",
                        help="JSON report path ('' to skip writing)")
     bench.add_argument("--float32", action="store_true",
-                       help="serve under float32 (chaos and cascade)")
+                       help="serve under float32 (chaos mode)")
     bench.add_argument("--smoke", action="store_true",
                        help="small default stream; print the smoke verdict")
     bench.add_argument("--max-wait-ms", type=float, default=2.0,
@@ -178,15 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request deadline budget (chaos mode)")
     bench.add_argument("--transport", choices=("thread", "process", "both"), default=None,
-                       help="worker transport for --cascade (default thread) and "
-                            "--quantized (default both)")
+                       help="worker transport for --quantized (default both)")
     bench.add_argument("--workers", type=int, default=4,
-                       help="worker pool size for --cascade and --quantized")
+                       help="worker pool size for --quantized")
     bench.add_argument("--mp-context", choices=("fork", "spawn", "forkserver"), default=None,
                        help="multiprocessing start method for the process transport")
-    bench.add_argument("--escalation-threshold", type=float, default=None,
-                       help="cascade escalation threshold (default: calibrate "
-                            "offline against the simulated human-eval panel)")
     bench.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
                        help="weight quantization mode for --quantized")
 
@@ -210,18 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="absolute per-request deadline; expired requests "
                             "resolve to typed DeadlineExceeded briefs")
-    serve.add_argument("--cascade", action="store_true",
-                       help="serve through the confidence-gated student/teacher "
-                            "cascade instead of the single model")
-    serve.add_argument("--escalation-threshold", type=float, default=None,
-                       help="cascade escalation threshold (default: calibrate "
-                            "offline against the simulated human-eval panel)")
     serve.add_argument("--quantized", action="store_true",
                        help="serve int8 weights: quantize the model (with "
                             "activation-range calibration over the corpus) "
-                            "before serving; with --cascade only the student "
-                            "tier is quantized, the float teacher stays the "
-                            "quality backstop")
+                            "before serving")
     serve.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
                        help="weight quantization mode for --quantized")
     serve.add_argument("--model", help="checkpoint saved by `repro train`")
@@ -305,73 +280,16 @@ def _build_model(topics: int, pages: int, seed: int):
     return corpus, vocabulary, model
 
 
-def _build_cascade(teacher, vocabulary, corpus, seed: int, threshold: Optional[float]):
-    """Wrap ``teacher`` in a confidence-gated student/teacher cascade.
-
-    The student is the compact tier (dim-12 MiniBert, hidden 8); the
-    confidence signal projects its generator memories against a topic
-    phrase bank built from its own embeddings.  When ``threshold`` is
-    ``None`` the escalation threshold is calibrated offline against the
-    simulated human-eval panel on the corpus documents.
-    """
-    from . import nn
-    from .core import CascadeModel, ConfidenceEstimator, calibrate_threshold
-    from .distill import TopicPhraseBank
-    from .models import BertSumEncoder, make_joint_model
-
-    rng = np.random.default_rng(seed + 1)
-    bert = nn.MiniBert(
-        vocab_size=len(vocabulary), dim=12, num_layers=1, num_heads=2, rng=rng, max_len=512
-    )
-    student = make_joint_model(
-        "Joint-WB", BertSumEncoder(vocabulary, bert), vocabulary, hidden_dim=8, rng=rng
-    )
-    embedding = student.generator.embedding.weight.data
-    bank = TopicPhraseBank(
-        embedding_dim=embedding.shape[1], bank_dim=8, rng=np.random.default_rng(seed + 2)
-    )
-    matrix = bank.build(list(corpus.topic_phrases.values()), embedding, vocabulary)
-    estimator = ConfidenceEstimator(
-        query_dim=2 * student.hidden_dim, bank_matrix=matrix, seed=seed
-    )
-    cascade = CascadeModel(
-        student, teacher, estimator,
-        threshold=threshold if threshold is not None else 0.5,
-    )
-    if threshold is None:
-        calibration = calibrate_threshold(
-            cascade, corpus.documents, seed=seed, beam_size=2
-        )
-        cascade.threshold = calibration.threshold
-        print(
-            f"calibrated escalation threshold {cascade.threshold:.2f} "
-            f"(expected escalation rate {calibration.escalation_rate:.2f})",
-            file=sys.stderr,
-        )
-    return cascade
-
-
-def _quantize_for_serving(model, corpus, mode: str, cascade: bool):
-    """Quantize ``model`` for serving, calibrated on the corpus documents.
-
-    Plain serving quantizes the whole model.  Cascade serving quantizes
-    only the student tier — that is where the latency budget lives; the
-    float teacher stays the quality backstop the cascade escalates to.
-    """
+def _quantize_for_serving(model, corpus, mode: str):
+    """Quantize ``model`` for serving, calibrated on the corpus documents."""
     from . import nn
 
-    target = model.student if cascade else model
     documents = list(corpus.documents)[:8]
     calibration = nn.calibrate(
-        target,
-        lambda: target.predict_batch(documents, beam_size=2, batch_size=8),
+        model,
+        lambda: model.predict_batch(documents, beam_size=2, batch_size=8),
     )
-    quantized = target.quantize(mode=mode, calibration=calibration)
-    if cascade:
-        model.student = quantized
-        print(f"quantized cascade student ({mode}); teacher stays float",
-              file=sys.stderr)
-        return model
+    quantized = model.quantize(mode=mode, calibration=calibration)
     print(f"quantized serving model ({mode})", file=sys.stderr)
     return quantized
 
@@ -515,7 +433,7 @@ def _command_health(args) -> int:
 
 
 def _command_bench(args) -> int:
-    from .core import run_cascade_bench, run_chaos_bench, run_quantized_bench
+    from .core import run_chaos_bench, run_quantized_bench
 
     num_pages = args.pages if args.pages is not None else (12 if args.smoke else 64)
     dtype = np.float32 if args.float32 else None
@@ -540,21 +458,6 @@ def _command_bench(args) -> int:
         # Quality + determinism only: tolerance vs the float64 reference and
         # identical briefs across transports.  Speed is perfbench's job.
         ok = result.within_tolerance and result.outputs_match
-    elif args.cascade:
-        result = run_cascade_bench(
-            num_pages=num_pages,
-            seed=args.seed,
-            workers=args.workers,
-            max_batch=args.batch_size,
-            beam_size=args.beam_size,
-            max_wait_ms=args.max_wait_ms,
-            transport=args.transport if args.transport in ("thread", "process") else "thread",
-            threshold=args.escalation_threshold,
-            dtype=dtype,
-            output_path=output_path,
-            mp_context=args.mp_context,
-        )
-        ok = result.outputs_match and result.conserved and result.within_band
     else:
         result = run_chaos_bench(
             num_requests=num_pages,
@@ -593,18 +496,14 @@ def _command_serve_many(args) -> int:
         or getattr(args, "journal", None)
         or getattr(args, "status_interval", None)
     )
-    corpus, vocabulary, model = _build_model(args.topics, 6, args.seed)
+    corpus, _, model = _build_model(args.topics, 6, args.seed)
     if args.model:
         model.load(args.model)
     else:
         print("No checkpoint given; training a small model first...", file=sys.stderr)
         _train(model, corpus, args.epochs, args.seed)
-    if args.cascade:
-        model = _build_cascade(
-            model, vocabulary, corpus, args.seed, args.escalation_threshold
-        )
     if getattr(args, "quantized", False):
-        model = _quantize_for_serving(model, corpus, args.quant_mode, cascade=args.cascade)
+        model = _quantize_for_serving(model, corpus, args.quant_mode)
 
     if args.html_files:
         pages = []
@@ -644,7 +543,6 @@ def _command_serve_many(args) -> int:
         stop_status.set()
         if status_thread is not None:
             status_thread.join(timeout=5)
-    cascade_status = server.status().get("cascade") if args.cascade else None
     server.shutdown()
 
     for (doc_id, _), brief in zip(pages, briefs):
@@ -662,11 +560,6 @@ def _command_serve_many(args) -> int:
           f"expired: {merged.deadline_expirations}   "
           f"restarts: {merged.worker_restarts}   "
           f"degradations: {merged.degradations}")
-    if cascade_status:
-        print(f"cascade: {cascade_status['student_briefs']} student / "
-              f"{cascade_status['teacher_escalations']} teacher "
-              f"(escalation rate {cascade_status['escalation_rate']:.2f}, "
-              f"{cascade_status['escalations_suppressed']} suppressed)")
 
     if getattr(args, "trace", None):
         from .obs import write_spans_jsonl

@@ -2,10 +2,8 @@
 
 from .batched import BatchedBriefingPipeline, BriefCache, content_hash
 from .bench import (
-    CascadeBenchResult,
     QuantizedBenchResult,
     ResilienceBenchResult,
-    run_cascade_bench,
     run_chaos_bench,
     run_quantized_bench,
     save_section,
@@ -13,16 +11,6 @@ from .bench import (
     synthesize_zipf_stream,
 )
 from .briefing import Brief, Degradation, PartialBrief
-from .cascade import (
-    CalibrationPoint,
-    CalibrationResult,
-    CascadeBriefingPipeline,
-    CascadeModel,
-    ConfidenceEstimator,
-    calibrate_threshold,
-    make_batched_pipeline,
-    quality_by_confidence_band,
-)
 from .evaluation import (
     ExtractionMetrics,
     GenerationMetrics,
@@ -61,14 +49,6 @@ __all__ = [
     "BriefingPipeline",
     "BatchedBriefingPipeline",
     "BriefCache",
-    "CascadeBriefingPipeline",
-    "CascadeModel",
-    "ConfidenceEstimator",
-    "CalibrationPoint",
-    "CalibrationResult",
-    "calibrate_threshold",
-    "make_batched_pipeline",
-    "quality_by_confidence_band",
     "ShardedBriefCache",
     "RequestScheduler",
     "ServingGovernor",
@@ -79,9 +59,7 @@ __all__ = [
     "ConsistentHashRouter",
     "content_hash",
     "ResilienceBenchResult",
-    "CascadeBenchResult",
     "QuantizedBenchResult",
-    "run_cascade_bench",
     "run_chaos_bench",
     "run_quantized_bench",
     "save_section",

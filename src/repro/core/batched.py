@@ -63,8 +63,6 @@ def _copy_brief(brief: PartialBrief) -> PartialBrief:
         extra_levels={level: list(items) for level, items in brief.extra_levels.items()},
         informative_sentences=list(brief.informative_sentences),
         degradations=list(brief.degradations),
-        tier=brief.tier,
-        tier_reason=brief.tier_reason,
     )
 
 
@@ -250,20 +248,8 @@ class BatchedBriefingPipeline:
             degradations=[],
         )
 
-    def _predict_briefs(
-        self,
-        documents: List[Document],
-        deadlines: Optional[List[Optional[float]]] = None,
-        clock: Optional[Callable[[], float]] = None,
-        student_only: bool = False,
-    ) -> List[PartialBrief]:
-        """Batched prediction; falls back to the sequential ladder on failure.
-
-        ``deadlines``/``clock``/``student_only`` exist for subclasses with
-        tiered models (:class:`~repro.core.cascade.CascadeBriefingPipeline`
-        consults them before spending teacher compute); the single-tier
-        pipeline ignores them.
-        """
+    def _predict_briefs(self, documents: List[Document]) -> List[PartialBrief]:
+        """Batched prediction; falls back to the sequential ladder on failure."""
         start = time.perf_counter() if self._observing else 0.0
         with self.tracer.span(
             "predict_batch",
@@ -289,18 +275,6 @@ class BatchedBriefingPipeline:
         return [self._brief_from_prediction(prediction) for prediction in predictions]
 
     # ------------------------------------------------------------------
-    # Cache policy hooks (overridden by the tiered cascade pipeline)
-    # ------------------------------------------------------------------
-    def _cache_lookup(self, html: str, student_only: bool) -> Optional[PartialBrief]:
-        """Front lookup for ``html`` (``student_only`` is a hint for tiers)."""
-        return self.brief_cache.get(html)
-
-    def _cache_store(self, content: str, brief: PartialBrief) -> None:
-        """Cache a freshly computed brief (only complete briefs are kept)."""
-        if brief.complete:
-            self.brief_cache.put(content, _copy_brief(brief))
-
-    # ------------------------------------------------------------------
     def brief_html(self, html: str, doc_id: str = "adhoc") -> PartialBrief:
         """Single-page convenience wrapper over :meth:`brief_many`."""
         return self.brief_many([(doc_id, html)])[0]
@@ -312,7 +286,6 @@ class BatchedBriefingPipeline:
         deadlines: Optional[List[Optional[float]]] = None,
         clock: Optional[Callable[[], float]] = None,
         trace_contexts: Optional[List[Optional["object"]]] = None,
-        student_only: bool = False,
     ) -> List[PartialBrief]:
         """Brief many pages; results align with the input order.
 
@@ -335,10 +308,6 @@ class BatchedBriefingPipeline:
         parented under the first traced request (the batch leader), so the
         shared decode subtree joins that request's trace — the per-request
         view is the worker's ``serve`` span.
-
-        ``student_only=True`` tells a tiered pipeline (the cascade) that the
-        serving governor is under overload and no teacher escalation may be
-        spent on this batch; the single-tier pipeline ignores it.
         """
         page_list: List[Tuple[str, str]] = []
         for position, page in enumerate(pages):
@@ -386,7 +355,7 @@ class BatchedBriefingPipeline:
                     self._cache_counter.inc(result="coalesced")
                     pending[html][1].append(index)
                     continue
-                cached = self._cache_lookup(html, student_only)
+                cached = self.brief_cache.get(html)
                 if cached is not None:
                     self.stats.inc("cache_hits")
                     self._cache_counter.inc(result="hit")
@@ -430,24 +399,10 @@ class BatchedBriefingPipeline:
 
             if pending:
                 contents = list(pending)
-                documents = [pending[content][0] for content in contents]
-                # A unique document's effective deadline for tier decisions is
-                # the max over its live waiters — one unbounded waiter keeps a
-                # teacher escalation affordable for everyone coalesced on it.
-                effective_deadlines: List[Optional[float]] = []
-                for content in contents:
-                    waiting = [deadline_list[i] for i in pending[content][1]]
-                    effective_deadlines.append(
-                        None if any(d is None for d in waiting) else max(waiting)
-                    )
-                computed = self._predict_briefs(
-                    documents,
-                    deadlines=effective_deadlines,
-                    clock=read_clock,
-                    student_only=student_only,
-                )
+                computed = self._predict_briefs([pending[content][0] for content in contents])
                 for content, brief in zip(contents, computed):
-                    self._cache_store(content, brief)
+                    if brief.complete:
+                        self.brief_cache.put(content, _copy_brief(brief))
                     for index in pending[content][1]:
                         briefs[index] = _copy_brief(brief)
             if self._observing:

@@ -1,4 +1,4 @@
-"""Correctness scenarios behind ``repro bench``: chaos, cascade, quantized.
+"""Correctness scenarios behind ``repro bench``: chaos and quantized.
 
 Each mode replays a synthesized page stream through the concurrent serving
 layer and checks a contract on the briefs it serves:
@@ -6,15 +6,12 @@ layer and checks a contract on the briefs it serves:
 * ``--chaos`` (:func:`run_chaos_bench`) — conservation under injected
   worker stalls, failures and deaths: every future resolves and shutdown
   does not deadlock;
-* ``--cascade`` (:func:`run_cascade_bench`) — the student/teacher cascade
-  takes no third path, and its escalation rate stays inside the calibrated
-  band;
 * ``--quantized`` (:func:`run_quantized_bench`) — quantized weights stay
   within the task-metric tolerance of the float64 reference and brief
   identically on both transports.
 
 Each mode writes its own section of ``BENCH_serving.json`` (``resilience``,
-``cascade``, ``quantized``) through :func:`save_section`; the schema is in
+``quantized``) through :func:`save_section`; the schema is in
 ``docs/ARCHITECTURE.md``.  Timings recorded next to the verdicts are
 single-run figures on small untrained models; throughput and latency are
 measured by ``perfbench/``, on a trained model, with medians and spreads.
@@ -34,11 +31,9 @@ import numpy as np
 from ..obs import percentile
 
 __all__ = [
-    "CascadeBenchResult",
     "ResilienceBenchResult",
     "QuantizedBenchResult",
     "save_section",
-    "run_cascade_bench",
     "run_chaos_bench",
     "run_quantized_bench",
     "synthesize_serving_corpus",
@@ -50,7 +45,7 @@ def save_section(path: str, section: str, payload: Dict[str, object]) -> dict:
     """Merge one bench mode's ``payload`` under ``section`` in the report.
 
     All bench modes share ``BENCH_serving.json`` and each owns one top-level
-    key (``"resilience"``, ``"cascade"``, ``"quantized"``), so the write is
+    key (``"resilience"``, ``"quantized"``), so the write is
     read-merge-write: sections recorded by the other modes survive.  A
     missing or unparsable file starts fresh.  Returns the full merged report.
     """
@@ -449,388 +444,6 @@ def run_chaos_bench(
         queue_rejections=merged.queue_rejections,
         complete_briefs=complete,
         degraded_briefs=len(results) - complete,
-    )
-    if output_path is not None:
-        result.save(output_path)
-    return result
-
-
-# ----------------------------------------------------------------------
-# Cascade bench (repro bench --cascade)
-# ----------------------------------------------------------------------
-@dataclass
-class CascadeBenchResult:
-    """The student/teacher cascade quality-latency frontier.
-
-    Three serving configurations replay the same cache-cold page stream
-    through a :class:`~repro.core.serving.ConcurrentBriefingPipeline`:
-    the compact student alone, the full teacher alone, and the
-    confidence-gated cascade at its calibrated threshold.  ``frontier``
-    records docs/s and latency percentiles per tier next to the simulated
-    human-eval panel score, so the trade the cascade buys — near-student
-    throughput at near-teacher quality — is one table.
-
-    ``outputs_match`` asserts the cascade's no-third-path property on the
-    served stream: every cascade brief is bit-identical to the teacher
-    run's brief when it escalated and to the student run's brief when it
-    did not.  ``escalation_rate`` is the cascade run's observed rate;
-    ``escalation_band`` is the deterministic expectation on this stream
-    (sequential confidence pass at the same threshold) widened by the
-    calibration slack, and ``within_band`` gates CI on agreement.
-    """
-
-    num_pages: int
-    unique_pages: int
-    workers: int
-    max_batch: int
-    beam_size: int
-    transport: str
-    threshold: float
-    calibrated: bool
-    escalation_rate: float
-    expected_escalation_rate: float
-    escalation_band: Tuple[float, float]
-    within_band: bool
-    student_share: float
-    speedup_vs_teacher: float
-    quality_drop: float
-    #: per tier (``student_only`` / ``cascade`` / ``teacher_only``):
-    #: seconds / docs_per_second / latency_p50_ms / latency_p95_ms /
-    #: panel_score.
-    frontier: Dict[str, dict] = field(default_factory=dict)
-    #: full offline calibration sweep (:func:`~repro.core.cascade.calibrate_threshold`).
-    calibration: Dict[str, object] = field(default_factory=dict)
-    outputs_match: bool = True
-    mismatches: List[str] = field(default_factory=list)
-    conserved: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "num_pages": self.num_pages,
-            "unique_pages": self.unique_pages,
-            "workers": self.workers,
-            "max_batch": self.max_batch,
-            "beam_size": self.beam_size,
-            "transport": self.transport,
-            "threshold": self.threshold,
-            "calibrated": self.calibrated,
-            "escalation_rate": self.escalation_rate,
-            "expected_escalation_rate": self.expected_escalation_rate,
-            "escalation_band": list(self.escalation_band),
-            "within_band": self.within_band,
-            "student_share": self.student_share,
-            "speedup_vs_teacher": self.speedup_vs_teacher,
-            "quality_drop": self.quality_drop,
-            "frontier": {tier: dict(data) for tier, data in self.frontier.items()},
-            "calibration": dict(self.calibration),
-            "outputs_match": self.outputs_match,
-            "mismatches": list(self.mismatches),
-            "conserved": self.conserved,
-        }
-
-    def save(self, path: str) -> None:
-        """Merge this run under ``"cascade"`` in the JSON report."""
-        save_section(path, "cascade", self.to_dict())
-
-    def format(self) -> str:
-        lines = [
-            f"pages: {self.num_pages} ({self.unique_pages} unique, cache-cold), "
-            f"max_batch {self.max_batch}, {self.workers} workers, "
-            f"transport {self.transport}",
-            f"threshold {self.threshold:.2f} "
-            + ("(calibrated)" if self.calibrated else "(explicit)")
-            + f"   escalation rate {self.escalation_rate:.2f} "
-            f"(expected {self.expected_escalation_rate:.2f}, "
-            f"band [{self.escalation_band[0]:.2f}, {self.escalation_band[1]:.2f}]"
-            f"{'' if self.within_band else ' — OUT OF BAND'})",
-        ]
-        for tier in ("student_only", "cascade", "teacher_only"):
-            data = self.frontier.get(tier)
-            if data is None:
-                continue
-            lines.append(
-                f"{tier + ':':<14} {data['docs_per_second']:6.2f} docs/s  "
-                f"p50 {data['latency_p50_ms']:.1f} ms  "
-                f"p95 {data['latency_p95_ms']:.1f} ms  "
-                f"panel {data['panel_score']:.3f}"
-            )
-        lines.append(
-            f"cascade vs teacher-only: {self.speedup_vs_teacher:.2f}x throughput, "
-            f"{self.quality_drop:+.1%} panel quality, "
-            f"{self.student_share:.0%} served by student"
-        )
-        lines.append(
-            f"outputs match: {self.outputs_match}"
-            + (f" ({len(self.mismatches)} mismatches)" if self.mismatches else "")
-            + f"   conserved: {self.conserved}"
-        )
-        return "\n".join(lines)
-
-
-def _build_cascade_bench_model(seed: int, threshold: float = 0.5):
-    """Teacher + compact student + topic bank, wired as a CascadeModel.
-
-    The teacher is a deep bench model (dim-48, 3-layer MiniBert, hidden
-    32); the student is the compact tier (dim-12, 1 layer, hidden 8) so
-    the tiers have honestly different compute costs — at these sizes the
-    student decodes roughly 1.8x faster, which is what the cascade's
-    throughput headroom comes from.  Returns ``(cascade, corpus)`` — the
-    corpus rides along because calibration needs its labelled documents.
-    """
-    from .. import nn
-    from ..data import Vocabulary, build_jasmine_corpus
-    from ..distill import TopicPhraseBank
-    from ..models import BertSumEncoder, make_joint_model
-    from .cascade import CascadeModel, ConfidenceEstimator
-
-    corpus = build_jasmine_corpus(num_topics=2, pages_per_site=3, seed=seed)
-    vocabulary = Vocabulary.from_corpus(corpus)
-
-    def _encoder(dim: int, num_layers: int, rng: np.random.Generator):
-        bert = nn.MiniBert(
-            vocab_size=len(vocabulary),
-            dim=dim,
-            num_layers=num_layers,
-            num_heads=2,
-            rng=rng,
-            max_len=512,
-        )
-        return BertSumEncoder(vocabulary, bert)
-
-    teacher = make_joint_model(
-        "Joint-WB",
-        _encoder(48, 3, np.random.default_rng(seed)),
-        vocabulary,
-        hidden_dim=32,
-        rng=np.random.default_rng(seed),
-    )
-    student = make_joint_model(
-        "Joint-WB",
-        _encoder(12, 1, np.random.default_rng(seed + 1)),
-        vocabulary,
-        hidden_dim=8,
-        rng=np.random.default_rng(seed + 1),
-    )
-    embedding = student.generator.embedding.weight.data
-    bank = TopicPhraseBank(
-        embedding_dim=embedding.shape[1],
-        bank_dim=8,
-        rng=np.random.default_rng(seed + 2),
-    )
-    matrix = bank.build(
-        list(corpus.topic_phrases.values()), embedding, vocabulary
-    )
-    estimator = ConfidenceEstimator(
-        query_dim=2 * student.hidden_dim, bank_matrix=matrix, seed=seed
-    )
-    cascade = CascadeModel(student, teacher, estimator, threshold=threshold)
-    return cascade, corpus
-
-
-def run_cascade_bench(
-    num_pages: int = 48,
-    seed: int = 7,
-    workers: int = 2,
-    max_batch: int = 8,
-    beam_size: int = 2,
-    max_wait_ms: float = 2.0,
-    transport: str = "thread",
-    threshold: Optional[float] = None,
-    max_quality_drop: float = 0.02,
-    band_slack: float = 0.1,
-    dtype=None,
-    output_path: Optional[str] = None,
-    model=None,
-    mp_context: Optional[str] = None,
-) -> CascadeBenchResult:
-    """Benchmark the cascade's quality/latency frontier against its tiers.
-
-    Calibrates the escalation threshold offline against the simulated
-    human-eval panel on the labelled corpus (skipped when ``threshold`` is
-    given explicitly), then replays one cache-cold page stream through
-    three serving configurations — student-only, cascade, teacher-only —
-    on the requested transport, and checks the no-third-path property on
-    the served briefs: each cascade brief must be bit-identical to the
-    matching teacher-run brief when it escalated and to the student-run
-    brief otherwise.  The observed escalation rate is gated against the
-    deterministic expectation for this stream (one sequential confidence
-    pass) widened by ``band_slack``.
-    """
-    from .cascade import CascadeModel, calibrate_threshold
-    from .pipeline import document_from_raw_html
-    from .serving import ConcurrentBriefingPipeline
-
-    if transport not in ("thread", "process"):
-        raise ValueError(f"unknown transport {transport!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    if model is None:
-        cascade, corpus = _build_cascade_bench_model(seed)
-    else:
-        if not isinstance(model, CascadeModel):
-            raise TypeError("run_cascade_bench requires a CascadeModel")
-        cascade = model
-        _, corpus = None, None
-
-    # Offline calibration against the panel (labelled corpus documents).
-    calibration_dict: Dict[str, object] = {}
-    quality_drop = 0.0
-    cascade_panel = student_panel = teacher_panel = float("nan")
-    calibrated = threshold is None
-    if corpus is not None:
-        calibration = calibrate_threshold(
-            cascade,
-            corpus.documents,
-            max_quality_drop=max_quality_drop,
-            band_slack=band_slack,
-            seed=seed,
-            beam_size=beam_size,
-            batch_size=max_batch,
-        )
-        calibration_dict = calibration.to_dict()
-        student_panel = calibration.student_score
-        teacher_panel = calibration.teacher_score
-        if threshold is None:
-            cascade.threshold = calibration.threshold
-            cascade_panel = calibration.panel_score
-        else:
-            cascade.threshold = threshold
-            nearest = min(
-                calibration.points, key=lambda p: abs(p.threshold - threshold)
-            )
-            cascade_panel = nearest.panel_score
-        if teacher_panel > 0:
-            quality_drop = (teacher_panel - cascade_panel) / teacher_panel
-    elif threshold is not None:
-        cascade.threshold = threshold
-
-    pages = synthesize_serving_corpus(num_pages, seed=seed, duplicate_fraction=0.0)
-    unique_pages = len({html for _, html in pages})
-
-    # Deterministic expectation for this stream: one sequential student
-    # pass scores every page's confidence at the operating threshold.
-    stream_documents = [
-        document_from_raw_html(html, doc_id=doc_id) for doc_id, html in pages
-    ]
-    _, confidences, _, _ = cascade.confidences(
-        stream_documents, beam_size=beam_size, batch_size=max_batch
-    )
-    expected_rate = sum(
-        1 for value in confidences if value < cascade.threshold
-    ) / len(confidences)
-    band = (
-        max(0.0, expected_rate - band_slack),
-        min(1.0, expected_rate + band_slack),
-    )
-
-    tiers = (
-        ("student_only", cascade.student),
-        ("cascade", cascade),
-        ("teacher_only", cascade.teacher),
-    )
-    frontier: Dict[str, dict] = {}
-    briefs_by_tier: Dict[str, list] = {}
-    conserved = True
-    escalation_rate = 0.0
-    student_share = 1.0
-    for tier_name, tier_model in tiers:
-        server = ConcurrentBriefingPipeline(
-            tier_model,
-            num_workers=workers,
-            transport=transport,
-            beam_size=beam_size,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_queue=max(2 * len(pages), 64),
-            dtype=dtype,
-            mp_context=mp_context,
-        )
-        submitted: List[float] = []
-        done: List[Optional[float]] = [None] * len(pages)
-        start = time.perf_counter()
-        futures = []
-        for position, (doc_id, html) in enumerate(pages):
-            submitted.append(time.perf_counter())
-            future = server.submit(html, doc_id=doc_id)
-            future.add_done_callback(
-                lambda _, position=position: done.__setitem__(
-                    position, time.perf_counter()
-                )
-            )
-            futures.append(future)
-        briefs = [future.result(timeout=300) for future in futures]
-        elapsed = time.perf_counter() - start
-        merged = server.merged_stats()
-        status = server.status()
-        server.shutdown(timeout=60)
-        if merged.cache_hits + merged.cache_misses != len(pages):
-            conserved = False
-        if tier_name == "cascade" and status.get("cascade"):
-            escalation_rate = status["cascade"]["escalation_rate"]
-            total = (
-                status["cascade"]["student_briefs"]
-                + status["cascade"]["teacher_escalations"]
-            )
-            student_share = (
-                status["cascade"]["student_briefs"] / total if total else 1.0
-            )
-        latencies = [
-            finish - begin
-            for begin, finish in zip(submitted, done)
-            if finish is not None
-        ]
-        panel = {
-            "student_only": student_panel,
-            "cascade": cascade_panel,
-            "teacher_only": teacher_panel,
-        }[tier_name]
-        frontier[tier_name] = {
-            "seconds": elapsed,
-            "docs_per_second": len(pages) / elapsed,
-            "latency_p50_ms": _percentile_ms(latencies, 50),
-            "latency_p95_ms": _percentile_ms(latencies, 95),
-            "panel_score": panel,
-        }
-        briefs_by_tier[tier_name] = briefs
-
-    # No third path, on the wire: every served cascade brief is the teacher
-    # run's brief when it escalated, the student run's brief otherwise.
-    mismatches: List[str] = []
-    for (doc_id, _), cascade_brief, student_brief, teacher_brief in zip(
-        pages,
-        briefs_by_tier["cascade"],
-        briefs_by_tier["student_only"],
-        briefs_by_tier["teacher_only"],
-    ):
-        reference = teacher_brief if cascade_brief.tier == "teacher" else student_brief
-        if _briefs_differ(cascade_brief, reference):
-            mismatches.append(f"{cascade_brief.tier}:{doc_id}")
-
-    result = CascadeBenchResult(
-        num_pages=len(pages),
-        unique_pages=unique_pages,
-        workers=workers,
-        max_batch=max_batch,
-        beam_size=beam_size,
-        transport=transport,
-        threshold=cascade.threshold,
-        calibrated=calibrated,
-        escalation_rate=escalation_rate,
-        expected_escalation_rate=expected_rate,
-        escalation_band=band,
-        within_band=band[0] <= escalation_rate <= band[1],
-        student_share=student_share,
-        speedup_vs_teacher=(
-            frontier["cascade"]["docs_per_second"]
-            / frontier["teacher_only"]["docs_per_second"]
-        ),
-        quality_drop=quality_drop,
-        frontier=frontier,
-        calibration=calibration_dict,
-        outputs_match=not mismatches,
-        mismatches=mismatches,
-        conserved=conserved,
     )
     if output_path is not None:
         result.save(output_path)

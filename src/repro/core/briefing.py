@@ -9,7 +9,7 @@ attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["Brief", "Degradation", "PartialBrief"]
 
@@ -82,14 +82,6 @@ class PartialBrief(Brief):
     """
 
     degradations: List[Degradation] = field(default_factory=list)
-    #: Which cascade tier produced this brief: ``"student"`` / ``"teacher"``,
-    #: or ``None`` outside cascade serving.
-    tier: Optional[str] = None
-    #: Why the cascade chose that tier: ``None`` for a confident student
-    #: brief, ``"low_confidence"`` for a teacher escalation, ``"deadline"`` /
-    #: ``"governor"`` when escalation was suppressed (the student answer was
-    #: served even though confidence wanted the teacher).
-    tier_reason: Optional[str] = None
 
     @property
     def complete(self) -> bool:

@@ -9,7 +9,7 @@ a :class:`PipeChannel`, which ships the batch to a child process that
 restored a :class:`~repro.core.transport.ModelSnapshot` exactly once at
 fork/spawn and runs the *same* function there, once per ``serve`` frame::
 
-    parent loop ──("serve", payload, student_only)────────▶ worker process
+    parent loop ──("serve", payload)──────────────────────▶ worker process
                 ◀──("done", briefs, stats_delta, telemetry)──  (model copy +
                 ──("flush",)──▶ ◀──("telemetry", telemetry)──   local caches)
                 ──("stop",)───▶ ◀──("bye",)──
@@ -76,8 +76,7 @@ def _process_worker_main(conn, snapshot, config: dict) -> None:
             if message[0] == "flush":
                 conn.send(("telemetry", _to_pipe(pipeline.telemetry_delta())))
                 continue
-            _, payload, student_only = message
-            briefs, delta, telemetry = _serve_payload(pipeline, payload, student_only, time.monotonic)
+            briefs, delta, telemetry = _serve_payload(pipeline, message[1], time.monotonic)
             conn.send(("done", briefs, delta, _to_pipe(telemetry)))
     except (EOFError, OSError, KeyboardInterrupt):
         return  # parent went away — nothing left to serve
@@ -128,9 +127,9 @@ class PipeChannel:
                 raise EOFError(f"worker process {self.process.name} died")
         return self.conn.recv()
 
-    def __call__(self, payload: list, student_only: bool):
+    def __call__(self, payload: list):
         with self.lock:
-            self.conn.send(("serve", payload, student_only))
+            self.conn.send(("serve", payload))
             _, briefs, delta, telemetry = self._recv()
         return briefs, delta, _from_pipe(telemetry)
 

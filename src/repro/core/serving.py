@@ -81,7 +81,6 @@ from ..runtime.stats import RuntimeStats
 from ..nn import get_dtype_override, set_default_dtype
 from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
-from .cascade import _CANONICAL_REASONS, CascadeModel, make_batched_pipeline
 from .pipeline import _reason
 from .process_pool import PipeChannel
 from .transport import ConsistentHashRouter, ModelSnapshot
@@ -616,12 +615,11 @@ def _worker_pipeline(model, index: int, generation: int, observe: bool, **option
     """One worker's private pipeline (and, observing, its own tracer and registry).
 
     Worker pipelines on both transports are built here: in-thread by the
-    pool, in a worker process by :mod:`repro.core.process_pool`.  The
-    factory gives a :class:`CascadeModel` the tiered pipeline.  Span ids
+    pool, in a worker process by :mod:`repro.core.process_pool`.  Span ids
     carry a ``w{index}g{generation}.`` prefix so they stay unique across the
     pool, resurrected workers included.
     """
-    return make_batched_pipeline(
+    return BatchedBriefingPipeline(
         model,
         tracer=Tracer(id_prefix=f"w{index}g{generation}.") if observe else NOOP_TRACER,
         registry=MetricsRegistry() if observe else NOOP_REGISTRY,
@@ -629,7 +627,7 @@ def _worker_pipeline(model, index: int, generation: int, observe: bool, **option
     )
 
 
-def _serve_payload(pipeline: BatchedBriefingPipeline, payload: list, student_only: bool, clock):
+def _serve_payload(pipeline: BatchedBriefingPipeline, payload: list, clock):
     """Brief one batch payload: ``(briefs, stats_delta, telemetry)``.
 
     The one place a worker pipeline runs ``brief_many``, whichever channel
@@ -649,7 +647,6 @@ def _serve_payload(pipeline: BatchedBriefingPipeline, payload: list, student_onl
             deadlines=[None if remaining is None else now + remaining for _, _, remaining, _ in payload],
             clock=clock,
             trace_contexts=[None if trace is None else TraceContext(*trace) for _, _, _, trace in payload],
-            student_only=student_only,
         )
     except Exception as exc:  # brief_many never raises; last resort
         briefs = [_empty_brief(exc) for _ in payload]
@@ -731,14 +728,14 @@ class WorkerPool:
 
     * ``thread`` — every worker drains one shared :class:`RequestScheduler`,
       and its pipeline, built here over the (read-only) model, shares the
-      front brief, render and student caches, so the pipeline fills the
-      front cache itself.
+      front brief and render caches, so the pipeline fills the front cache
+      itself.
     * ``process`` — each worker owns a bounded scheduler shard (capacity
       ``ceil(max_queue / num_workers)``; a full shard raises
       :class:`~repro.runtime.errors.QueueFull` even if others have room,
       the price of cache affinity) behind a :class:`ConsistentHashRouter`,
       and a worker process restores a :class:`ModelSnapshot` with caches
-      local to it; the loop fills the front cache with canonical briefs.
+      local to it; the loop fills the front cache with complete briefs.
 
     Each loop heartbeats, takes a micro-batch, sweeps expired requests,
     runs ``chaos`` (a :class:`~repro.runtime.chaos.ChaosWorker`), opens the
@@ -771,7 +768,6 @@ class WorkerPool:
         render_cache_size: int = 256,
         front_cache=None,
         render_cache=None,
-        student_cache=None,
         hash_fn: Optional[Callable[[str], Hashable]] = None,
         dtype=None,
         observe: bool = False,
@@ -816,11 +812,7 @@ class WorkerPool:
             self.start_method = None
             self._model = model
             self._options = dict(
-                options,
-                dtype=dtype,
-                brief_cache=front_cache,
-                render_cache=render_cache,
-                student_cache=student_cache,
+                options, dtype=dtype, brief_cache=front_cache, render_cache=render_cache
             )
             self._front_cache = None  # the shared-cache pipelines fill it
             shards = 1
@@ -1042,9 +1034,6 @@ class WorkerPool:
                 for request in live
                 if request.trace is not None
             ]
-        # Overload forces the cascade to student-only service: sampled once
-        # per batch, so every page in it sees one policy.
-        student_only = self.governor is not None and self.governor.level >= 2
         payload = [
             (
                 request.doc_id,
@@ -1055,7 +1044,7 @@ class WorkerPool:
             for request in live
         ]
         try:
-            briefs, delta, telemetry = worker.channel(payload, student_only)
+            briefs, delta, telemetry = worker.channel(payload)
         except (WorkerDeath, EOFError, OSError) as exc:
             for span in spans:
                 span.record_error(exc).finish()
@@ -1066,14 +1055,7 @@ class WorkerPool:
         if self.governor is not None:
             self.governor.observe_batch(self.clock() - started, len(live))
         for request, brief in zip(live, briefs):
-            # Only canonical answers reach the front tier: a student brief
-            # served because a deadline or the governor suppressed its
-            # escalation is situational and must not answer future requests.
-            if (
-                self._front_cache is not None
-                and brief.complete
-                and brief.tier_reason in _CANONICAL_REASONS
-            ):
+            if self._front_cache is not None and brief.complete:
                 self._front_cache.put(request.html, _copy_brief(brief))
             _resolve(request.future, brief)
         for span in spans:
@@ -1459,17 +1441,6 @@ class ConcurrentBriefingPipeline:
         self.default_deadline_ms = default_deadline_ms
         self.brief_cache = ShardedBriefCache(brief_cache_size, num_shards, hash_fn=hash_fn)
         self.render_cache = ShardedBriefCache(render_cache_size, num_shards, hash_fn=hash_fn)
-        #: tiered serving: the front brief cache holds only canonical cascade
-        #: answers; the student cache (thread transport) holds every complete
-        #: student-tier answer for governor-forced student-only batches.
-        self.is_cascade = isinstance(model, CascadeModel) or (
-            isinstance(model, ModelSnapshot) and getattr(model, "is_cascade", False)
-        )
-        self.student_cache = (
-            ShardedBriefCache(brief_cache_size, num_shards, hash_fn=hash_fn)
-            if self.is_cascade and transport == "thread"
-            else None
-        )
         if governor is None:
             governor = ServingGovernor(max_queue)
         elif governor is False:
@@ -1487,7 +1458,6 @@ class ConcurrentBriefingPipeline:
             render_cache_size=render_cache_size,
             front_cache=self.brief_cache,
             render_cache=self.render_cache,
-            student_cache=self.student_cache,
             hash_fn=hash_fn,
             dtype=dtype,
             observe=observe,
@@ -1706,9 +1676,7 @@ class ConcurrentBriefingPipeline:
         except BaseException:  # futures here never raise; belt and braces
             self.slo.record("error", latency)
             return
-        self.slo.record(
-            self._slo_outcome(brief), latency, escalated=brief.tier == "teacher"
-        )
+        self.slo.record(self._slo_outcome(brief), latency)
 
     def submit(
         self,
@@ -1952,23 +1920,12 @@ class ConcurrentBriefingPipeline:
                 "state": self.governor.state,
                 "ewma_latency_ms": self.governor.ewma_latency_ms,
             }
-        merged = self.merged_stats()
-        cascade = None
-        if self.is_cascade:
-            tiered = merged.student_briefs + merged.teacher_escalations
-            cascade = {
-                "student_briefs": merged.student_briefs,
-                "teacher_escalations": merged.teacher_escalations,
-                "escalations_suppressed": merged.escalations_suppressed,
-                "escalation_rate": merged.teacher_escalations / tiered if tiered else 0.0,
-            }
         return {
             "transport": self.transport,
             "queue_depth": self.pool.depth,
             "in_flight": self.in_flight(),
             "governor": governor,
-            "cascade": cascade,
-            "requests": merged.as_dict(),
+            "requests": self.merged_stats().as_dict(),
             "workers": workers,
             "slo": self.slo.snapshot() if self.slo is not None else None,
             "events": self.journal.tail(8) if self.journal is not None else [],

@@ -42,25 +42,15 @@ class ModelSnapshot:
     """
 
     def __init__(self, model, dtype=None) -> None:
-        from .cascade import CascadeModel  # local: cascade imports core siblings
-
         self.blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         #: dtype the serving pipeline runs inference under (or None).
         self.pipeline_dtype = None if dtype is None else np.dtype(dtype).str
         #: the nn-wide default dtype in effect when the snapshot was taken.
         self.default_dtype = np.dtype(get_default_dtype()).str
-        #: whether the snapshot wraps a tiered CascadeModel — lets the front
-        #: door pick cascade serving without unpickling the blob.
-        self.is_cascade = isinstance(model, CascadeModel)
         #: quantization provenance ("int8" / "float16" / None), readable
-        #: without unpickling the blob.  For a cascade, the student tier's
-        #: mode — that is the tier quantization targets (the float teacher
-        #: stays the quality backstop).
-        quantized_mode = getattr(model, "_quantized_mode", None)
-        if quantized_mode is None and self.is_cascade:
-            quantized_mode = getattr(model.student, "_quantized_mode", None)
-        self.quantized_mode = quantized_mode
-        self.is_quantized = quantized_mode is not None
+        #: without unpickling the blob.
+        self.quantized_mode = getattr(model, "_quantized_mode", None)
+        self.is_quantized = self.quantized_mode is not None
 
     @property
     def num_bytes(self) -> int:

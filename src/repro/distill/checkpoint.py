@@ -61,9 +61,7 @@ class StudentCheckpoint:
     ) -> "StudentCheckpoint":
         """A new checkpoint holding the quantized student.
 
-        The distilled student is the tier quantization targets in a serving
-        cascade (the float teacher stays the quality backstop), so the
-        freeze step is where the int8/float16 snapshot is minted: the
+        The freeze step is where the int8/float16 snapshot is minted: the
         original checkpoint keeps the float student as the executable
         reference, and the returned checkpoint's metadata records the
         ``"quantized"`` mode alongside the inherited provenance.

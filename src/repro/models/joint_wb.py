@@ -371,7 +371,6 @@ class JointWBModel(nn.Module):
         documents: Sequence[Document],
         beam_size: int = 4,
         batch_size: int = 8,
-        capture: Optional[dict] = None,
     ) -> List[BriefPrediction]:
         """Brief many documents with padded batched forward passes.
 
@@ -386,18 +385,9 @@ class JointWBModel(nn.Module):
         scalar decode per document.  Results are returned in input order and
         are numerically equivalent to the sequential path (identical spans /
         topic tokens / section decisions).
-
-        Pass a dict as ``capture`` to also receive the decode-time confidence
-        inputs, in input order: ``capture["beam_margins"]`` (per-document
-        beam-score margin from the topic search) and ``capture["memories"]``
-        (the dual-aware generator memories ``Ĉ_G``).  The cascade's
-        confidence estimator consumes these without a second encoder pass.
         """
         documents = list(documents)
         results: List[Optional[BriefPrediction]] = [None] * len(documents)
-        if capture is not None:
-            capture["beam_margins"] = [0.0] * len(documents)
-            capture["memories"] = [None] * len(documents)
         with ExitStack() as contexts:
             # Quantized copies pin their inference precision; float models
             # run under the caller's dtype.
@@ -426,15 +416,8 @@ class JointWBModel(nn.Module):
                         else None
                     )
                     c_g_duals.append(self._update_generator_hidden(c_g, e_pool, probs))
-                margins: Optional[List[float]] = [] if capture is not None else None
-                topics = self.generator.generate_batch(
-                    c_g_duals, beam_size=beam_size, margins=margins
-                )
+                topics = self.generator.generate_batch(c_g_duals, beam_size=beam_size)
                 topic_hiddens = self.generator.greedy_hidden_batch(c_g_duals)
-                if capture is not None:
-                    for index, margin, memory in zip(indices, margins, c_g_duals):
-                        capture["beam_margins"][index] = margin
-                        capture["memories"][index] = memory
                 for index, document, enc, c_e, probs, topic, topic_hidden in zip(
                     indices, docs, encs, c_e_list, probs_list, topics, topic_hiddens
                 ):

@@ -15,12 +15,6 @@ serving objectives:
 ``shed_rate``
     Fraction of requests rejected at admission (governor shed, queue
     rejection, poison) against a shed budget.
-``escalation_rate``
-    Fraction of *served* requests the cascade escalated to the teacher tier
-    against an escalation budget — calibrated offline, a sustained burn
-    above 1 means the student tier has drifted off the traffic it was
-    distilled for.  Requests outside cascade serving never escalate, so the
-    objective reads 0 for single-tier deployments.
 
 Each objective reports a **burn rate** — observed value over budget, the
 standard multi-window SLO idiom: ``1.0`` means burning the budget exactly as
@@ -77,7 +71,6 @@ class SLOTracker:
         latency_target_ms: float = 500.0,
         error_budget: float = 0.05,
         shed_budget: float = 0.10,
-        escalation_budget: float = 0.50,
         window_seconds: float = 60.0,
         max_samples: int = 4096,
         clock: Optional[Callable[[], float]] = None,
@@ -86,34 +79,23 @@ class SLOTracker:
             raise ValueError(f"latency_target_ms must be positive, got {latency_target_ms}")
         if not 0 < error_budget <= 1 or not 0 < shed_budget <= 1:
             raise ValueError("error/shed budgets must be in (0, 1]")
-        if not 0 < escalation_budget <= 1:
-            raise ValueError(f"escalation budget must be in (0, 1], got {escalation_budget}")
         self.latency_target_s = latency_target_ms / 1000.0
         self.error_budget = error_budget
         self.shed_budget = shed_budget
-        self.escalation_budget = escalation_budget
         self.window_seconds = window_seconds
         self._clock = clock if clock is not None else time.monotonic
-        self._samples: Deque[Tuple[float, str, Optional[float], bool]] = deque(
-            maxlen=max_samples
-        )
+        self._samples: Deque[Tuple[float, str, Optional[float]]] = deque(maxlen=max_samples)
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def record(
-        self, outcome: str, latency_s: Optional[float] = None, escalated: bool = False
-    ) -> None:
-        """Record one finished request.  Unknown outcomes count as errors.
-
-        ``escalated`` marks a request the cascade answered with the teacher
-        tier; single-tier callers just omit it.
-        """
+    def record(self, outcome: str, latency_s: Optional[float] = None) -> None:
+        """Record one finished request.  Unknown outcomes count as errors."""
         if outcome not in OUTCOMES:
             outcome = "error"
         with self._lock:
-            self._samples.append((self._clock(), outcome, latency_s, escalated))
+            self._samples.append((self._clock(), outcome, latency_s))
 
-    def _window(self) -> List[Tuple[float, str, Optional[float], bool]]:
+    def _window(self) -> List[Tuple[float, str, Optional[float]]]:
         horizon = self._clock() - self.window_seconds
         with self._lock:
             while self._samples and self._samples[0][0] < horizon:
@@ -130,16 +112,12 @@ class SLOTracker:
         )
         errors = sum(1 for s in samples if s[1] in _ERRORS)
         sheds = sum(1 for s in samples if s[1] == "shed")
-        served = sum(1 for s in samples if s[1] in _SERVED)
-        escalations = sum(1 for s in samples if s[1] in _SERVED and s[3])
         error_rate = errors / total if total else 0.0
         shed_rate = sheds / total if total else 0.0
-        escalation_rate = escalations / served if served else 0.0
         outcomes = {name: sum(1 for s in samples if s[1] == name) for name in OUTCOMES}
         return {
             "window_seconds": self.window_seconds,
             "requests": total,
-            "escalations": escalations,
             "outcomes": outcomes,
             "objectives": {
                 "latency_p99": {
@@ -156,11 +134,6 @@ class SLOTracker:
                     "value": shed_rate,
                     "target": self.shed_budget,
                     "burn_rate": shed_rate / self.shed_budget,
-                },
-                "escalation_rate": {
-                    "value": escalation_rate,
-                    "target": self.escalation_budget,
-                    "burn_rate": escalation_rate / self.escalation_budget,
                 },
             },
         }

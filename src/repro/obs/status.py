@@ -52,15 +52,6 @@ def render_status(status: Dict[str, Any]) -> str:
             f" · batch EWMA {_fmt(governor.get('ewma_latency_ms'), '.1f')} ms"
         )
 
-    cascade = status.get("cascade")
-    if cascade:
-        lines.append(
-            f"cascade: student {_fmt(cascade.get('student_briefs'))} · "
-            f"teacher {_fmt(cascade.get('teacher_escalations'))} · "
-            f"suppressed {_fmt(cascade.get('escalations_suppressed'))} · "
-            f"escalation rate {_fmt(cascade.get('escalation_rate'), '.2f')}"
-        )
-
     requests = status.get("requests")
     if requests:
         hits = requests.get("cache_hits", 0)

@@ -59,13 +59,6 @@ class RuntimeStats:
     batches_requeued: int = 0
     #: poison requests quarantined after repeatedly killing workers.
     poison_quarantined: int = 0
-    #: cascade requests answered by the student tier (confident or suppressed).
-    student_briefs: int = 0
-    #: cascade requests escalated to the full teacher (low confidence).
-    teacher_escalations: int = 0
-    #: low-confidence requests held to the student tier anyway because the
-    #: deadline budget or the governor forbade a teacher pass.
-    escalations_suppressed: int = 0
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Increment a named counter (typos raise ``AttributeError``)."""

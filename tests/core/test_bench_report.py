@@ -3,11 +3,7 @@
 import json
 
 from repro.core import save_section
-from repro.core.bench import (
-    CascadeBenchResult,
-    QuantizedBenchResult,
-    ResilienceBenchResult,
-)
+from repro.core.bench import QuantizedBenchResult, ResilienceBenchResult
 
 
 def test_merge_updates_only_its_own_keys(tmp_path):
@@ -42,13 +38,6 @@ def test_section_saves_preserve_siblings(tmp_path):
         fault_free_docs_per_second=4.0, throughput_ratio=1.0,
         p50_ms=1.0, p99_ms=2.0, conserved=True, unresolved=0,
     ).save(path)
-    CascadeBenchResult(
-        num_pages=4, unique_pages=4, workers=2, max_batch=2, beam_size=2,
-        transport="thread", threshold=0.5, calibrated=True, escalation_rate=0.25,
-        expected_escalation_rate=0.25, escalation_band=(0.15, 0.35),
-        within_band=True, student_share=0.75, speedup_vs_teacher=1.5,
-        quality_drop=0.01,
-    ).save(path)
     QuantizedBenchResult(
         num_pages=4, unique_pages=4, beam_size=2, max_depth=4, mode="int8",
         reference_seconds=1.0, quantized_seconds=0.5, speedup=2.0,
@@ -62,15 +51,15 @@ def test_section_saves_preserve_siblings(tmp_path):
         report = json.load(handle)
     assert report["legacy"] == {"kept": True}
     assert report["resilience"]["throughput"]["docs_per_second"] == 4.0
-    assert report["cascade"]["escalation_band"] == [0.15, 0.35]
+    assert set(report) == {"legacy", "resilience", "quantized"}
     assert report["quantized"]["mode"] == "int8"
 
 
 def test_save_section_nests_under_its_key_and_preserves_siblings(tmp_path):
     path = str(tmp_path / "bench.json")
     save_section(path, "quantized", {"speedup": 2.0})
-    save_section(path, "cascade", {"ok": True})
+    save_section(path, "resilience", {"ok": True})
     merged = save_section(path, "quantized", {"speedup": 2.5})
-    assert merged == {"quantized": {"speedup": 2.5}, "cascade": {"ok": True}}
+    assert merged == {"quantized": {"speedup": 2.5}, "resilience": {"ok": True}}
     with open(path) as handle:
         assert json.load(handle) == merged

@@ -98,9 +98,7 @@ def test_export_to_registry_gauges():
     # Re-export is an idempotent re-sync, not an accumulation.
     slo.export_to(registry)
     assert registry.snapshot().value("serving_slo_window_requests") == 1
-    assert set(snap["objectives"]) == {
-        "latency_p99", "error_rate", "shed_rate", "escalation_rate"
-    }
+    assert set(snap["objectives"]) == {"latency_p99", "error_rate", "shed_rate"}
 
 
 def test_tracker_validates_budgets():

@@ -1,11 +1,10 @@
-"""Quantized models through the serving stack: snapshots, transports, cascade.
+"""Quantized models through the serving stack: snapshots and transports.
 
 The quantized fast path only earns its speedup if it rides the *existing*
 serving machinery unchanged: a quantized clone must pickle into a
 :class:`ModelSnapshot` that advertises its mode without unpickling, restore
-bit-identically in a worker, serve deterministically through the concurrent
-pipeline, and slot into a :class:`CascadeModel` as the student tier while
-the float teacher stays the quality backstop.
+bit-identically in a worker, and serve deterministically through the
+concurrent pipeline.
 """
 
 import pickle
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import CascadeModel, ConcurrentBriefingPipeline, ConfidenceEstimator
+from repro.core import ConcurrentBriefingPipeline
 from repro.core.batched import BatchedBriefingPipeline
 from repro.core.transport import ModelSnapshot
 
@@ -28,19 +27,6 @@ def quantized_model(serving_model, small_corpus):
         ),
     )
     return serving_model.quantize(mode="int8", calibration=calibration)
-
-
-@pytest.fixture(scope="module")
-def estimator(serving_model, rng_module):
-    bank = rng_module.normal(size=(3, 2 * serving_model.hidden_dim))
-    return ConfidenceEstimator(
-        query_dim=2 * serving_model.hidden_dim, bank_matrix=bank, seed=7
-    )
-
-
-@pytest.fixture(scope="module")
-def rng_module():
-    return np.random.default_rng(19)
 
 
 # ----------------------------------------------------------------------
@@ -60,18 +46,6 @@ def test_snapshot_flags_quantized_model_without_unpickling(quantized_model):
     # reads them before shipping the blob to worker processes).
     again = pickle.loads(pickle.dumps(snapshot))
     assert again.quantized_mode == "int8"
-
-
-def test_snapshot_flags_cascade_reads_the_student_tier(
-    serving_model, quantized_model, estimator
-):
-    cascade = CascadeModel(quantized_model, serving_model, estimator, threshold=0.5)
-    snapshot = ModelSnapshot(cascade)
-    assert snapshot.is_cascade
-    assert snapshot.quantized_mode == "int8"  # the student's mode, not the teacher's
-
-    all_float = CascadeModel(serving_model, serving_model, estimator, threshold=0.5)
-    assert ModelSnapshot(all_float).quantized_mode is None
 
 
 # ----------------------------------------------------------------------

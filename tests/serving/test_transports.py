@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core import ConcurrentBriefingPipeline, ServingGovernor
+from repro.core import ConcurrentBriefingPipeline, ServingGovernor, synthesize_serving_corpus
 from repro.runtime import ChaosWorker, WorkerDeath
 
 from .test_deadlines import PAGE_A, PAGE_B, assert_deadline_brief
@@ -144,6 +144,27 @@ def test_worker_death_restarts_and_requeues(serving_model, transport):
     assert merged.worker_restarts == 1
     assert merged.batches_requeued == 1
     assert merged.poison_quarantined == 0
+
+
+def test_two_deaths_across_two_workers_conserve_every_future(serving_model, transport):
+    """Two injected deaths strike a 2-worker stream mid-flight: every admitted
+    future still resolves and every request is counted exactly once."""
+    pages = synthesize_serving_corpus(32, seed=11)
+    chaos = ChaosWorker(death_rate=1.0, seed=3, max_deaths=2)
+    server = ConcurrentBriefingPipeline(
+        serving_model, num_workers=2, transport=transport, beam_size=2,
+        max_batch=4, max_queue=128, supervisor_poll_ms=5.0, chaos=chaos,
+    )
+    try:
+        futures = [server.submit(html, doc_id=doc_id) for doc_id, html in pages]
+        briefs = [future.result(timeout=60) for future in futures]
+        stats = server.merged_stats()
+    finally:
+        server.shutdown(timeout=60)
+    assert chaos.deaths == 2
+    assert all(brief is not None for brief in briefs)
+    assert stats.cache_hits + stats.cache_misses == len(pages)
+    assert stats.worker_restarts >= 1
 
 
 def test_poison_bisection_and_front_door_shed(serving_model, transport):

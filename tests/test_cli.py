@@ -35,20 +35,21 @@ def test_parser_bench_arguments():
         ["bench", "--chaos", "--pages", "16", "--smoke", "--output", ""]
     )
     assert args.command == "bench"
-    assert args.chaos and not args.cascade and not args.quantized
+    assert args.chaos and not args.quantized
     assert args.pages == 16
     assert args.smoke
     assert args.output == ""
-    assert build_parser().parse_args(["bench", "--cascade"]).pages is None
+    assert build_parser().parse_args(["bench", "--quantized"]).pages is None
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["bench"],
-        ["bench", "--chaos", "--cascade"],
+        ["bench", "--chaos", "--quantized"],
         ["bench", "--chaos", "--compare", "prev.json"],
         ["bench", "--chaos", "--trace", "t.jsonl"],
+        ["bench", "--cascade"],
     ],
 )
 def test_bench_requires_exactly_one_mode(argv, capsys):
