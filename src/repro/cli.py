@@ -37,8 +37,8 @@ Commands
 ``serve-many [page.html ...] [--workers N] [--transport T] [--deadline-ms B]``
     Brief many pages through the concurrent serving layer
     (:class:`~repro.core.serving.ConcurrentBriefingPipeline`): bounded
-    admission queue, micro-batching scheduler, N briefing workers over
-    shared sharded caches, governor load shedding and worker supervision.
+    admission queue, micro-batching scheduler, N briefing workers behind
+    one front brief cache, governor load shedding and worker supervision.
     With no files, synthesizes a ``--pages``-page stream.  ``--deadline-ms``
     gives every request an absolute budget; expired requests resolve to
     typed ``DeadlineExceeded`` briefs instead of hanging.  ``--transport

@@ -27,12 +27,11 @@ from .serving import (
     ConcurrentBriefingPipeline,
     RequestScheduler,
     ServingGovernor,
-    ShardedBriefCache,
     WorkerPool,
     WorkerSupervisor,
 )
 from .significance import ModelComparison, compare_generation_models
-from .transport import ConsistentHashRouter, ModelSnapshot
+from .transport import ModelSnapshot
 from .sensitivity import MixtureResult, content_sensitivity, make_mixture, topic_affinity
 from .stats import McNemarResult, cohen_kappa, mcnemar, pairwise_kappa_summary
 from .training import TrainConfig, Trainer, TrainResult
@@ -49,14 +48,12 @@ __all__ = [
     "BriefingPipeline",
     "BatchedBriefingPipeline",
     "BriefCache",
-    "ShardedBriefCache",
     "RequestScheduler",
     "ServingGovernor",
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",
     "ModelSnapshot",
-    "ConsistentHashRouter",
     "content_hash",
     "ResilienceBenchResult",
     "QuantizedBenchResult",

@@ -15,6 +15,9 @@ the page content:
 
 Both caches are collision-safe: an entry stores the content alongside the
 value, and a lookup whose hash matches but whose content differs is a miss.
+Serving workers (:mod:`repro.core.serving`) build theirs with
+``brief_cache_size=0``: the front door's cache is the one brief cache in
+serving, and each worker keeps its own render cache.
 Brief-level hits and misses are threaded into the shared
 :class:`~repro.runtime.stats.RuntimeStats` counters.
 
@@ -78,9 +81,7 @@ class BriefCache:
     per-instance lock, so a cache shared by concurrent serving workers stays
     consistent: the LRU ``move_to_end``/evict pair can otherwise race an
     eviction and raise ``KeyError``, and the ``+=`` counter updates silently
-    lose increments.  For a pool under real contention, prefer
-    :class:`repro.core.serving.ShardedBriefCache`, which stripes this lock
-    across hash-picked shards.
+    lose increments.
     """
 
     def __init__(self, capacity: int, hash_fn: Optional[Callable[[str], Hashable]] = None) -> None:
@@ -152,12 +153,9 @@ class BatchedBriefingPipeline:
         batch_size: int = 8,
         brief_cache_size: int = 256,
         render_cache_size: int = 256,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
         dtype=None,
         tracer=None,
         registry=None,
-        brief_cache=None,
-        render_cache=None,
     ) -> None:
         self.model = model
         self.beam_size = beam_size
@@ -179,16 +177,8 @@ class BatchedBriefingPipeline:
             help="pages per brief_many call",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         )
-        # Pre-built caches (e.g. the sharded, lock-striped ones shared by a
-        # worker pool) take precedence over the size knobs.
-        self.brief_cache = (
-            brief_cache if brief_cache is not None else BriefCache(brief_cache_size, hash_fn=hash_fn)
-        )
-        self.render_cache = (
-            render_cache
-            if render_cache is not None
-            else BriefCache(render_cache_size, hash_fn=hash_fn)
-        )
+        self.brief_cache = BriefCache(brief_cache_size)
+        self.render_cache = BriefCache(render_cache_size)
         self._fallback = BriefingPipeline(
             model,
             beam_size=beam_size,

@@ -11,7 +11,7 @@ fork/spawn and runs the *same* function there, once per ``serve`` frame::
 
     parent loop ──("serve", payload)──────────────────────▶ worker process
                 ◀──("done", briefs, stats_delta, telemetry)──  (model copy +
-                ──("flush",)──▶ ◀──("telemetry", telemetry)──   local caches)
+                ──("flush",)──▶ ◀──("telemetry", telemetry)──   render cache)
                 ──("stop",)───▶ ◀──("bye",)──
 
 * **Payload** — ``[(doc_id, html, remaining_s, trace)]``: deadlines cross as

@@ -1,4 +1,4 @@
-"""Concurrent serving: sharded caches, a micro-batching scheduler, worker pool.
+"""Concurrent serving: a micro-batching scheduler, a worker pool, one front cache.
 
 This module scales :class:`~repro.core.batched.BatchedBriefingPipeline` from
 one thread to a pool, without giving up the two contracts the serving stack
@@ -9,10 +9,6 @@ already guarantees: *never raise* (faults degrade to
 
 Layers, bottom up:
 
-* :class:`ShardedBriefCache` — the LRU brief/render cache split into
-  lock-striped shards (per-shard ``threading.Lock``, shard picked by content
-  hash), so concurrent cache hits touch different locks instead of
-  serialising the whole pool behind one.
 * :class:`RequestScheduler` — a bounded admission queue with micro-batching:
   a worker asking for work receives up to ``max_batch`` pending requests,
   waiting at most ``max_wait_ms`` for stragglers, so one
@@ -26,25 +22,25 @@ Layers, bottom up:
   in-flight count and an EWMA of batch latency and degrades in steps —
   shrink the micro-batch straggler wait, reject low-priority requests
   (``Overloaded``), shed everything non-cached to cache-only serving.
-* :class:`WorkerPool` — N briefing workers, one record and one loop each,
-  over either transport: threads whose pipelines share the read-only model
-  weights and the sharded caches, or worker processes that each restore a
-  :class:`~repro.core.transport.ModelSnapshot` behind a hash router and
-  their own scheduler shard.  Every loop feeds :func:`_serve_payload` —
-  in-thread, or inside the child through the pipe channel of
-  :mod:`repro.core.process_pool` — and folds each reply's stats and
-  telemetry delta into the worker's record; merged reads combine the
-  records.  Workers heartbeat and record the batch they hold, so a
-  supervisor can spot dead/wedged ones.
+* :class:`WorkerPool` — N briefing workers draining one scheduler, one
+  record and one loop each, over either transport: threads whose pipelines
+  share the read-only model weights, or worker processes that each restore
+  a :class:`~repro.core.transport.ModelSnapshot`.  Every loop feeds
+  :func:`_serve_payload` — in-thread, or inside the child through the pipe
+  channel of :mod:`repro.core.process_pool` — folds each reply's stats and
+  telemetry delta into the worker's record and fills the front brief
+  cache; merged reads combine the records.  Workers heartbeat and record
+  the batch they hold, so a supervisor can spot dead/wedged ones.
 * :class:`WorkerSupervisor` — resurrects dead or wedged workers with fresh
   per-worker state, re-queues the batch the dead worker held (at-most-once
   re-dispatch: resolved futures are never double-set), and quarantines
   *poison* requests — content that repeatedly kills workers — by bisecting
-  the blast radius down to a single request and tripping a serving-level
-  :class:`~repro.runtime.retry.CircuitBreaker`.
+  the blast radius down to a single request.
 * :class:`ConcurrentBriefingPipeline` — the facade: thread-safe
   ``submit``/``brief_many`` with per-request deadlines and priorities,
-  front-door cache hits (served without touching the queue), and a
+  hits in the one brief cache of the serving stack (a
+  :class:`~repro.core.batched.BriefCache` of :data:`FRONT_CACHE_SIZE`
+  entries, served without touching the queue), and a
   single-flight in-flight map so concurrent requests for the same content
   run the model exactly once — followers wait on the leader's computation
   and receive defensive copies, each checked against its *own* deadline.
@@ -53,14 +49,13 @@ Layers, bottom up:
 from __future__ import annotations
 
 import functools
-import hashlib
 import multiprocessing
 import threading
 import time
 import warnings
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..models.joint_wb import JointWBModel
 from ..obs import (
@@ -76,23 +71,31 @@ from ..obs import (
 )
 from ..runtime.chaos import WorkerDeath
 from ..runtime.errors import DeadlineExceeded, Overloaded, QueueFull
-from ..runtime.retry import CircuitBreaker
 from ..runtime.stats import RuntimeStats
 from ..nn import get_dtype_override, set_default_dtype
 from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
 from .pipeline import _reason
 from .process_pool import PipeChannel
-from .transport import ConsistentHashRouter, ModelSnapshot
+from .transport import ModelSnapshot
 
 __all__ = [
-    "ShardedBriefCache",
     "RequestScheduler",
     "ServingGovernor",
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",
 ]
+
+#: Entries in the front brief cache, the only brief cache in serving: three
+#: 256-entry budgets, the front door's and one per worker at the default two.
+FRONT_CACHE_SIZE = 768
+
+#: Worker deaths any request may survive before it is quarantined.
+MAX_ATTEMPTS = 5
+
+#: Deaths a request may cause riding *alone* before it is quarantined.
+POISON_THRESHOLD = 2
 
 
 def _resolve(future: "Future[PartialBrief]", brief: PartialBrief) -> bool:
@@ -127,78 +130,6 @@ def _empty_brief(exc: BaseException) -> PartialBrief:
         attributes=[],
         degradations=[Degradation("serve", "empty_brief", _reason(exc))],
     )
-
-
-class ShardedBriefCache:
-    """A :class:`BriefCache` striped across ``num_shards`` locked shards.
-
-    Each shard is an ordinary ``BriefCache`` (which carries its own lock);
-    the shard for a piece of content is picked by hashing the content, so
-    two concurrent lookups for different pages almost always take different
-    locks.  The per-shard LRU means eviction order is *per shard* rather
-    than global — with capacity split evenly this changes which entry is
-    evicted under pressure, never correctness (a miss just recomputes).
-
-    The cache-level ``hits``/``misses`` totals sum the shard counters, so
-    the external counter contract matches ``BriefCache``.
-    """
-
-    def __init__(
-        self,
-        capacity: int,
-        num_shards: int = 8,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        self.capacity = capacity
-        self.num_shards = num_shards
-        # Ceil-split so total shard capacity is never below the requested
-        # capacity; capacity=0 keeps every shard disabled.
-        per_shard = -(-capacity // num_shards) if capacity else 0
-        self._shards = [BriefCache(per_shard, hash_fn=hash_fn) for _ in range(num_shards)]
-
-    def shard_index(self, content: str) -> int:
-        """The shard this content lives in — stable across runs and processes.
-
-        A keyed digest (not Python's salted ``hash``) picks the shard, so
-        shard assignment is deterministic: tests can target a specific shard
-        and multi-process front tiers agree on placement.
-        """
-        digest = hashlib.blake2b(content.encode("utf-8", "surrogatepass"), digest_size=8)
-        return int.from_bytes(digest.digest(), "big") % self.num_shards
-
-    def _shard(self, content: str) -> BriefCache:
-        return self._shards[self.shard_index(content)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, content: str) -> bool:
-        return content in self._shard(content)
-
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    def keys(self) -> List[Hashable]:
-        """All cached keys, grouped by shard (for tests/introspection)."""
-        keys: List[Hashable] = []
-        for shard in self._shards:
-            keys.extend(shard.keys())
-        return keys
-
-    def get(self, content: str):
-        return self._shard(content).get(content)
-
-    def put(self, content: str, value) -> None:
-        self._shard(content).put(content, value)
 
 
 class RequestScheduler:
@@ -565,7 +496,7 @@ class _Request:
     request survived; ``batch_limit`` caps the batch it may ride in
     (halved by the supervisor to bisect poison batches).  ``trace`` is the
     admission span's :class:`~repro.obs.TraceContext` (``None`` untraced):
-    it rides through scheduler batching, the router and the worker pipe so
+    it rides through scheduler batching and the worker pipe so
     decode spans join the request's trace wherever they are recorded.
     """
 
@@ -615,12 +546,14 @@ def _worker_pipeline(model, index: int, generation: int, observe: bool, **option
     """One worker's private pipeline (and, observing, its own tracer and registry).
 
     Worker pipelines on both transports are built here: in-thread by the
-    pool, in a worker process by :mod:`repro.core.process_pool`.  Span ids
-    carry a ``w{index}g{generation}.`` prefix so they stay unique across the
-    pool, resurrected workers included.
+    pool, in a worker process by :mod:`repro.core.process_pool`.  The front
+    cache is the only brief cache, so the pipeline keeps none; its render
+    cache is its own.  Span ids carry a ``w{index}g{generation}.`` prefix so
+    they stay unique across the pool, resurrected workers included.
     """
     return BatchedBriefingPipeline(
         model,
+        brief_cache_size=0,
         tracer=Tracer(id_prefix=f"w{index}g{generation}.") if observe else NOOP_TRACER,
         registry=MetricsRegistry() if observe else NOOP_REGISTRY,
         **options,
@@ -722,20 +655,12 @@ class _Worker:
 
 
 class WorkerPool:
-    """N briefing workers: one record, one loop and one channel per worker.
+    """N briefing workers: one ``scheduler``, and one record, loop and channel per worker.
 
-    The transports differ only in the data the loop runs on:
-
-    * ``thread`` — every worker drains one shared :class:`RequestScheduler`,
-      and its pipeline, built here over the (read-only) model, shares the
-      front brief and render caches, so the pipeline fills the front cache
-      itself.
-    * ``process`` — each worker owns a bounded scheduler shard (capacity
-      ``ceil(max_queue / num_workers)``; a full shard raises
-      :class:`~repro.runtime.errors.QueueFull` even if others have room,
-      the price of cache affinity) behind a :class:`ConsistentHashRouter`,
-      and a worker process restores a :class:`ModelSnapshot` with caches
-      local to it; the loop fills the front cache with complete briefs.
+    Every worker drains the one :class:`RequestScheduler`.  The transports
+    differ only in the channel the loop calls: ``thread`` builds each
+    worker's pipeline here over the (read-only) model, ``process`` runs it
+    in a worker process that restores a :class:`ModelSnapshot`.
 
     Each loop heartbeats, takes a micro-batch, sweeps expired requests,
     runs ``chaos`` (a :class:`~repro.runtime.chaos.ChaosWorker`), opens the
@@ -764,11 +689,7 @@ class WorkerPool:
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        brief_cache_size: int = 256,
-        render_cache_size: int = 256,
         front_cache=None,
-        render_cache=None,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
         dtype=None,
         observe: bool = False,
         chaos=None,
@@ -784,19 +705,14 @@ class WorkerPool:
         self.chaos = chaos
         self.governor = governor
         self.clock = clock if clock is not None else time.monotonic
-        self._hash_fn = hash_fn if hash_fn is not None else content_hash
+        self._front_cache = front_cache
         self._warned_blind = False
-        options = dict(beam_size=beam_size, batch_size=max_batch, hash_fn=hash_fn)
+        self._options = dict(beam_size=beam_size, batch_size=max_batch)
         if transport == "process":
             methods = multiprocessing.get_all_start_methods()
             self.start_method = mp_context or ("fork" if "fork" in methods else methods[0])
             self._ctx = multiprocessing.get_context(self.start_method)
             self._model = model if isinstance(model, ModelSnapshot) else ModelSnapshot(model, dtype=dtype)
-            self._options = dict(
-                options, brief_cache_size=brief_cache_size, render_cache_size=render_cache_size
-            )
-            self._front_cache = front_cache
-            shards = num_workers
         else:
             if isinstance(model, ModelSnapshot):
                 # ``restore()`` is written for worker processes and sets the
@@ -811,23 +727,15 @@ class WorkerPool:
                     dtype = snapshot_dtype
             self.start_method = None
             self._model = model
-            self._options = dict(
-                options, dtype=dtype, brief_cache=front_cache, render_cache=render_cache
-            )
-            self._front_cache = None  # the shared-cache pipelines fill it
-            shards = 1
-        self._router = ConsistentHashRouter(shards)
-        self.schedulers = [
-            RequestScheduler(
-                max_queue=-(-max_queue // shards),
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                clock=clock,
-                on_expired=on_expired,
-                wait_scale=governor.wait_scale if governor is not None else None,
-            )
-            for _ in range(shards)
-        ]
+            self._options["dtype"] = dtype
+        self.scheduler = RequestScheduler(
+            max_queue=max_queue,
+            max_batch=max_batch,
+            max_wait_ms=max_wait_ms,
+            clock=clock,
+            on_expired=on_expired,
+            wait_scale=governor.wait_scale if governor is not None else None,
+        )
         self._lock = threading.Lock()
         self._retired: List[_Worker] = []
         # Worker processes spawn here, before any loop or supervisor thread
@@ -861,42 +769,27 @@ class WorkerPool:
         with self._lock:
             return self._workers[worker.index] is worker
 
-    def _queue(self, worker: _Worker) -> RequestScheduler:
-        return self.schedulers[worker.index if len(self.schedulers) > 1 else 0]
-
-    # -- admission: the pool fronts its scheduler(s) -----------------------
+    # -- admission: the pool fronts its scheduler -------------------------
     @property
     def depth(self) -> int:
         """Requests admitted but not yet handed to a worker."""
-        return sum(scheduler.depth for scheduler in self.schedulers)
+        return self.scheduler.depth
 
     def submit(self, request: _Request) -> None:
-        """Admit one request or raise :class:`QueueFull` (never blocks).
-
-        Across shards, route by content hash so a page always lands on the
-        same worker process and its local cache stays hot.
-        """
-        shard = 0
-        if len(self.schedulers) > 1:
-            shard = self._router.route(str(self._hash_fn(request.html)))
-        self.schedulers[shard].submit(request)
+        """Admit one request or raise :class:`QueueFull` (never blocks)."""
+        self.scheduler.submit(request)
 
     def close(self) -> None:
         """Stop admission; queued work keeps draining (clean shutdown)."""
-        for scheduler in self.schedulers:
-            scheduler.close()
+        self.scheduler.close()
 
     def drain(self) -> list:
         """Remove and return everything still queued (shutdown sweeper)."""
-        return [request for scheduler in self.schedulers for request in scheduler.drain()]
+        return self.scheduler.drain()
 
-    def requeue(self, worker: _Worker, requests: Iterable[object]) -> None:
-        """Re-admit a failed worker's survivors at the front of its queue.
-
-        On the process transport that is the worker's own shard: its
-        replacement owns the same slice of the ring.
-        """
-        self._queue(worker).requeue(requests)
+    def requeue(self, requests: Iterable[object]) -> None:
+        """Re-admit a failed worker's survivors at the front of the queue."""
+        self.scheduler.requeue(requests)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -936,7 +829,7 @@ class WorkerPool:
         return replacement
 
     def join(self, timeout: Optional[float] = None) -> List[str]:
-        """Wait for every started worker to exit (schedulers must be closed).
+        """Wait for every started worker to exit (the scheduler must be closed).
 
         A single absolute deadline is shared across all joins — ``timeout``
         bounds the *total* wall time, not each worker's.  Returns the names
@@ -972,13 +865,12 @@ class WorkerPool:
 
     # -- the worker loop ---------------------------------------------------
     def _run(self, worker: _Worker) -> None:
-        queue = self._queue(worker)
         while True:
             worker.heartbeat = self.clock()
             if not self._is_current(worker):
                 batch = None  # replaced after a wedge: the replacement serves on
             else:
-                batch = queue.next_batch()
+                batch = self.scheduler.next_batch()
             if batch is None:
                 if worker.process is not None:
                     worker.channel.stop()
@@ -1029,7 +921,6 @@ class WorkerPool:
                     trace=request.trace,
                     doc_id=request.doc_id,
                     batch_pages=len(live),
-                    shard=worker.index,
                 )
                 for request in live
                 if request.trace is not None
@@ -1156,10 +1047,10 @@ class WorkerSupervisor:
     Poison handling: every re-queued request's ``attempts`` increments and
     its ``batch_limit`` is halved (``max(1, len(batch) // 2)``), so a batch
     that keeps killing workers bisects down to single-request batches.  A
-    request that dies *alone* ``poison_threshold`` times (or anyone at
-    ``max_attempts``) is quarantined — resolved with a
+    request that dies *alone* :data:`POISON_THRESHOLD` times (or anyone at
+    :data:`MAX_ATTEMPTS`) is quarantined — resolved with a
     ``serve → quarantined`` degradation, reported to ``on_quarantine`` and
-    counted; repeated deaths also feed the serving-level ``breaker``.
+    counted.
     """
 
     def __init__(
@@ -1168,35 +1059,19 @@ class WorkerSupervisor:
         *,
         poll_interval: float = 0.02,
         wedge_timeout: Optional[float] = None,
-        max_attempts: int = 5,
-        poison_threshold: int = 2,
-        breaker: Optional[CircuitBreaker] = None,
         on_quarantine: Optional[Callable[[_Request], None]] = None,
-        stats: Optional[RuntimeStats] = None,
         registry: Optional[MetricsRegistry] = None,
         clock: Optional[Callable[[], float]] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if poison_threshold < 1:
-            raise ValueError(f"poison_threshold must be >= 1, got {poison_threshold}")
         self.pool = pool
         self.poll_interval = poll_interval
         self.wedge_timeout = wedge_timeout
-        self.max_attempts = max_attempts
-        self.poison_threshold = poison_threshold
         self.on_quarantine = on_quarantine
-        self.stats = stats if stats is not None else RuntimeStats()
+        self.stats = RuntimeStats()
         self.registry = registry if registry is not None else NOOP_REGISTRY
         self.journal = journal
         self._clock = clock if clock is not None else pool.clock
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=3,
-            recovery_time=30.0,
-            clock=self._clock,
-            on_trip=lambda: self.stats.inc("breaker_trips"),
-        )
         self._restarts = self.registry.counter(
             "serving_worker_restarts_total", help="dead/wedged workers resurrected"
         )
@@ -1268,16 +1143,13 @@ class WorkerSupervisor:
     def _handle_failure(self, worker: _Worker, kind: str, restart: bool) -> None:
         batch = worker.current_batch or []
         survivors: List[_Request] = []
-        repeat_death = False
         for request in batch:
             if request.future.done():
                 continue  # resolved before the crash — nothing to redo
             request.attempts += 1
-            if request.attempts >= 2:
-                repeat_death = True
             solo = len(batch) == 1
-            if (solo and request.attempts >= self.poison_threshold) or (
-                request.attempts >= self.max_attempts
+            if (solo and request.attempts >= POISON_THRESHOLD) or (
+                request.attempts >= MAX_ATTEMPTS
             ):
                 self._quarantine(request)
                 continue
@@ -1286,8 +1158,6 @@ class WorkerSupervisor:
                 # batches at most half the size that died.
                 request.batch_limit = min(request.batch_limit, max(1, len(batch) // 2))
             survivors.append(request)
-        if repeat_death:
-            self.breaker.record_failure()
         if restart:
             replacement = self.pool.restart_worker(worker)
             if replacement is not None:
@@ -1308,7 +1178,7 @@ class WorkerSupervisor:
                     self.journal.record(
                         "batch_requeued", worker=worker.index, requests=len(survivors)
                     )
-                self.pool.requeue(worker, survivors)
+                self.pool.requeue(survivors)
         else:
             # Shutdown path: no replacement worker is coming, so the held
             # work resolves degraded instead of being re-queued.
@@ -1323,7 +1193,6 @@ class WorkerSupervisor:
             self.journal.record(
                 "poison_quarantine", doc_id=request.doc_id, attempts=request.attempts
             )
-        self.breaker.record_failure()
         exc = Overloaded(
             f"request quarantined after {request.attempts} worker deaths", reason="poison"
         )
@@ -1412,10 +1281,6 @@ class ConcurrentBriefingPipeline:
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        brief_cache_size: int = 256,
-        render_cache_size: int = 256,
-        num_shards: int = 8,
-        hash_fn: Optional[Callable[[str], Hashable]] = None,
         dtype=None,
         stats: Optional[RuntimeStats] = None,
         observe: bool = False,
@@ -1427,7 +1292,6 @@ class ConcurrentBriefingPipeline:
         supervisor_poll_ms: float = 20.0,
         wedge_timeout_ms: Optional[float] = None,
         chaos=None,
-        breaker: Optional[CircuitBreaker] = None,
         mp_context: Optional[str] = None,
         slo: Optional[SLOTracker] = None,
         journal: Optional[EventJournal] = None,
@@ -1437,10 +1301,8 @@ class ConcurrentBriefingPipeline:
         self.transport = transport
         self.stats = stats if stats is not None else RuntimeStats()
         self._clock = clock if clock is not None else time.monotonic
-        self._hash_fn = hash_fn if hash_fn is not None else content_hash
         self.default_deadline_ms = default_deadline_ms
-        self.brief_cache = ShardedBriefCache(brief_cache_size, num_shards, hash_fn=hash_fn)
-        self.render_cache = ShardedBriefCache(render_cache_size, num_shards, hash_fn=hash_fn)
+        self.brief_cache = BriefCache(FRONT_CACHE_SIZE)
         if governor is None:
             governor = ServingGovernor(max_queue)
         elif governor is False:
@@ -1454,11 +1316,7 @@ class ConcurrentBriefingPipeline:
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             max_queue=max_queue,
-            brief_cache_size=brief_cache_size,
-            render_cache_size=render_cache_size,
             front_cache=self.brief_cache,
-            render_cache=self.render_cache,
-            hash_fn=hash_fn,
             dtype=dtype,
             observe=observe,
             chaos=chaos,
@@ -1467,9 +1325,8 @@ class ConcurrentBriefingPipeline:
             on_expired=self._on_queue_expired,
             mp_context=mp_context,
         )
-        #: the thread transport's one shared admission queue (the process
-        #: transport shards it per worker, so there is none to expose).
-        self.scheduler = self.pool.schedulers[0] if transport == "thread" else None
+        #: the one admission queue every worker drains.
+        self.scheduler = self.pool.scheduler
         self.registry = MetricsRegistry() if observe else NOOP_REGISTRY
         # Frontend tracer: one detached "admission" span per submit, the root
         # of each request's trace.  Shared across submitting threads, so
@@ -1508,7 +1365,6 @@ class ConcurrentBriefingPipeline:
                 self.pool,
                 poll_interval=supervisor_poll_ms / 1000.0,
                 wedge_timeout=None if wedge_timeout_ms is None else wedge_timeout_ms / 1000.0,
-                breaker=breaker,
                 on_quarantine=self._on_quarantine,
                 registry=self.registry,
                 clock=clock,
@@ -1519,7 +1375,7 @@ class ConcurrentBriefingPipeline:
         # model pass.
         self._lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
-        self._poison: Set[Hashable] = set()
+        self._poison: Set[str] = set()
         self._shutdown = False
         #: thread names that failed to exit during the last shutdown().
         self.stuck_workers: List[str] = []
@@ -1597,7 +1453,7 @@ class ConcurrentBriefingPipeline:
     def _on_quarantine(self, request: _Request) -> None:
         """Supervisor found poison: shed this content at the front door."""
         with self._lock:
-            self._poison.add(self._hash_fn(request.html))
+            self._poison.add(content_hash(request.html))
 
     def _on_queue_expired(self, request: _Request) -> None:
         """Scheduler swept an expired request out of the admission queue."""
@@ -1755,7 +1611,7 @@ class ConcurrentBriefingPipeline:
             future.set_result(_deadline_partial("on arrival"))
             return future
         with self._lock:
-            poisoned = self._hash_fn(html) in self._poison
+            poisoned = content_hash(html) in self._poison
         if poisoned:
             return self._shed(
                 future,

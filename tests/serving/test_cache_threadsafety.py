@@ -1,4 +1,4 @@
-"""Thread-safety of BriefCache and the lock-striped ShardedBriefCache.
+"""Thread-safety of BriefCache, the front brief cache of the serving stack.
 
 ``test_get_survives_concurrent_eviction`` is the regression for the
 pre-serving ``BriefCache``, which guarded nothing: a ``get`` that had
@@ -14,7 +14,7 @@ blocks until the reader is done.
 
 The hammering tests then assert the conservation invariant the serving
 stats depend on — ``hits + misses == lookups`` — under real thread-pool
-contention and eviction pressure.
+contention and eviction pressure, with readers and writers mixed.
 """
 
 import random
@@ -22,9 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
-from repro.core import BriefCache, ShardedBriefCache
+from repro.core import BriefCache
 
 THREADS = 8
 OPS_PER_THREAD = 2000
@@ -99,138 +97,39 @@ def test_brief_cache_conserves_counters_under_contention():
     assert len(cache) <= 4
 
 
-def test_sharded_cache_conserves_counters_under_contention():
-    cache = ShardedBriefCache(8, num_shards=4)
-    keys = [f"content-{i}" for i in range(16)]
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        list(pool.map(lambda seed: _hammer(cache, seed, keys), range(THREADS)))
-    assert cache.hits + cache.misses == THREADS * OPS_PER_THREAD
-    assert len(cache) <= 8
-
-
-# ----------------------------------------------------------------------
-# ShardedBriefCache unit behaviour (single-threaded contract)
-# ----------------------------------------------------------------------
-def test_sharded_cache_round_trip_and_counters():
-    cache = ShardedBriefCache(16, num_shards=4)
+def test_brief_cache_round_trip_membership_and_keys():
+    cache = BriefCache(16)
     assert cache.get("a") is None
     cache.put("a", 1)
-    assert cache.get("a") == 1
-    assert "a" in cache
+    cache.put("b", 2)
+    assert cache.get("a") == 1  # refreshes "a" → most recently used
+    assert "a" in cache and "c" not in cache
     assert (cache.hits, cache.misses) == (1, 1)
-    assert len(cache) == 1
-    assert len(cache.keys()) == 1
+    assert len(cache) == 2
+    assert cache.keys() == [cache.hash_fn("b"), cache.hash_fn("a")]
 
 
-def test_sharded_cache_capacity_ceil_split():
-    # 10 entries over 4 shards → 3 per shard; total capacity never below 10.
-    cache = ShardedBriefCache(10, num_shards=4)
-    for i in range(40):
-        cache.put(f"content-{i}", i)
-    assert 10 <= len(cache) <= 12
+def test_concurrent_mixed_get_put_conserves():
+    """Four threads, each on its own keys, read and write one cache smaller
+    than their key pool: every lookup is counted exactly once, the counters
+    agree with what the readers saw, and capacity holds under eviction."""
+    cache = BriefCache(16)
+    seen_hits = [0] * 4
 
-
-def test_sharded_cache_zero_capacity_disables():
-    cache = ShardedBriefCache(0, num_shards=4)
-    cache.put("a", 1)
-    assert cache.get("a") is None
-    assert len(cache) == 0
-
-
-def test_sharded_cache_validates_arguments():
-    with pytest.raises(ValueError):
-        ShardedBriefCache(-1)
-    with pytest.raises(ValueError):
-        ShardedBriefCache(8, num_shards=0)
-
-
-def test_sharded_cache_uses_multiple_shards():
-    cache = ShardedBriefCache(64, num_shards=8)
-    for i in range(64):
-        cache.put(f"content-{i}", i)
-    populated = sum(1 for shard in cache._shards if len(shard) > 0)
-    assert populated > 1  # hash-picked striping actually spreads the keys
-
-
-def test_sharded_cache_shard_index_is_deterministic():
-    """Shard placement is a keyed digest, not Python's salted hash: two
-    cache instances (or two processes) agree on where content lives."""
-    first = ShardedBriefCache(16, num_shards=4)
-    second = ShardedBriefCache(16, num_shards=4)
-    keys = [f"content-{i}" for i in range(64)]
-    placements = [first.shard_index(key) for key in keys]
-    assert placements == [second.shard_index(key) for key in keys]
-    assert len(set(placements)) > 1  # and it actually stripes
-
-
-def _keys_for_shard(cache, shard, count):
-    """Deterministically mine keys that land on the given shard."""
-    found = []
-    index = 0
-    while len(found) < count:
-        key = f"mined-{index}"
-        if cache.shard_index(key) == shard:
-            found.append(key)
-        index += 1
-    return found
-
-
-def test_per_shard_eviction_is_lru_and_confined():
-    """Overflowing one shard evicts that shard's LRU entry and nothing else."""
-    cache = ShardedBriefCache(8, num_shards=4)  # per-shard capacity 2
-    oldest, refreshed, overflow = _keys_for_shard(cache, 0, 3)
-    bystanders = [_keys_for_shard(cache, shard, 1)[0] for shard in (1, 2, 3)]
-    for key in bystanders:
-        cache.put(key, key)
-    cache.put(refreshed, refreshed)
-    cache.put(oldest, oldest)
-    assert cache.get(refreshed) == refreshed  # refresh → oldest is now LRU
-    cache.put(overflow, overflow)  # shard 0 at capacity: evicts `oldest` only
-    assert cache.get(oldest) is None
-    assert cache.get(refreshed) == refreshed
-    assert cache.get(overflow) == overflow
-    for key in bystanders:  # other shards never felt the pressure
-        assert cache.get(key) == key
-
-
-def test_counter_merge_is_associative_across_shards():
-    """The cache totals are exactly the shard sums — hammered concurrently,
-    with eviction, no increment is lost and none is double-counted."""
-    cache = ShardedBriefCache(8, num_shards=4)  # smaller than the key pool
-    keys = [f"content-{i}" for i in range(32)]
-    with ThreadPoolExecutor(max_workers=THREADS) as pool:
-        list(pool.map(lambda seed: _hammer(cache, seed, keys), range(THREADS)))
-    assert cache.hits == sum(shard.hits for shard in cache._shards)
-    assert cache.misses == sum(shard.misses for shard in cache._shards)
-    assert cache.hits + cache.misses == THREADS * OPS_PER_THREAD
-    assert len(cache) == sum(len(shard) for shard in cache._shards)
-    for shard in cache._shards:
-        assert len(shard) <= 2  # ceil(8 / 4): per-shard capacity held
-
-
-def test_concurrent_mixed_get_put_across_shards_conserves():
-    """Readers and writers split across different shards concurrently: the
-    merged counters still account for every lookup exactly once."""
-    cache = ShardedBriefCache(16, num_shards=4)
-    per_shard_keys = {shard: _keys_for_shard(cache, shard, 6) for shard in range(4)}
-
-    def hammer_shard(shard):
-        rng = random.Random(shard)
+    def hammer_keys(worker):
+        rng = random.Random(worker)
+        keys = [f"worker-{worker}-content-{i}" for i in range(6)]
         for _ in range(OPS_PER_THREAD):
-            key = rng.choice(per_shard_keys[shard])
-            if cache.get(key) is None:
+            key = rng.choice(keys)
+            value = cache.get(key)
+            if value is None:
                 cache.put(key, key)
+            else:
+                assert value == key  # never another thread's entry
+                seen_hits[worker] += 1
 
     with ThreadPoolExecutor(max_workers=4) as pool:
-        list(pool.map(hammer_shard, range(4)))
+        list(pool.map(hammer_keys, range(4)))
     assert cache.hits + cache.misses == 4 * OPS_PER_THREAD
-    # Every shard saw traffic and kept to its slice of the capacity.
-    for shard in cache._shards:
-        assert shard.hits + shard.misses == OPS_PER_THREAD
-        assert len(shard) <= 4
-
-
-def test_sharded_cache_collision_safety_is_inherited():
-    cache = ShardedBriefCache(8, num_shards=2, hash_fn=lambda content: "bucket")
-    cache.put("page one", "brief one")
-    assert cache.get("page two") is None  # same hash, different content → miss
+    assert cache.hits == sum(seen_hits)
+    assert len(cache) <= 16

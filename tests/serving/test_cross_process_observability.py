@@ -4,10 +4,10 @@ The contract under test: with ``observe=True`` the process transport returns
 the *same* observability surface as the thread transport — worker-labelled
 metric series whose aggregated totals match, and per-request span trees that
 are connected (admission → serve → brief_many subtree) no matter which side
-of a pipe each span was recorded on.  Batch *partitioning* is the one
-legitimate difference (the hash router shards the stream, the thread
-scheduler does not), so comparisons project onto partition-independent
-views: counter totals, per-request span names, tree connectivity.
+of a pipe each span was recorded on.  Both transports drain one admission
+queue, but which worker takes which micro-batch depends on timing, so
+comparisons project onto partition-independent views: counter totals,
+per-request span names, tree connectivity.
 """
 
 import multiprocessing

@@ -1,15 +1,9 @@
-"""ModelSnapshot, ConsistentHashRouter and process-transport plumbing."""
+"""ModelSnapshot and process-transport plumbing."""
 
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.core import (
-    BriefingPipeline,
-    ConcurrentBriefingPipeline,
-    ConsistentHashRouter,
-    ModelSnapshot,
-)
+from repro.core import BriefingPipeline, ConcurrentBriefingPipeline, ModelSnapshot
 
 from .test_deadlines import PAGE_A, PAGE_B
 
@@ -60,48 +54,6 @@ def test_snapshot_carries_dtype_environment(serving_model):
         assert np.dtype(nn.get_default_dtype()) == np.float32
     finally:
         nn.set_default_dtype(previous)
-
-
-# ----------------------------------------------------------------------
-# ConsistentHashRouter
-# ----------------------------------------------------------------------
-KEYS = [f"content-hash-{i}" for i in range(2000)]
-
-
-def test_router_is_deterministic_across_instances():
-    first = ConsistentHashRouter(4)
-    second = ConsistentHashRouter(4)
-    assert [first.route(key) for key in KEYS[:200]] == [
-        second.route(key) for key in KEYS[:200]
-    ]
-
-
-def test_router_spreads_keys_roughly_uniformly():
-    router = ConsistentHashRouter(4, vnodes=64)
-    counts = router.distribution(KEYS)
-    assert set(counts) == {0, 1, 2, 3}
-    expected = len(KEYS) / 4
-    for shard, count in counts.items():
-        assert count > expected * 0.5, f"shard {shard} starved: {counts}"
-        assert count < expected * 1.5, f"shard {shard} overloaded: {counts}"
-
-
-def test_router_reshuffles_minimally_when_scaling():
-    """Consistent hashing's point: adding a shard moves ~1/N of the keys,
-    not all of them (modulo hashing would move ~4/5 here)."""
-    four = ConsistentHashRouter(4)
-    five = ConsistentHashRouter(5)
-    moved = sum(1 for key in KEYS if four.route(key) != five.route(key))
-    assert moved / len(KEYS) < 0.45
-
-
-def test_router_single_shard_and_validation():
-    router = ConsistentHashRouter(1)
-    assert router.route("anything") == 0
-    with pytest.raises(ValueError):
-        ConsistentHashRouter(0)
-    with pytest.raises(ValueError):
-        ConsistentHashRouter(2, vnodes=0)
 
 
 # ----------------------------------------------------------------------

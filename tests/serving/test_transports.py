@@ -9,6 +9,7 @@ for threads the worker thread dies, for processes the worker *process* dies
 identical held-batch signature either way.
 """
 
+import threading
 import time
 
 import pytest
@@ -56,6 +57,19 @@ class PicklablePoisonModel:
         if name.startswith("__") or "_model" not in self.__dict__:
             raise AttributeError(name)
         return getattr(self._model, name)
+
+
+class HoldWorkerZero:
+    """Chaos stand-in: worker 0's first batch blocks until ``release`` is set."""
+
+    def __init__(self):
+        self.held = threading.Event()
+        self.release = threading.Event()
+
+    def on_batch(self, worker_index, batch_size):
+        if worker_index == 0 and not self.held.is_set():
+            self.held.set()
+            self.release.wait(timeout=120)
 
 
 def test_stream_outputs_and_conservation(harness, transport):
@@ -165,6 +179,39 @@ def test_two_deaths_across_two_workers_conserve_every_future(serving_model, tran
     assert all(brief is not None for brief in briefs)
     assert stats.cache_hits + stats.cache_misses == len(pages)
     assert stats.worker_restarts >= 1
+
+
+def test_free_worker_serves_while_another_is_held(serving_model, transport):
+    """Both transports drain one admission queue: while worker 0 is held on a
+    batch, worker 1 serves every other page, whatever its content."""
+    pages = [
+        f"<html><body><p>load sharing page {i}</p><p>the price is {i}</p></body></html>"
+        for i in range(8)
+    ]
+    chaos = HoldWorkerZero()
+    server = ConcurrentBriefingPipeline(
+        serving_model, num_workers=2, transport=transport, beam_size=2,
+        max_batch=1, max_wait_ms=0.0, supervise=False, chaos=chaos, start=False,
+    )
+    futures = {f"share-{i}": server.submit(page, doc_id=f"share-{i}") for i, page in enumerate(pages)}
+    server.pool.start()
+    try:
+        assert chaos.held.wait(timeout=60)
+        held = {request.doc_id for request in server.pool.workers[0].current_batch}
+        assert len(held) == 1
+        deadline = time.monotonic() + 30.0
+        for doc_id, future in futures.items():
+            if doc_id not in held:
+                remaining = max(0.0, deadline - time.monotonic())
+                assert future.result(timeout=remaining).complete, doc_id
+        chaos.release.set()
+        for future in futures.values():
+            assert future.result(timeout=60).complete
+        stats = server.merged_stats()
+    finally:
+        chaos.release.set()
+        server.shutdown(timeout=60)
+    assert stats.cache_hits + stats.cache_misses == len(pages)
 
 
 def test_poison_bisection_and_front_door_shed(serving_model, transport):
