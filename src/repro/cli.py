@@ -20,19 +20,16 @@ Commands
     and empty pages, and print the :class:`~repro.runtime.RuntimeStats`
     counters.  Exit code 0 means retries/breakers/degradations fully masked
     the injected faults.
-``bench --chaos|--quantized [--smoke] [--pages N]``
-    Correctness scenarios over the concurrent serving layer; exactly one
-    mode is required.  ``--chaos`` replays a Zipfian request stream while a
-    seeded :class:`~repro.runtime.ChaosWorker` stalls, fails and kills
-    workers; it asserts every future resolves and shutdown does not
-    deadlock, and records p50/p99-under-chaos plus shed/restart/quarantine
-    counts under the report's ``resilience`` key (``--soak-rounds N``
-    replays the stream N times against the same pipeline).  ``--quantized``
-    checks int8/float16 weights (``--quant-mode``) stay within the
-    task-metric tolerance of the float64 reference and brief identically on
-    both transports (``quantized`` key).  ``--smoke`` defaults the stream to
+``bench [--smoke] [--pages N]``
+    Chaos/soak self-check of the concurrent serving layer: replay a
+    Zipfian request stream while a seeded
+    :class:`~repro.runtime.ChaosWorker` stalls, fails and kills workers;
+    assert every future resolves and shutdown does not deadlock, and record
+    p50/p99-under-chaos plus shed/restart/quarantine counts under the
+    report's ``resilience`` key (``--soak-rounds N`` replays the stream N
+    times against the same pipeline).  ``--smoke`` defaults the stream to
     12 pages (64 otherwise; an explicit ``--pages`` always wins) and prints
-    the verdict.  Exit code 1 means the scenario's contract broke.
+    the verdict.  Exit code 1 means the conservation contract broke.
     Throughput and latency are measured by ``perfbench/``, not here.
 ``serve-many [page.html ...] [--workers N] [--transport T] [--deadline-ms B]``
     Brief many pages through the concurrent serving layer
@@ -43,8 +40,7 @@ Commands
     gives every request an absolute budget; expired requests resolve to
     typed ``DeadlineExceeded`` briefs instead of hanging.  ``--transport
     process`` serves through worker processes (each holding its own model
-    replica) instead of threads.  ``--quantized`` serves int8 weights
-    (calibrated on the corpus).  Prints one topic line per page plus the
+    replica) instead of threads.  Prints one topic line per page plus the
     merged worker-pool counters.  ``--status-interval S`` prints a live
     status frame (queue depth, governor level, per-worker throughput, SLO
     burn) to stderr every S seconds while serving; ``--journal PATH``
@@ -56,12 +52,8 @@ Commands
     queue depth, governor level and state, per-worker liveness /
     generation / batches, cache hit rate, SLO burn rates and the recent
     event journal — then a final frame after drain.
-``metrics``
-    Exercise the runtime (retries, a circuit breaker, the brief cache) with
-    deterministic faults and print the resulting metrics registry in
-    Prometheus text format — a quick way to see every exported series.
 
-``brief``, ``train``, ``health``, ``serve-many`` and ``metrics`` all accept
+``brief``, ``train``, ``health`` and ``serve-many`` all accept
 ``--trace PATH`` (write a JSON-lines span trace) and ``--metrics PATH``
 (write a Prometheus text snapshot); omitting both keeps the no-op
 observability path.
@@ -127,16 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(health)
 
     bench = sub.add_parser(
-        "bench", help="serving correctness scenarios: chaos, quantized"
+        "bench", help="chaos/soak: replay a Zipfian stream with injected worker "
+                      "stalls/exceptions/deaths and assert conservation"
     )
-    mode = bench.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--chaos", action="store_true",
-                      help="chaos/soak: replay a Zipfian stream with injected "
-                           "worker stalls/exceptions/deaths and assert conservation")
-    mode.add_argument("--quantized", action="store_true",
-                      help="quantized inference: task-metric deltas vs the float64 "
-                           "reference, decode vs a float32 copy, and quantized "
-                           "serving on both transports")
     bench.add_argument("--pages", type=int, default=None,
                        help="pages in the synthesized stream (default 12 with "
                             "--smoke, else 64)")
@@ -145,14 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--beam-size", type=int, default=2)
     bench.add_argument("--output", default="BENCH_serving.json",
                        help="JSON report path ('' to skip writing)")
-    bench.add_argument("--float32", action="store_true",
-                       help="serve under float32 (chaos mode)")
     bench.add_argument("--smoke", action="store_true",
                        help="small default stream; print the smoke verdict")
     bench.add_argument("--max-wait-ms", type=float, default=2.0,
                        help="scheduler micro-batch straggler wait")
     bench.add_argument("--chaos-workers", type=int, default=4,
-                       help="worker pool size in chaos mode")
+                       help="worker pool size")
     bench.add_argument("--chaos-exception-rate", type=float, default=0.08,
                        help="per-batch probability of an injected transient failure")
     bench.add_argument("--chaos-stall-rate", type=float, default=0.05,
@@ -163,15 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay the chaos stream this many times against the "
                             "same pipeline (soak mode)")
     bench.add_argument("--deadline-ms", type=float, default=None,
-                       help="per-request deadline budget (chaos mode)")
-    bench.add_argument("--transport", choices=("thread", "process", "both"), default=None,
-                       help="worker transport for --quantized (default both)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker pool size for --quantized")
-    bench.add_argument("--mp-context", choices=("fork", "spawn", "forkserver"), default=None,
-                       help="multiprocessing start method for the process transport")
-    bench.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
-                       help="weight quantization mode for --quantized")
+                       help="per-request deadline budget")
 
     serve = sub.add_parser(
         "serve-many", help="brief many pages through the concurrent worker pool"
@@ -193,12 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="absolute per-request deadline; expired requests "
                             "resolve to typed DeadlineExceeded briefs")
-    serve.add_argument("--quantized", action="store_true",
-                       help="serve int8 weights: quantize the model (with "
-                            "activation-range calibration over the corpus) "
-                            "before serving")
-    serve.add_argument("--quant-mode", choices=("int8", "float16"), default="int8",
-                       help="weight quantization mode for --quantized")
     serve.add_argument("--model", help="checkpoint saved by `repro train`")
     serve.add_argument("--topics", type=int, default=3)
     serve.add_argument("--epochs", type=int, default=10)
@@ -231,12 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--topics", type=int, default=3)
     top.add_argument("--epochs", type=int, default=10)
     top.add_argument("--seed", type=int, default=7)
-
-    metrics = sub.add_parser(
-        "metrics", help="exercise the runtime and print its Prometheus metrics"
-    )
-    metrics.add_argument("--seed", type=int, default=7)
-    _add_obs_args(metrics)
     return parser
 
 
@@ -278,20 +241,6 @@ def _build_model(topics: int, pages: int, seed: int):
         "Joint-WB", BertSumEncoder(vocabulary, bert), vocabulary, hidden_dim=16, rng=rng
     )
     return corpus, vocabulary, model
-
-
-def _quantize_for_serving(model, corpus, mode: str):
-    """Quantize ``model`` for serving, calibrated on the corpus documents."""
-    from . import nn
-
-    documents = list(corpus.documents)[:8]
-    calibration = nn.calibrate(
-        model,
-        lambda: model.predict_batch(documents, beam_size=2, batch_size=8),
-    )
-    quantized = model.quantize(mode=mode, calibration=calibration)
-    print(f"quantized serving model ({mode})", file=sys.stderr)
-    return quantized
 
 
 def _train(model, corpus, epochs: int, seed: int, tracer=None, registry=None) -> None:
@@ -433,49 +382,25 @@ def _command_health(args) -> int:
 
 
 def _command_bench(args) -> int:
-    from .core import run_chaos_bench, run_quantized_bench
+    from .core import run_chaos_bench
 
     num_pages = args.pages if args.pages is not None else (12 if args.smoke else 64)
-    dtype = np.float32 if args.float32 else None
-    output_path = args.output or None
-    if args.quantized:
-        transports = (
-            ("thread", "process")
-            if args.transport in (None, "both")
-            else (args.transport,)
-        )
-        result = run_quantized_bench(
-            num_pages=num_pages,
-            seed=args.seed,
-            mode=args.quant_mode,
-            workers=args.workers,
-            max_batch=args.batch_size,
-            max_wait_ms=args.max_wait_ms,
-            transports=transports,
-            output_path=output_path,
-            mp_context=args.mp_context,
-        )
-        # Quality + determinism only: tolerance vs the float64 reference and
-        # identical briefs across transports.  Speed is perfbench's job.
-        ok = result.within_tolerance and result.outputs_match
-    else:
-        result = run_chaos_bench(
-            num_requests=num_pages,
-            unique_pages=max(4, num_pages // 4),
-            seed=args.seed,
-            workers=args.chaos_workers,
-            max_batch=args.batch_size,
-            beam_size=args.beam_size,
-            max_wait_ms=args.max_wait_ms,
-            exception_rate=args.chaos_exception_rate,
-            stall_rate=args.chaos_stall_rate,
-            death_rate=args.chaos_death_rate,
-            deadline_ms=args.deadline_ms,
-            rounds=args.soak_rounds,
-            dtype=dtype,
-            output_path=output_path,
-        )
-        ok = result.conserved and not result.deadlocked
+    result = run_chaos_bench(
+        num_requests=num_pages,
+        unique_pages=max(4, num_pages // 4),
+        seed=args.seed,
+        workers=args.chaos_workers,
+        max_batch=args.batch_size,
+        beam_size=args.beam_size,
+        max_wait_ms=args.max_wait_ms,
+        exception_rate=args.chaos_exception_rate,
+        stall_rate=args.chaos_stall_rate,
+        death_rate=args.chaos_death_rate,
+        deadline_ms=args.deadline_ms,
+        rounds=args.soak_rounds,
+        output_path=args.output or None,
+    )
+    ok = result.conserved and not result.deadlocked
     print(result.format())
     if args.output:
         print(f"\nwrote {args.output}")
@@ -502,8 +427,6 @@ def _command_serve_many(args) -> int:
     else:
         print("No checkpoint given; training a small model first...", file=sys.stderr)
         _train(model, corpus, args.epochs, args.seed)
-    if getattr(args, "quantized", False):
-        model = _quantize_for_serving(model, corpus, args.quant_mode)
 
     if args.html_files:
         pages = []
@@ -633,71 +556,6 @@ def _command_top(args) -> int:
     return 0
 
 
-def _command_metrics(args) -> int:
-    from .core.batched import BriefCache
-    from .obs import bridge_runtime_stats, render_prometheus
-    from .runtime import CircuitBreaker, FetchError, RetryPolicy, RuntimeStats
-
-    tracer, registry = _make_obs(args)
-    if not registry.enabled:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-
-    # Deterministic mini-workout of the runtime so every family has data.
-    stats = RuntimeStats()
-    retry_counter = registry.counter("fetch_retries_total", help="retries per host")
-    attempts = {"n": 0}
-
-    def flaky() -> str:
-        attempts["n"] += 1
-        stats.inc("fetch_attempts")
-        if attempts["n"] < 3:
-            stats.inc("fetch_retries")
-            retry_counter.inc(host="metrics.example")
-            raise FetchError("synthetic fault", url="https://metrics.example/", transient=True)
-        return "ok"
-
-    with tracer.span("retry_demo", host="metrics.example"):
-        RetryPolicy(max_attempts=5, base_delay=0.0, seed=args.seed).call(flaky)
-
-    transition_counter = registry.counter(
-        "breaker_transitions_total", help="circuit state changes"
-    )
-
-    def on_transition(old: str, new: str) -> None:
-        transition_counter.inc(host="metrics.example", **{"from": old, "to": new})
-
-    breaker = CircuitBreaker(
-        failure_threshold=2, recovery_time=0.0, on_transition=on_transition
-    )
-    with tracer.span("breaker_demo", host="metrics.example"):
-        breaker.record_failure()
-        breaker.record_failure()  # trips open
-        stats.inc("breaker_trips")
-        breaker.allow()  # recovery_time=0 → half-open probe
-        breaker.record_success()  # closes again
-
-    cache_counter = registry.counter(
-        "serving_cache_requests_total", help="brief-cache lookups, by result"
-    )
-    cache = BriefCache(capacity=4)
-    with tracer.span("cache_demo"):
-        for content, value in (("page-a", 1), ("page-a", 1), ("page-b", 2)):
-            if cache.get(content) is None:
-                stats.inc("cache_misses")
-                cache_counter.inc(result="miss")
-                cache.put(content, value)
-            else:
-                stats.inc("cache_hits")
-                cache_counter.inc(result="hit")
-
-    bridge_runtime_stats(stats, registry)
-    print(render_prometheus(registry.snapshot()), end="")
-    _write_obs(args, tracer, registry)
-    return 0
-
-
 _COMMANDS = {
     "brief": _command_brief,
     "corpus-stats": _command_corpus_stats,
@@ -707,7 +565,6 @@ _COMMANDS = {
     "bench": _command_bench,
     "serve-many": _command_serve_many,
     "top": _command_top,
-    "metrics": _command_metrics,
 }
 
 

@@ -2,11 +2,8 @@
 
 from .batched import BatchedBriefingPipeline, BriefCache, content_hash
 from .bench import (
-    QuantizedBenchResult,
     ResilienceBenchResult,
     run_chaos_bench,
-    run_quantized_bench,
-    save_section,
     synthesize_serving_corpus,
     synthesize_zipf_stream,
 )
@@ -56,10 +53,7 @@ __all__ = [
     "ModelSnapshot",
     "content_hash",
     "ResilienceBenchResult",
-    "QuantizedBenchResult",
     "run_chaos_bench",
-    "run_quantized_bench",
-    "save_section",
     "synthesize_serving_corpus",
     "synthesize_zipf_stream",
     "document_from_raw_html",

@@ -72,7 +72,6 @@ from ..obs import (
 from ..runtime.chaos import WorkerDeath
 from ..runtime.errors import DeadlineExceeded, Overloaded, QueueFull
 from ..runtime.stats import RuntimeStats
-from ..nn import get_dtype_override, set_default_dtype
 from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, content_hash
 from .briefing import Degradation, PartialBrief
 from .pipeline import _reason
@@ -712,19 +711,8 @@ class WorkerPool:
             methods = multiprocessing.get_all_start_methods()
             self.start_method = mp_context or ("fork" if "fork" in methods else methods[0])
             self._ctx = multiprocessing.get_context(self.start_method)
-            self._model = model if isinstance(model, ModelSnapshot) else ModelSnapshot(model, dtype=dtype)
+            self._model = ModelSnapshot(model, dtype=dtype)
         else:
-            if isinstance(model, ModelSnapshot):
-                # ``restore()`` is written for worker processes and sets the
-                # process-wide nn dtype; preserve the caller's override so
-                # accepting a snapshot never mutates in-process dtype state.
-                prior = get_dtype_override()
-                try:
-                    model, snapshot_dtype = model.restore()
-                finally:
-                    set_default_dtype(prior)
-                if dtype is None:
-                    dtype = snapshot_dtype
             self.start_method = None
             self._model = model
             self._options["dtype"] = dtype

@@ -37,10 +37,6 @@ class ModelSnapshot:
         self.pipeline_dtype = None if dtype is None else np.dtype(dtype).str
         #: the nn-wide default dtype in effect when the snapshot was taken.
         self.default_dtype = np.dtype(get_default_dtype()).str
-        #: quantization provenance ("int8" / "float16" / None), readable
-        #: without unpickling the blob.
-        self.quantized_mode = getattr(model, "_quantized_mode", None)
-        self.is_quantized = self.quantized_mode is not None
 
     @property
     def num_bytes(self) -> int:

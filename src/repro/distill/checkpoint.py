@@ -4,13 +4,15 @@ A student coming out of :class:`~repro.distill.DualDistiller` /
 :class:`~repro.distill.TriDistiller` is a live training object: dropout is
 armed (``training=True``) and every parameter may still hold its last
 gradient array.  Shipping that object straight into the process transport
-*works* — everything pickles — but it is wrong twice over:
+*works* — everything pickles — but:
 
 * a student serving with dropout active decodes **nondeterministically**,
   breaking the serving stack's bit-identical-outputs contract the moment the
   snapshot crosses a process boundary;
-* pickled gradient arrays double the snapshot blob for bytes no worker will
-  ever read.
+* the gradient arrays never reach the blob (a
+  :class:`~repro.nn.Parameter` pickles without its gradient), yet the live
+  student keeps them in memory — as much again as the weights — until
+  something drops them.
 
 :class:`StudentCheckpoint` is the explicit freeze step between distillation
 and serving: it puts the student in eval mode, drops the gradients, and
@@ -56,32 +58,12 @@ class StudentCheckpoint:
             raise TypeError(f"blob does not hold a {cls.__name__}")
         return checkpoint
 
-    def quantize(
-        self, mode: str = "int8", calibration=None, error_budget: float = 0.5
-    ) -> "StudentCheckpoint":
-        """A new checkpoint holding the quantized student.
-
-        The freeze step is where the int8/float16 snapshot is minted: the
-        original checkpoint keeps the float student as the executable
-        reference, and the returned checkpoint's metadata records the
-        ``"quantized"`` mode alongside the inherited provenance.
-        ``calibration`` accepts per-layer activation ranges from
-        :func:`repro.nn.quant.record_activation_ranges`.
-        """
-        quantized = self.model.quantize(
-            mode=mode, calibration=calibration, error_budget=error_budget
-        )
-        metadata = dict(self.metadata)
-        metadata["quantized"] = mode
-        return StudentCheckpoint(quantized, metadata=metadata)
-
     def to_snapshot(self, dtype=None):
         """A :class:`~repro.core.transport.ModelSnapshot` of the frozen model.
 
         This is the object the process transport ships to worker processes;
         going through the checkpoint (rather than snapshotting the live
-        student) is what guarantees eval mode and grad-free weights inside
-        the blob.
+        student) is what guarantees eval mode inside the blob.
         """
         from ..core.transport import ModelSnapshot  # distill must not hard-import core
 

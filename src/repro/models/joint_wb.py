@@ -41,7 +41,6 @@ The same class realises every joint baseline of §IV-A6-ii through
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -128,14 +127,6 @@ class JointForward:
 
 class JointWBModel(nn.Module):
     """Joint-WB (and, via ``ExchangeConfig``, every joint baseline)."""
-
-    #: Inference hooks armed by ``nn.quantize_module`` on quantized copies
-    #: (class-level defaults keep pickles from older snapshots inert):
-    #: ``_inference_dtype`` scopes ``predict_batch`` under
-    #: ``nn.default_dtype``, ``_quantized_mode`` records "int8"/"float16"
-    #: provenance.
-    _inference_dtype = None
-    _quantized_mode = None
 
     def __init__(
         self,
@@ -388,12 +379,7 @@ class JointWBModel(nn.Module):
         """
         documents = list(documents)
         results: List[Optional[BriefPrediction]] = [None] * len(documents)
-        with ExitStack() as contexts:
-            # Quantized copies pin their inference precision; float models
-            # run under the caller's dtype.
-            if self._inference_dtype is not None:
-                contexts.enter_context(nn.default_dtype(self._inference_dtype))
-            contexts.enter_context(nn.no_grad())
+        with nn.no_grad():
             for batch in iterate_batches(
                 list(enumerate(documents)),
                 batch_size,

@@ -26,16 +26,6 @@ from .losses import (
 )
 from .module import Module, ModuleList, Parameter
 from .optim import SGD, Adam, LinearWarmupSchedule, clip_grad_norm, clip_grad_value
-from .quant import (
-    QuantizedDense,
-    QuantizedEmbedding,
-    QuantizedLSTMCell,
-    calibrate,
-    dequantize_array,
-    quantize_array,
-    quantize_module,
-    record_activation_ranges,
-)
 from .rnn import BiLSTM, LSTM, LSTMCell
 from .tensor import (
     Tensor,
@@ -102,12 +92,4 @@ __all__ = [
     "batched_beam_search_many_fast",
     "gather_beam_state",
     "greedy_decode",
-    "QuantizedDense",
-    "QuantizedEmbedding",
-    "QuantizedLSTMCell",
-    "quantize_array",
-    "dequantize_array",
-    "quantize_module",
-    "record_activation_ranges",
-    "calibrate",
 ]

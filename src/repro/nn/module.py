@@ -23,6 +23,18 @@ class Parameter(Tensor):
     def __init__(self, data, name: Optional[str] = None) -> None:
         super().__init__(data, requires_grad=True, name=name)
 
+    def __getstate__(self):
+        """Pickle without the gradient, as ``state_dict``/``save`` already do.
+
+        A gradient is scratch of the last backward pass: a pickled model
+        (a ``ModelSnapshot``, a checkpoint) would otherwise ship one array
+        per parameter that nothing reads after unpickling.  Built by hand
+        because ``object.__getstate__`` only exists from Python 3.11.
+        """
+        slots = {name: getattr(self, name) for name in Tensor.__slots__}
+        slots["grad"] = None
+        return (self.__dict__ or None, slots)
+
 
 class Module:
     """Base class for all neural network components."""
@@ -88,18 +100,6 @@ class Module:
         for param in self.parameters():
             param.data = param.data.astype(dtype)
         return self
-
-    def quantize(self, mode: str = "int8", calibration=None, error_budget: float = 0.5) -> "Module":
-        """A quantized deep copy of this module (int8 or float16 weights).
-
-        Delegates to :func:`repro.nn.quant.quantize_module`; ``self`` is left
-        untouched and remains the float reference.  ``calibration`` accepts
-        the per-layer activation ranges produced by
-        :func:`repro.nn.quant.record_activation_ranges`.
-        """
-        from .quant import quantize_module  # local import: quant builds on Module
-
-        return quantize_module(self, mode=mode, calibration=calibration, error_budget=error_budget)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -1,5 +1,7 @@
 """ModelSnapshot and process-transport plumbing."""
 
+import copy
+
 import numpy as np
 
 from repro import nn
@@ -37,6 +39,19 @@ def test_snapshot_restores_are_independent_and_identical(serving_model):
     assert got.topic == want.topic
     assert got.attributes == want.attributes
     assert got.informative_sentences == want.informative_sentences
+
+
+def test_snapshot_ships_no_gradients(serving_model):
+    """Gradients the last training step left behind never reach a worker:
+    the snapshot of a model holding them restores grad-free, and is no
+    larger than the snapshot of the same weights without them."""
+    model = copy.deepcopy(serving_model)
+    for param in model.parameters():
+        param.grad = np.ones_like(param.data)
+    snapshot = ModelSnapshot(model)
+    restored, _ = snapshot.restore()
+    assert all(param.grad is None for param in restored.parameters())
+    assert snapshot.num_bytes == ModelSnapshot(serving_model).num_bytes
 
 
 def test_snapshot_carries_dtype_environment(serving_model):
@@ -130,3 +145,27 @@ def test_start_method_is_recorded(serving_model):
         assert server.pool.start_method in ("fork", "spawn", "forkserver")
     finally:
         server.shutdown(timeout=30)
+
+
+def test_process_transport_serves_under_spawn(serving_model, page_stream):
+    """Under ``spawn`` every worker starts from a fresh interpreter, so the
+    snapshot and worker config must pickle (no fork-only closures); the
+    briefs equal the thread transport's."""
+    pages = page_stream[:6]
+    briefs = {}
+    for transport, options in (("thread", {}), ("process", {"mp_context": "spawn"})):
+        server = ConcurrentBriefingPipeline(
+            serving_model, num_workers=2, transport=transport, beam_size=2,
+            max_batch=4, supervise=False, **options,
+        )
+        try:
+            if transport == "process":
+                assert server.pool.start_method == "spawn"
+            briefs[transport] = server.brief_many(pages)
+        finally:
+            server.shutdown(timeout=60)
+    for want, got in zip(briefs["thread"], briefs["process"]):
+        assert got.complete
+        assert got.topic == want.topic
+        assert got.attributes == want.attributes
+        assert got.informative_sentences == want.informative_sentences

@@ -31,28 +31,25 @@ def test_parser_health_arguments():
 
 
 def test_parser_bench_arguments():
-    args = build_parser().parse_args(
-        ["bench", "--chaos", "--pages", "16", "--smoke", "--output", ""]
-    )
+    """``bench`` is the chaos scenario: it parses without a mode flag."""
+    args = build_parser().parse_args(["bench", "--pages", "16", "--smoke", "--output", ""])
     assert args.command == "bench"
-    assert args.chaos and not args.quantized
     assert args.pages == 16
     assert args.smoke
     assert args.output == ""
-    assert build_parser().parse_args(["bench", "--quantized"]).pages is None
+    assert build_parser().parse_args(["bench"]).pages is None
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench"],
-        ["bench", "--chaos", "--quantized"],
-        ["bench", "--chaos", "--compare", "prev.json"],
-        ["bench", "--chaos", "--trace", "t.jsonl"],
+        ["bench", "--quantized"],
+        ["bench", "--compare", "prev.json"],
+        ["bench", "--trace", "t.jsonl"],
         ["bench", "--cascade"],
     ],
 )
-def test_bench_requires_exactly_one_mode(argv, capsys):
+def test_bench_rejects_retired_options(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(argv)
     assert excinfo.value.code == 2
@@ -63,7 +60,7 @@ def _chaos_smoke(tmp_path, capsys, *extra):
     import json
 
     report = tmp_path / "BENCH_serving.json"
-    assert main(["bench", "--chaos", "--smoke", "--output", str(report), *extra]) == 0
+    assert main(["bench", "--smoke", "--output", str(report), *extra]) == 0
     out = capsys.readouterr().out
     assert "smoke: ok" in out
     return json.loads(report.read_text())["resilience"]
@@ -125,7 +122,6 @@ def test_parser_obs_arguments_on_observable_commands():
         ["train", "--save", "m.npz", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["health", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["serve-many", "--trace", "t.jsonl", "--metrics", "m.prom"],
-        ["metrics", "--trace", "t.jsonl", "--metrics", "m.prom"],
     ):
         args = build_parser().parse_args(argv)
         assert args.trace == "t.jsonl"
@@ -133,44 +129,6 @@ def test_parser_obs_arguments_on_observable_commands():
     # Defaults keep the no-op observability path.
     args = build_parser().parse_args(["health"])
     assert args.trace is None and args.metrics is None
-
-
-def test_metrics_command_output_shape(capsys):
-    from repro.obs import parse_prometheus_text
-
-    assert main(["metrics"]) == 0
-    out = capsys.readouterr().out
-    samples = parse_prometheus_text(out)  # must be well-formed exposition text
-    assert samples['fetch_retries_total{host="metrics.example"}'] == 2
-    transitions = 'breaker_transitions_total{from="closed",host="metrics.example",to="open"}'
-    assert samples[transitions] == 1
-    assert samples['serving_cache_requests_total{result="hit"}'] == 1
-    assert samples['serving_cache_requests_total{result="miss"}'] == 2
-    assert samples["runtime_breaker_trips"] == 1
-    assert samples["runtime_fetch_retries"] == 2
-    # HELP/TYPE headers present for every family.
-    assert "# TYPE breaker_transitions_total counter" in out
-    assert "# HELP fetch_retries_total" in out
-
-
-def test_metrics_command_writes_trace_and_metrics_files(tmp_path, capsys):
-    import json
-
-    from repro.obs import parse_prometheus_text
-
-    trace_path = tmp_path / "trace.jsonl"
-    metrics_path = tmp_path / "metrics.prom"
-    assert main([
-        "metrics", "--trace", str(trace_path), "--metrics", str(metrics_path),
-    ]) == 0
-    capsys.readouterr()
-
-    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    assert records, "trace file is empty"
-    names = {record["name"] for record in records if record["kind"] == "span"}
-    assert {"retry_demo", "breaker_demo", "cache_demo"} <= names
-    samples = parse_prometheus_text(metrics_path.read_text())
-    assert samples["runtime_fetch_attempts"] == 3
 
 
 def test_health_command_with_observability(tmp_path, capsys):
