@@ -21,6 +21,10 @@ serving, and each worker keeps its own render cache.
 Brief-level hits and misses are threaded into the shared
 :class:`~repro.runtime.stats.RuntimeStats` counters.
 
+The pipeline briefs with a float32 copy of the model it is given
+(:func:`~repro.core.transport.serving_copy`); the float64 model stays the
+spec its briefs are checked against.
+
 Like the sequential pipeline, :meth:`BatchedBriefingPipeline.brief_many`
 never raises: unparseable pages yield empty degraded briefs, and a failure
 inside the batched model falls back to the sequential per-document
@@ -33,12 +37,10 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import nn
 from ..data.corpus import Document
 from ..models.joint_wb import BriefPrediction, JointWBModel
 from ..obs import NOOP_REGISTRY, NOOP_TRACER, MetricsSnapshot, snapshot_delta
@@ -46,6 +48,7 @@ from ..runtime.errors import BriefingError, DeadlineExceeded
 from ..runtime.stats import RuntimeStats
 from .briefing import Degradation, PartialBrief
 from .pipeline import BriefingPipeline, _reason, document_from_raw_html
+from .transport import serving_copy
 
 __all__ = ["BriefCache", "BatchedBriefingPipeline", "content_hash"]
 
@@ -140,9 +143,9 @@ class BatchedBriefingPipeline:
     Repeated content is served from the brief cache (or coalesced in flight
     when the same page appears twice in one call), and each batch runs the
     model once via :meth:`predict_batch` instead of once per document per
-    task head.  ``dtype`` optionally runs inference under
-    :class:`~repro.nn.tensor.default_dtype` (e.g. ``np.float32``) — discrete
-    outputs are unchanged, intermediate tensors shrink.
+    task head.  ``model`` is cast once, at construction, to a float32 copy
+    (:func:`~repro.core.transport.serving_copy`); discrete outputs match the
+    float64 model's, and every activation is half the size.
     """
 
     def __init__(
@@ -153,15 +156,14 @@ class BatchedBriefingPipeline:
         batch_size: int = 8,
         brief_cache_size: int = 256,
         render_cache_size: int = 256,
-        dtype=None,
         tracer=None,
         registry=None,
     ) -> None:
+        model = serving_copy(model)
         self.model = model
         self.beam_size = beam_size
         self.batch_size = batch_size
         self.stats = stats if stats is not None else RuntimeStats()
-        self.dtype = dtype
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.registry = registry if registry is not None else NOOP_REGISTRY
         self._observing = bool(self.tracer.enabled or self.registry.enabled)
@@ -204,9 +206,6 @@ class BatchedBriefingPipeline:
         return delta, spans
 
     # ------------------------------------------------------------------
-    def _dtype_context(self):
-        return nn.default_dtype(self.dtype) if self.dtype is not None else nullcontext()
-
     def _empty_brief(self, stage: str, exc: BaseException) -> PartialBrief:
         self.stats.inc("degradations")
         self._fallback._degradation_counter.inc(stage=stage, fallback="empty_brief")
@@ -247,10 +246,9 @@ class BatchedBriefingPipeline:
             bucket_lengths=sorted({d.num_tokens for d in documents}) if self._observing else [],
         ) as span:
             try:
-                with self._dtype_context():
-                    predictions = self.model.predict_batch(
-                        documents, beam_size=self.beam_size, batch_size=self.batch_size
-                    )
+                predictions = self.model.predict_batch(
+                    documents, beam_size=self.beam_size, batch_size=self.batch_size
+                )
             except Exception as exc:
                 # The batched path raises as a unit; re-run the batch through the
                 # per-document degradation ladder so brief_many never raises and

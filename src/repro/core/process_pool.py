@@ -65,8 +65,7 @@ def _process_worker_main(conn, snapshot, config: dict) -> None:
     from .serving import _serve_payload, _worker_pipeline  # serving imports this module
 
     try:
-        model, dtype = snapshot.restore()
-        pipeline = _worker_pipeline(model, dtype=dtype, **config)
+        pipeline = _worker_pipeline(snapshot.restore(), **config)
         conn.send(("ready", os.getpid()))
         while True:
             message = conn.recv()

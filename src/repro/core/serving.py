@@ -24,12 +24,12 @@ Layers, bottom up:
   (``Overloaded``), shed everything non-cached to cache-only serving.
 * :class:`WorkerPool` — N briefing workers draining one scheduler, one
   record and one loop each, over either transport: threads whose pipelines
-  share the read-only model weights, or worker processes that each restore
-  a :class:`~repro.core.transport.ModelSnapshot`.  Every loop feeds
-  :func:`_serve_payload` — in-thread, or inside the child through the pipe
-  channel of :mod:`repro.core.process_pool` — folds each reply's stats and
-  telemetry delta into the worker's record and fills the front brief
-  cache; merged reads combine the records.  Workers heartbeat and record
+  share one read-only float32 copy of the model, or worker processes that
+  each restore a :class:`~repro.core.transport.ModelSnapshot` of it.  Every
+  loop feeds :func:`_serve_payload` — in-thread, or inside the child through
+  the pipe channel of :mod:`repro.core.process_pool` — folds each reply's
+  stats and telemetry delta into the worker's record and fills the front
+  brief cache; merged reads combine the records.  Workers heartbeat and record
   the batch they hold, so a supervisor can spot dead/wedged ones.
 * :class:`WorkerSupervisor` — resurrects dead or wedged workers with fresh
   per-worker state, re-queues the batch the dead worker held (at-most-once
@@ -76,7 +76,7 @@ from .batched import BatchedBriefingPipeline, BriefCache, Page, _copy_brief, con
 from .briefing import Degradation, PartialBrief
 from .pipeline import _reason
 from .process_pool import PipeChannel
-from .transport import ModelSnapshot
+from .transport import ModelSnapshot, serving_copy
 
 __all__ = [
     "RequestScheduler",
@@ -658,8 +658,9 @@ class WorkerPool:
 
     Every worker drains the one :class:`RequestScheduler`.  The transports
     differ only in the channel the loop calls: ``thread`` builds each
-    worker's pipeline here over the (read-only) model, ``process`` runs it
-    in a worker process that restores a :class:`ModelSnapshot`.
+    worker's pipeline here over one shared, read-only float32 copy of the
+    model (:func:`~repro.core.transport.serving_copy`), ``process`` runs it
+    in a worker process that restores a :class:`ModelSnapshot` of that copy.
 
     Each loop heartbeats, takes a micro-batch, sweeps expired requests,
     runs ``chaos`` (a :class:`~repro.runtime.chaos.ChaosWorker`), opens the
@@ -689,7 +690,6 @@ class WorkerPool:
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
         front_cache=None,
-        dtype=None,
         observe: bool = False,
         chaos=None,
         clock: Optional[Callable[[], float]] = None,
@@ -711,11 +711,10 @@ class WorkerPool:
             methods = multiprocessing.get_all_start_methods()
             self.start_method = mp_context or ("fork" if "fork" in methods else methods[0])
             self._ctx = multiprocessing.get_context(self.start_method)
-            self._model = ModelSnapshot(model, dtype=dtype)
+            self._model = ModelSnapshot(model)
         else:
             self.start_method = None
-            self._model = model
-            self._options["dtype"] = dtype
+            self._model = serving_copy(model)
         self.scheduler = RequestScheduler(
             max_queue=max_queue,
             max_batch=max_batch,
@@ -1269,7 +1268,6 @@ class ConcurrentBriefingPipeline:
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        dtype=None,
         stats: Optional[RuntimeStats] = None,
         observe: bool = False,
         clock: Optional[Callable[[], float]] = None,
@@ -1305,7 +1303,6 @@ class ConcurrentBriefingPipeline:
             max_wait_ms=max_wait_ms,
             max_queue=max_queue,
             front_cache=self.brief_cache,
-            dtype=dtype,
             observe=observe,
             chaos=chaos,
             clock=clock,

@@ -157,5 +157,8 @@ class Trainer:
                         if bad_epochs >= config.patience:
                             result.stopped_early = True
                             break
+        # Training is over: drop the last step's gradients, which would
+        # otherwise double the model's memory for as long as it lives.
+        self.optimizer.zero_grad()
         self.model.eval()
         return result

@@ -1,54 +1,65 @@
-"""What crosses into a worker process: the model snapshot.
+"""What serving briefs with, and what crosses into a worker process.
+
+Serving briefs in float32 while training, the scalar ``beam_search`` and the
+sequential :class:`~repro.core.pipeline.BriefingPipeline` stay float64, the
+executable spec.  :func:`serving_copy` makes the float32 copy once; its
+weights carry the precision, so no dtype switch is needed anywhere else.
 
 :class:`~repro.core.serving.WorkerPool` serves over threads or over worker
 processes from one admission queue; the process transport needs one piece
 of data the thread transport does not.  :class:`ModelSnapshot` is a
-picklable, self-contained copy of the model plus the inference environment
-(``nn`` default dtype, and the model's own RNG state, which rides inside the
-pickle).  Worker processes restore it exactly once at fork/spawn, so
-process-transport outputs are bit-identical to thread-transport outputs.
+picklable, self-contained copy of the served model (its RNG state rides
+inside the pickle).  Worker processes restore it exactly once at fork/spawn,
+so process-transport outputs are bit-identical to thread-transport outputs.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
 
-from ..nn.tensor import get_default_dtype, set_default_dtype
+from ..nn.module import Module, Parameter
 
-__all__ = ["ModelSnapshot"]
+__all__ = ["ModelSnapshot", "serving_copy"]
+
+
+def serving_copy(model):
+    """The model serving briefs with: a float32 copy of an ``nn.Module``.
+
+    Every parameter is cast into a fresh, gradient-free ``Parameter``; the
+    rest of the model (vocabulary, config, RNG) is deep-copied, so the
+    caller's float64 model is left as it was.  A model whose parameters are
+    float32 already is served as given, and so is anything that is not a
+    ``Module`` (a wrapper that delegates to one).
+    """
+    if not isinstance(model, Module):
+        return model
+    parameters = model.parameters()
+    if all(param.data.dtype == np.float32 for param in parameters):
+        return model
+    memo = {id(param): Parameter(param.data.astype(np.float32), name=param.name) for param in parameters}
+    return copy.deepcopy(model, memo)
 
 
 class ModelSnapshot:
-    """A picklable, self-contained model + inference environment.
+    """A picklable, self-contained copy of the served model.
 
-    The model is serialised eagerly at construction (in the parent), so
-    every worker process restores the *same* weights and the same model RNG
-    state regardless of when it spawns — a worker resurrected mid-run is
-    bit-identical to one started at boot.  :meth:`restore` also re-applies
-    the ``nn`` process default dtype captured at snapshot time, so a parent
-    running under ``nn.set_default_dtype(np.float32)`` gets float32 workers.
+    The model is cast by :func:`serving_copy` and serialised eagerly at
+    construction (in the parent), so every worker process restores the
+    *same* float32 weights and the same model RNG state regardless of when
+    it spawns — a worker resurrected mid-run is bit-identical to one started
+    at boot.
     """
 
-    def __init__(self, model, dtype=None) -> None:
-        self.blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-        #: dtype the serving pipeline runs inference under (or None).
-        self.pipeline_dtype = None if dtype is None else np.dtype(dtype).str
-        #: the nn-wide default dtype in effect when the snapshot was taken.
-        self.default_dtype = np.dtype(get_default_dtype()).str
+    def __init__(self, model) -> None:
+        self.blob = pickle.dumps(serving_copy(model), protocol=pickle.HIGHEST_PROTOCOL)
 
     @property
     def num_bytes(self) -> int:
         return len(self.blob)
 
     def restore(self):
-        """Deserialise in a worker process: ``(model, pipeline_dtype)``.
-
-        Sets the process-wide ``nn`` default dtype *before* unpickling, so
-        any tensors materialised during restore already use it.
-        """
-        set_default_dtype(np.dtype(self.default_dtype))
-        model = pickle.loads(self.blob)
-        dtype = None if self.pipeline_dtype is None else np.dtype(self.pipeline_dtype)
-        return model, dtype
+        """Deserialise the model (in a worker process)."""
+        return pickle.loads(self.blob)

@@ -18,7 +18,8 @@ gradient array.  Shipping that object straight into the process transport
 and serving: it puts the student in eval mode, drops the gradients, and
 hands out :class:`~repro.core.transport.ModelSnapshot`-ready state.  The
 regression suite pins the round-trip: a checkpointed student restored from a
-snapshot decodes bit-identically to the original, on any transport.
+snapshot decodes bit-identically to the float32 copy a thread worker serves,
+on any transport.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class StudentCheckpoint:
             raise TypeError(f"blob does not hold a {cls.__name__}")
         return checkpoint
 
-    def to_snapshot(self, dtype=None):
+    def to_snapshot(self):
         """A :class:`~repro.core.transport.ModelSnapshot` of the frozen model.
 
         This is the object the process transport ships to worker processes;
@@ -67,7 +68,7 @@ class StudentCheckpoint:
         """
         from ..core.transport import ModelSnapshot  # distill must not hard-import core
 
-        return ModelSnapshot(self.model, dtype=dtype)
+        return ModelSnapshot(self.model)
 
     # ------------------------------------------------------------------
     def verify_roundtrip(
@@ -76,20 +77,13 @@ class StudentCheckpoint:
         """Decode ``documents`` before and after a snapshot round-trip.
 
         Returns ``True`` when the restored model's briefs are bit-identical
-        to the original's — the property the serving stack depends on.
-
-        ``restore()`` is designed to run in a worker process, where it sets
-        the process-wide tensor dtype; running it here, in the caller's
-        process, must not leave that override behind.
+        to those of the float32 copy the thread transport serves — the
+        property the serving stack depends on.
         """
-        from .. import nn
+        from ..core.transport import serving_copy
 
-        prior = nn.get_dtype_override()
-        try:
-            restored, _ = self.to_snapshot().restore()
-        finally:
-            nn.set_default_dtype(prior)
-        original = self.model.predict_batch(
+        restored = self.to_snapshot().restore()
+        original = serving_copy(self.model).predict_batch(
             documents, beam_size=beam_size, batch_size=batch_size
         )
         replayed = restored.predict_batch(

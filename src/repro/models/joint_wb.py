@@ -197,7 +197,7 @@ class JointWBModel(nn.Module):
         if self.config.pipeline:
             # Pip-Generator: attribute-dependent gate, then section gate.
             rep = (
-                nn.concatenate([c_g, nn.Tensor(np.zeros((c_g.shape[0], 1)))], axis=-1)
+                nn.concatenate([c_g, nn.Tensor(np.zeros((c_g.shape[0], 1), dtype=c_g.dtype))], axis=-1)
                 if self.config.section_aware
                 else c_g
             )
@@ -236,7 +236,7 @@ class JointWBModel(nn.Module):
         q_pool = self.topic_pool(topic_hidden.mean(axis=0).reshape(1, -1))  # (1, x)
         if self.config.pipeline:
             rep = (
-                nn.concatenate([c_e, nn.Tensor(np.zeros((c_e.shape[0], 1)))], axis=-1)
+                nn.concatenate([c_e, nn.Tensor(np.zeros((c_e.shape[0], 1), dtype=c_e.dtype))], axis=-1)
                 if self.config.section_aware
                 else c_e
             )

@@ -49,7 +49,7 @@ class SectionPredictor(nn.Module):
         if not self.markov:
             return (states @ self.w_self + self.bias).sigmoid()
         m = states.shape[0]
-        zero = nn.Tensor(np.zeros((1, states.shape[1])))
+        zero = nn.Tensor(np.zeros((1, states.shape[1]), dtype=states.dtype))
         prev = nn.concatenate([zero, states[: m - 1]], axis=0) if m > 1 else zero
         nxt = nn.concatenate([states[1:], zero], axis=0) if m > 1 else zero
         left = ((prev @ self.w_prev) * states).sum(axis=-1)

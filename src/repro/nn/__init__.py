@@ -31,13 +31,9 @@ from .tensor import (
     Tensor,
     as_tensor,
     concatenate,
-    default_dtype,
-    get_default_dtype,
-    get_dtype_override,
     is_grad_enabled,
     no_grad,
     pad_stack,
-    set_default_dtype,
     stack,
     unpad_stack,
 )
@@ -52,10 +48,6 @@ __all__ = [
     "unpad_stack",
     "no_grad",
     "is_grad_enabled",
-    "default_dtype",
-    "get_default_dtype",
-    "get_dtype_override",
-    "set_default_dtype",
     "Module",
     "ModuleList",
     "Parameter",

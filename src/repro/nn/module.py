@@ -93,9 +93,12 @@ class Module:
     def astype(self, dtype) -> "Module":
         """Cast every parameter in-place to ``dtype`` (e.g. ``np.float32``).
 
-        The float64 default exists for reliable gradient checking; inference
-        does not need it, so serving casts models down to float32.  Combine
-        with :func:`repro.nn.default_dtype` so intermediate tensors follow.
+        The parameters carry the precision: every tensor a float32 module
+        computes is float32, with no dtype switch.  The float64 default
+        exists for reliable gradient checking; inference does not need it,
+        so serving briefs with a float32 *copy*
+        (:func:`repro.core.transport.serving_copy`) and leaves the float64
+        model, the spec, as it was.
         """
         for param in self.parameters():
             param.data = param.data.astype(dtype)

@@ -13,7 +13,10 @@ Design notes
   reduced back to the operand's shape by :func:`_unbroadcast`.
 * The default dtype is ``float64`` — at the small model scales used in this
   repository the extra precision is cheap and makes finite-difference
-  gradient checking reliable.
+  gradient checking reliable.  The data carries the precision: a tensor
+  built from a float32 array stays float32, and a scalar or non-float
+  operand takes the dtype of the tensor it meets, so a module whose
+  parameters are float32 computes in float32 end to end.
 * The engine is deliberately minimal: only the operations required by the
   models in the paper are implemented, each with an explicit backward rule.
 """
@@ -34,38 +37,22 @@ __all__ = [
     "unpad_stack",
     "no_grad",
     "is_grad_enabled",
-    "default_dtype",
-    "get_default_dtype",
-    "get_dtype_override",
-    "set_default_dtype",
 ]
 
 Scalar = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Scalar, Sequence]
 
-#: Per-thread autograd/dtype mode.  ``no_grad`` and ``default_dtype`` scope
-#: their effect to the thread that entered them, so a serving worker pool can
-#: run inference under ``no_grad`` while other threads keep training — a
-#: process-wide flag would let one thread's ``__exit__`` corrupt another's
-#: in-flight forward pass.
+#: Per-thread autograd mode.  ``no_grad`` scopes its effect to the thread
+#: that entered it, so a serving worker pool can run inference under
+#: ``no_grad`` while other threads keep training — a process-wide flag would
+#: let one thread's ``__exit__`` corrupt another's in-flight forward pass.
 _MODE = threading.local()
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-#: Process-wide dtype override set by :func:`set_default_dtype`; new threads
-#: start from it, while ``default_dtype`` blocks shadow it thread-locally.
-_PROCESS_DTYPE_OVERRIDE: Optional[np.dtype] = None
-
-_UNSET = object()
-
 
 def _grad_enabled() -> bool:
     return getattr(_MODE, "grad_enabled", True)
-
-
-def _dtype_override() -> Optional[np.dtype]:
-    local = getattr(_MODE, "dtype_override", _UNSET)
-    return _PROCESS_DTYPE_OVERRIDE if local is _UNSET else local
 
 
 def _check_dtype(dtype) -> np.dtype:
@@ -75,61 +62,10 @@ def _check_dtype(dtype) -> np.dtype:
     return dtype
 
 
-def set_default_dtype(dtype) -> None:
-    """Set (or with ``None`` clear) the process-wide tensor dtype override."""
-    global _PROCESS_DTYPE_OVERRIDE
-    _PROCESS_DTYPE_OVERRIDE = None if dtype is None else _check_dtype(dtype)
-
-
-def get_default_dtype() -> np.dtype:
-    """The dtype new tensors receive when neither they nor their input fix one."""
-    override = _dtype_override()
-    return override if override is not None else np.dtype(np.float64)
-
-
-def get_dtype_override() -> Optional[np.dtype]:
-    """The raw process-wide override (``None`` when unset).
-
-    Unlike :func:`get_default_dtype` this distinguishes "no override —
-    floating inputs keep their own dtype" from an explicit float64 override,
-    so callers that must temporarily call :func:`set_default_dtype` (e.g. an
-    in-process :meth:`ModelSnapshot.restore`) can put the mode back exactly.
-    """
-    return _PROCESS_DTYPE_OVERRIDE
-
-
-class default_dtype:
-    """Context manager scoping the tensor dtype override to this thread.
-
-    ``with default_dtype(np.float32): ...`` makes every tensor created inside
-    the block float32 — the inference-time precision knob (training keeps the
-    float64 default, which finite-difference gradient checking relies on).
-    The override is thread-local: concurrent serving workers can each pick a
-    precision without racing the process-wide default.
-    """
-
-    def __init__(self, dtype) -> None:
-        self._dtype = dtype
-
-    def __enter__(self) -> "default_dtype":
-        self._prev = getattr(_MODE, "dtype_override", _UNSET)
-        _MODE.dtype_override = None if self._dtype is None else _check_dtype(self._dtype)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._prev is _UNSET:
-            del _MODE.dtype_override
-        else:
-            _MODE.dtype_override = self._prev
-
-
 def _resolve_dtype(data, dtype) -> np.dtype:
     if dtype is not None:
         return _check_dtype(dtype)
-    override = _dtype_override()
-    if override is not None:
-        return override
-    if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
+    if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOAT_DTYPES:
         return data.dtype
     return np.dtype(np.float64)
 
@@ -248,6 +184,18 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def _operand(self, other: TensorLike) -> "Tensor":
+        """``other`` as a tensor; a scalar or non-float operand takes this dtype.
+
+        A Python float would otherwise become a float64 0-d array, which
+        NumPy promotion lets upcast a float32 operation.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, np.ndarray) and other.dtype in _FLOAT_DTYPES:
+            return Tensor(other)
+        return Tensor(other, dtype=self.data.dtype)
+
     # ------------------------------------------------------------------
     # Graph construction helper
     # ------------------------------------------------------------------
@@ -319,7 +267,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: TensorLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -333,7 +281,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other: TensorLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -345,10 +293,10 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other: TensorLike) -> "Tensor":
-        return as_tensor(other).__sub__(self)
+        return self._operand(other).__sub__(self)
 
     def __mul__(self, other: TensorLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -362,7 +310,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: TensorLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -374,7 +322,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other: TensorLike) -> "Tensor":
-        return as_tensor(other).__truediv__(self)
+        return self._operand(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
@@ -398,7 +346,7 @@ class Tensor:
     # Matrix operations
     # ------------------------------------------------------------------
     def matmul(self, other: TensorLike) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
         a_was_1d = self.data.ndim == 1
         b_was_1d = other.data.ndim == 1
@@ -429,7 +377,7 @@ class Tensor:
     __matmul__ = matmul
 
     def __rmatmul__(self, other: TensorLike) -> "Tensor":
-        return as_tensor(other).matmul(self)
+        return self._operand(other).matmul(self)
 
     def transpose(self, *axes: int) -> "Tensor":
         axes_tuple: Optional[Tuple[int, ...]] = tuple(axes) if axes else None

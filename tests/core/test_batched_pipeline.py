@@ -189,9 +189,13 @@ def test_model_failure_falls_back_to_sequential_ladder(model):
 
 
 def test_float32_serving_same_briefs(model):
-    baseline = BatchedBriefingPipeline(model, beam_size=2).brief_many(PAGES)
-    low_precision = BatchedBriefingPipeline(model, beam_size=2, dtype=np.float32).brief_many(PAGES)
-    for left, right in zip(baseline, low_precision):
+    """Serving briefs with a float32 copy; the float64 model is the spec."""
+    baseline = BriefingPipeline(model, beam_size=2)
+    pipeline = BatchedBriefingPipeline(model, beam_size=2)
+    assert all(p.data.dtype == np.float32 for p in pipeline.model.parameters())
+    assert all(p.data.dtype == np.float64 for p in model.parameters())
+    low_precision = pipeline.brief_many(PAGES)
+    for left, right in zip([baseline.brief_html(h) for h in PAGES], low_precision):
         assert left.topic == right.topic
         assert left.attributes == right.attributes
         assert left.informative_sentences == right.informative_sentences

@@ -48,6 +48,16 @@ def test_model_left_in_eval_mode(model, small_corpus):
     assert not model.training
 
 
+@pytest.mark.parametrize("patience", [None, 1])
+def test_trained_model_holds_no_gradient(model, small_corpus, patience):
+    """Gradients are scratch of the last step: none outlives train(), also
+    when early stopping ends it."""
+    docs = list(small_corpus)[:4]
+    config = TrainConfig(epochs=3, learning_rate=1e-12, batch_size=2, patience=patience)
+    Trainer(model, config).train(docs, dev_documents=docs[:2])
+    assert all(param.grad is None for param in model.parameters())
+
+
 def test_warmup_schedule_attached():
     p = nn.Parameter(np.array([1.0]))
 

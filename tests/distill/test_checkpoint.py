@@ -2,9 +2,10 @@
 
 Regression suite for the distill -> serving hand-off: a student fresh out of
 the distillers carries armed dropout and stale gradient arrays; the
-checkpoint freezes it so the pickled blob (and the ModelSnapshot built from
-it) decodes bit-identically to the in-process model.  The gradients never
-reach a pickle at all: a Parameter pickles without its gradient.
+checkpoint freezes it so the pickled blob decodes bit-identically to the
+in-process model, and the ModelSnapshot built from it to the float32 copy
+serving runs.  The gradients never reach a pickle at all: a Parameter
+pickles without its gradient.
 """
 
 import pickle
@@ -14,15 +15,6 @@ import pytest
 
 from repro import nn
 from repro.distill import DistillConfig, StudentCheckpoint, TriDistiller
-
-
-@pytest.fixture(autouse=True)
-def _preserve_dtype_override():
-    """In-process ModelSnapshot.restore() sets the process-wide tensor dtype
-    (it is built for worker processes); put the mode back after each test."""
-    prior = nn.get_dtype_override()
-    yield
-    nn.set_default_dtype(prior)
 
 
 @pytest.fixture()
@@ -90,7 +82,7 @@ class TestPickleRoundTrip:
 
     def test_snapshot_model_arrives_frozen(self, distilled_student):
         checkpoint = StudentCheckpoint(distilled_student)
-        restored, _ = checkpoint.to_snapshot().restore()
+        restored = checkpoint.to_snapshot().restore()
         assert not restored.training
         assert all(p.grad is None for p in _params(restored))
 

@@ -6,8 +6,8 @@ contract (ARCHITECTURE.md, "Float32 tolerance contract"): decoded decisions
 — topic tokens, attribute spans, section picks — are **identical** between
 the padded batched engine and the per-document scalar loops; attribute
 confidence floats agree to 1e-5.  This is a property-style sweep: several
-seeds × batch sizes × all three heads, entirely under
-``nn.default_dtype(float32)`` so both sides see the same precision.
+seeds × batch sizes × all three heads, on float32 copies of the model
+(``Module.astype``), whose weights carry the precision into both sides.
 """
 
 import numpy as np
@@ -36,38 +36,58 @@ def _build_model(small_vocab, seed):
 def test_all_three_heads_agree_batched_vs_scalar_under_float32(
     small_corpus, small_vocab, seed, batch_size
 ):
-    model = _build_model(small_vocab, seed)
+    model = _build_model(small_vocab, seed).astype(np.float32)
     docs = list(small_corpus)[: batch_size + 2]  # force a ragged final bucket
-    with nn.default_dtype(np.float32):
-        batched = model.predict_batch(docs, beam_size=2, batch_size=batch_size)
-        for document, prediction in zip(docs, batched):
-            # Generation head: beam-searched topic tokens are discrete — the
-            # batched engine must pick the same sequence.
-            assert prediction.topic == model.predict_topic(document, beam_size=2)
-            # Extraction head: same spans; confidences within the float32
-            # padded-GEMM tolerance.
-            scored = model.predict_attributes_scored(document)
-            assert [a for a, _ in prediction.scored_attributes] == [a for a, _ in scored]
-            np.testing.assert_allclose(
-                [s for _, s in prediction.scored_attributes],
-                [s for _, s in scored],
-                atol=SCORE_ATOL,
-            )
-            # Section head: binary keep/drop decisions are identical.
-            np.testing.assert_array_equal(
-                prediction.sections, model.predict_sections(document)
-            )
+    batched = model.predict_batch(docs, beam_size=2, batch_size=batch_size)
+    for document, prediction in zip(docs, batched):
+        # Generation head: beam-searched topic tokens are discrete — the
+        # batched engine must pick the same sequence.
+        assert prediction.topic == model.predict_topic(document, beam_size=2)
+        # Extraction head: same spans; confidences within the float32
+        # padded-GEMM tolerance.
+        scored = model.predict_attributes_scored(document)
+        assert [a for a, _ in prediction.scored_attributes] == [a for a, _ in scored]
+        np.testing.assert_allclose(
+            [s for _, s in prediction.scored_attributes],
+            [s for _, s in scored],
+            atol=SCORE_ATOL,
+        )
+        # Section head: binary keep/drop decisions are identical.
+        np.testing.assert_array_equal(
+            prediction.sections, model.predict_sections(document)
+        )
 
 
 def test_float32_parity_holds_for_float32_weights(small_corpus, small_vocab):
-    """The same batched-vs-scalar contract holds when the weights themselves
-    are float32 (``Module.astype``), not just the activations."""
+    """The same batched-vs-scalar contract holds for a model cast in place
+    (``Module.astype``) at another seed."""
     clone = _build_model(small_vocab, seed=3).astype(np.float32)
     docs = list(small_corpus)[:4]
-    with nn.default_dtype(np.float32):
-        batched = clone.predict_batch(docs, beam_size=2, batch_size=2)
-        for document, prediction in zip(docs, batched):
-            assert prediction.topic == clone.predict_topic(document, beam_size=2)
-            np.testing.assert_array_equal(
-                prediction.sections, clone.predict_sections(document)
-            )
+    batched = clone.predict_batch(docs, beam_size=2, batch_size=2)
+    for document, prediction in zip(docs, batched):
+        assert prediction.topic == clone.predict_topic(document, beam_size=2)
+        np.testing.assert_array_equal(
+            prediction.sections, clone.predict_sections(document)
+        )
+
+
+def test_float32_weights_run_float32_end_to_end(small_corpus, small_vocab, monkeypatch):
+    """No dtype switch is needed: every tensor a float32 model creates while
+    briefing — batched or per head — is float32.  A Python scalar or a
+    zeros block of the default dtype would upcast everything after it."""
+    model = _build_model(small_vocab, seed=5).astype(np.float32)
+    docs = list(small_corpus)[:3]
+    created = []
+    original = nn.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        created.append(self.data.dtype)
+
+    monkeypatch.setattr(nn.Tensor, "__init__", recording_init)
+    model.predict_batch(docs, beam_size=2, batch_size=2)
+    for document in docs:
+        model.predict_topic(document, beam_size=2)
+        model.predict_attributes_scored(document)
+        model.predict_sections(document)
+    assert created and set(created) == {np.dtype(np.float32)}

@@ -64,8 +64,8 @@ def test_float32_generate_batch_matches_scalar_generate(generator, memories, bea
     model: its batched topics and margins equal its own scalar decode
     exactly."""
     clone = copy.deepcopy(generator).astype(np.float32)
-    with nn.no_grad(), nn.default_dtype(np.float32):
-        memories = [nn.Tensor(memory.data) for memory in memories]
+    with nn.no_grad():
+        memories = [memory.astype(np.float32) for memory in memories]
         assert memories[0].data.dtype == np.float32
         _assert_batch_matches_scalar(clone, memories, beam_size, margin_tol=0.0)
 

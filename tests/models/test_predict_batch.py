@@ -6,6 +6,8 @@ spans, section decisions — are identical to the sequential ``predict_*``
 methods, in input order, across bucket boundaries, and under float32.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ def _assert_scored_equal(left, right):
         [score for _, score in left], [score for _, score in right], atol=1e-10
     )
 
-from repro import nn
 from repro.models import (
     BriefPrediction,
     SingleTaskExtractor,
@@ -83,10 +84,10 @@ def test_single_task_generator_batch_matches_sequential(glove_encoder, small_voc
 
 
 def test_joint_predict_batch_float32_same_decisions(joint_model, docs):
-    """Satellite (c): float32 inference agrees with float64 on decoded outputs."""
+    """A float32 copy agrees with the float64 model on decoded outputs."""
     baseline = joint_model.predict_batch(docs[:4], beam_size=2, batch_size=2)
-    with nn.default_dtype(np.float32):
-        low_precision = joint_model.predict_batch(docs[:4], beam_size=2, batch_size=2)
+    clone = copy.deepcopy(joint_model).astype(np.float32)
+    low_precision = clone.predict_batch(docs[:4], beam_size=2, batch_size=2)
     for left, right in zip(baseline, low_precision):
         assert left.topic == right.topic
         assert left.attributes == right.attributes  # identical extracted spans

@@ -1,15 +1,19 @@
-"""dtype plumbing: float32 inference support on the numpy substrate."""
+"""dtype on the numpy substrate: the data carries the precision.
+
+float64 is the default; a float32 array, or a module whose parameters are
+float32, keeps every tensor it produces float32 without any mode switch.
+"""
+
+import copy
 
 import numpy as np
-import pytest
 
 from repro import nn
-from repro.nn.tensor import get_default_dtype, set_default_dtype
 
 
 def test_default_dtype_is_float64():
     assert nn.Tensor([1.0, 2.0]).dtype == np.float64
-    assert get_default_dtype() == np.float64
+    assert nn.Tensor(3).dtype == np.float64
 
 
 def test_explicit_dtype_parameter():
@@ -30,34 +34,20 @@ def test_floating_ndarray_dtype_preserved():
     assert t.dtype == np.float32
 
 
-def test_default_dtype_context_manager():
-    with nn.default_dtype(np.float32):
-        assert nn.Tensor([1.0]).dtype == np.float32
-        a = nn.Tensor(np.random.default_rng(0).standard_normal((2, 3)))
-        b = nn.Tensor(np.random.default_rng(1).standard_normal((3, 2)))
-        assert (a @ b).dtype == np.float32
-    assert nn.Tensor([1.0]).dtype == np.float64
+def test_scalar_operands_take_the_tensor_dtype():
+    a = nn.Tensor(np.random.default_rng(0).standard_normal((2, 3)).astype(np.float32))
+    b = nn.Tensor(np.random.default_rng(1).standard_normal((3, 2)).astype(np.float32))
+    assert (a @ b).dtype == np.float32
+    results = (a * 2.0, 2.0 * a, a + 1, 1.0 - a, a / 3.0, 3.0 / (a + 10.0), a * np.float64(2.0))
+    results += (a.sum(), a.mean(), a * [1.0, 2.0, 3.0], a * np.ones(3, dtype=bool))
+    for result in results:
+        assert result.dtype == np.float32
+    assert (nn.Tensor([1.0]) * 2.0).dtype == np.float64
 
 
-def test_default_dtype_context_restores_on_error():
-    with pytest.raises(RuntimeError):
-        with nn.default_dtype(np.float32):
-            raise RuntimeError("boom")
-    assert nn.Tensor([1.0]).dtype == np.float64
-
-
-def test_set_default_dtype_roundtrip():
-    set_default_dtype(np.float32)
-    try:
-        assert nn.Tensor([1.0]).dtype == np.float32
-    finally:
-        set_default_dtype(None)
-    assert nn.Tensor([1.0]).dtype == np.float64
-
-
-def test_explicit_dtype_beats_override():
-    with nn.default_dtype(np.float32):
-        assert nn.Tensor([1.0], dtype=np.float64).dtype == np.float64
+def test_explicit_dtype_beats_the_input_dtype():
+    assert nn.Tensor(np.ones(1, dtype=np.float32), dtype=np.float64).dtype == np.float64
+    assert nn.Tensor(np.ones(1), dtype=np.float32).dtype == np.float32
 
 
 def test_astype_detaches():
@@ -85,10 +75,10 @@ def test_float32_grad_stays_float32():
 def test_float32_lstm_runs_and_matches_float64_shape():
     rng = np.random.default_rng(3)
     lstm = nn.LSTM(3, 4, rng)
+    lstm32 = copy.deepcopy(lstm).astype(np.float32)
     x64 = np.random.default_rng(4).standard_normal((5, 3))
     with nn.no_grad():
         out64, _ = lstm(nn.Tensor(x64))
-        with nn.default_dtype(np.float32):
-            out32, _ = lstm(nn.Tensor(x64))
+        out32, _ = lstm32(nn.Tensor(x64.astype(np.float32)))
     assert out32.dtype == np.float32
     np.testing.assert_allclose(out32.data, out64.data, atol=1e-4)

@@ -105,6 +105,22 @@ def test_step_inference_matches_autograd_forward(rng):
     assert np.array_equal(c_ref.data, c_fast)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 8, 1600])
+def test_fused_sigmoid_step_is_bit_identical_to_forward(rng, dtype, rows):
+    """step_inference's one sigmoid over the gate block equals forward()'s
+    per-gate sigmoids bit for bit, at the serving and the spec precision."""
+    cell = nn.LSTMCell(5, 4, rng).astype(dtype)
+    x = rng.normal(size=(rows, 5)).astype(dtype)
+    h_prev, c_prev = (rng.normal(size=(rows, 4)).astype(dtype) for _ in range(2))
+    with nn.no_grad():
+        h_ref, (_, c_ref) = cell(nn.Tensor(x), (nn.Tensor(h_prev), nn.Tensor(c_prev)))
+    h_fast, c_fast = cell.step_inference(x, (h_prev, c_prev))
+    assert h_fast.dtype == c_fast.dtype == dtype
+    assert np.array_equal(h_ref.data, h_fast)
+    assert np.array_equal(c_ref.data, c_fast)
+
+
 def test_step_inference_accepts_hoisted_projection(rng):
     """Passing a precomputed x @ w_x must equal projecting inside the step."""
     cell = nn.LSTMCell(5, 4, rng)
@@ -128,12 +144,3 @@ def test_initial_state_respects_parameter_dtype(rng):
         rng.normal(size=(2, 5)).astype(np.float32), (h.data, c.data)
     )
     assert h_new.dtype == np.float32 and c_new.dtype == np.float32
-
-
-def test_initial_state_respects_default_dtype_override(rng):
-    cell = nn.LSTMCell(5, 4, rng)
-    with nn.default_dtype(np.float32):
-        h, c = cell.initial_state()
-    assert h.data.dtype == np.float32 and c.data.dtype == np.float32
-    h64, c64 = cell.initial_state()
-    assert h64.data.dtype == np.float64 and c64.data.dtype == np.float64

@@ -1,7 +1,5 @@
 """Worker-count and transport invariance: concurrent briefs match sequential."""
 
-import numpy as np
-
 from repro.core import ConcurrentBriefingPipeline
 
 
@@ -56,15 +54,15 @@ def test_process_transport_matches_sequential(harness):
 
 
 def test_transports_agree_under_float32(serving_model, page_stream):
-    """The snapshot propagates the pipeline dtype and the nn default dtype
-    into spawned workers: a float32 process run reproduces a float32 thread
-    run exactly (both may differ from the float64 ground truth)."""
+    """Both transports serve one float32 copy of the model — the thread
+    workers share it, the snapshot ships it — so a process run reproduces a
+    thread run exactly."""
     pages = page_stream[:16]
     by_transport = {}
     for transport in ("thread", "process"):
         server = ConcurrentBriefingPipeline(
             serving_model, num_workers=2, transport=transport, beam_size=2,
-            max_batch=8, max_queue=64, dtype=np.float32,
+            max_batch=8, max_queue=64,
         )
         try:
             by_transport[transport] = server.brief_many(pages)

@@ -1,11 +1,12 @@
 """ModelSnapshot and process-transport plumbing."""
 
 import copy
+import pickle
 
 import numpy as np
 
-from repro import nn
 from repro.core import BriefingPipeline, ConcurrentBriefingPipeline, ModelSnapshot
+from repro.core.transport import serving_copy
 
 from .test_deadlines import PAGE_A, PAGE_B
 
@@ -16,9 +17,11 @@ from .test_deadlines import PAGE_A, PAGE_B
 def test_snapshot_round_trip_restores_identical_model(serving_model):
     snapshot = ModelSnapshot(serving_model)
     assert snapshot.num_bytes > 0
-    restored, dtype = snapshot.restore()
+    restored = snapshot.restore()
     assert restored is not serving_model
-    assert dtype is None
+    served = serving_copy(serving_model)
+    for (name, want), (_, got) in zip(served.named_parameters(), restored.named_parameters()):
+        assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data), name
     want = BriefingPipeline(serving_model, beam_size=2).brief_html(PAGE_A)
     got = BriefingPipeline(restored, beam_size=2).brief_html(PAGE_A)
     assert got.topic == want.topic
@@ -31,8 +34,8 @@ def test_snapshot_restores_are_independent_and_identical(serving_model):
     deserialises the same frozen blob: distinct model objects, identical
     predictions."""
     snapshot = ModelSnapshot(serving_model)
-    first, _ = snapshot.restore()
-    second, _ = snapshot.restore()
+    first = snapshot.restore()
+    second = snapshot.restore()
     assert first is not second
     want = BriefingPipeline(first, beam_size=2).brief_html(PAGE_B)
     got = BriefingPipeline(second, beam_size=2).brief_html(PAGE_B)
@@ -49,26 +52,19 @@ def test_snapshot_ships_no_gradients(serving_model):
     for param in model.parameters():
         param.grad = np.ones_like(param.data)
     snapshot = ModelSnapshot(model)
-    restored, _ = snapshot.restore()
+    restored = snapshot.restore()
     assert all(param.grad is None for param in restored.parameters())
     assert snapshot.num_bytes == ModelSnapshot(serving_model).num_bytes
 
 
-def test_snapshot_carries_dtype_environment(serving_model):
-    previous = nn.get_default_dtype()
-    try:
-        nn.set_default_dtype(np.float32)
-        snapshot = ModelSnapshot(serving_model, dtype=np.float32)
-    finally:
-        nn.set_default_dtype(previous)
-    assert np.dtype(snapshot.default_dtype) == np.float32
-    assert np.dtype(snapshot.pipeline_dtype) == np.float32
-    try:
-        _, dtype = snapshot.restore()  # re-applies the captured default
-        assert dtype == np.float32
-        assert np.dtype(nn.get_default_dtype()) == np.float32
-    finally:
-        nn.set_default_dtype(previous)
+def test_snapshot_ships_float32_weights(serving_model):
+    """Workers restore float32 weights from a float64 model, and the blob is
+    about half the float64 model's; the caller's model stays float64."""
+    snapshot = ModelSnapshot(serving_model)
+    assert all(p.data.dtype == np.float32 for p in snapshot.restore().parameters())
+    assert all(p.data.dtype == np.float64 for p in serving_model.parameters())
+    float64_bytes = len(pickle.dumps(serving_model, protocol=pickle.HIGHEST_PROTOCOL))
+    assert snapshot.num_bytes <= 0.55 * float64_bytes
 
 
 # ----------------------------------------------------------------------
