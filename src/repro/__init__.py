@@ -11,8 +11,8 @@ topic phrase on top, extracted key attributes below.  This package provides:
 * :mod:`repro.models` — Joint-WB and all single-task/joint baselines;
 * :mod:`repro.distill` — Dual-Distill, Tri-Distill, Pip-Distill;
 * :mod:`repro.core` — task API (briefing pipeline), metrics, statistics;
-* :mod:`repro.runtime` — fault tolerance: error taxonomy, retries, circuit
-  breakers, chaos injection, runtime stats (``repro health``);
+* :mod:`repro.runtime` — fault tolerance: error taxonomy, chaos injection,
+  runtime stats;
 * :mod:`repro.experiments` — one module per paper table/figure.
 
 Quickstart::
@@ -24,7 +24,7 @@ Quickstart::
 
 from . import core, data, distill, html, models, nn, runtime
 from .core import Brief, BriefingPipeline, Degradation, PartialBrief
-from .runtime import ChaosConfig, ChaosHost, ChaosModel, ResilientHost, RetryPolicy, RuntimeStats
+from .runtime import ChaosModel, RuntimeStats
 from .version import __version__
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
     "Degradation",
     "PartialBrief",
     "BriefingPipeline",
-    "RetryPolicy",
-    "ResilientHost",
-    "ChaosConfig",
-    "ChaosHost",
     "ChaosModel",
     "RuntimeStats",
     "quick_brief",

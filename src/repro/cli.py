@@ -14,12 +14,6 @@ Commands
 ``tables [--only table4 ...] [--scale tiny|small]``
     Regenerate the paper's tables (delegates to
     :mod:`repro.experiments.runner`).
-``health``
-    Fault-injection self-check of the briefing runtime: crawl a synthetic
-    website through a ``ChaosHost`` + ``ResilientHost`` stack, brief garbled
-    and empty pages, and print the :class:`~repro.runtime.RuntimeStats`
-    counters.  Exit code 0 means retries/breakers/degradations fully masked
-    the injected faults.
 ``bench [--smoke] [--pages N]``
     Chaos/soak self-check of the concurrent serving layer: replay a
     Zipfian request stream while a seeded
@@ -53,7 +47,7 @@ Commands
     generation / batches, cache hit rate, SLO burn rates and the recent
     event journal — then a final frame after drain.
 
-``brief``, ``train``, ``health`` and ``serve-many`` all accept
+``brief``, ``train`` and ``serve-many`` all accept
 ``--trace PATH`` (write a JSON-lines span trace) and ``--metrics PATH``
 (write a Prometheus text snapshot); omitting both keeps the no-op
 observability path.
@@ -107,16 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="regenerate the paper's tables")
     tables.add_argument("--scale", choices=("tiny", "small"), default="small")
     tables.add_argument("--only", nargs="*")
-
-    health = sub.add_parser("health", help="fault-injection self-check of the runtime")
-    health.add_argument("--seed", type=int, default=7)
-    health.add_argument("--failure-rate", type=float, default=0.3,
-                        help="transient fetch failure probability")
-    health.add_argument("--garble-rate", type=float, default=0.2,
-                        help="garbled/truncated HTML probability")
-    health.add_argument("--pages", type=int, default=6)
-    health.add_argument("--max-attempts", type=int, default=6)
-    _add_obs_args(health)
 
     bench = sub.add_parser(
         "bench", help="chaos/soak: replay a Zipfian stream with injected worker "
@@ -307,80 +291,6 @@ def _command_tables(args) -> int:
     return 0
 
 
-def _command_health(args) -> int:
-    import numpy as np
-
-    from .core import BatchedBriefingPipeline, BriefingPipeline
-    from .data.synthesizer import SyntheticWebsite
-    from .data.taxonomy import build_taxonomy
-    from .html import StructureDrivenCrawler
-    from .obs import bridge_runtime_stats
-    from .runtime import ChaosConfig, ChaosHost, ResilientHost, RetryPolicy, RuntimeStats
-
-    tracer, registry = _make_obs(args)
-    topic = build_taxonomy()[0]
-    website = SyntheticWebsite(
-        "health.example", topic, num_pages=args.pages, rng=np.random.default_rng(args.seed)
-    )
-    crawler = StructureDrivenCrawler()
-    baseline = crawler.crawl(website)
-
-    # Transient fetch faults are the retry layer's job: the chaos crawl must
-    # harvest the exact same page set as the fault-free baseline.
-    stats = RuntimeStats()
-    chaos = ChaosHost(
-        website,
-        ChaosConfig(transient_failure_rate=args.failure_rate, seed=args.seed),
-        stats=stats,
-    )
-    resilient = ResilientHost(
-        chaos,
-        RetryPolicy(max_attempts=args.max_attempts, seed=args.seed),
-        stats=stats,
-        tracer=tracer,
-        registry=registry,
-    )
-    result = crawler.crawl(resilient, stats=stats, tracer=tracer, registry=registry)
-
-    # Content corruption cannot be retried away — it is the degradation
-    # ladder's job: briefing garbled/truncated/empty pages must never raise.
-    _, _, model = _build_model(topics=2, pages=3, seed=args.seed)
-    pipeline = BriefingPipeline(model, beam_size=2, stats=stats, tracer=tracer, registry=registry)
-    page_html = website.fetch(result.pages[0].url) if result.pages else "<html></html>"
-    garbler = ChaosHost(
-        website, ChaosConfig(garble_rate=args.garble_rate, seed=args.seed), stats=stats
-    )
-    briefs = [
-        pipeline.brief_html("<html><body><script>x=1</script></body></html>"),
-        pipeline.brief_html(page_html[: len(page_html) // 3]),
-        pipeline.brief_html(garbler.fetch(result.pages[0].url) if result.pages else ""),
-    ]
-
-    # Brief the same healthy page twice through the batched pipeline so the
-    # snapshot also carries cache hit/miss series alongside the fault ones.
-    batched = BatchedBriefingPipeline(
-        model, beam_size=2, stats=stats, tracer=tracer, registry=registry
-    )
-    batched.brief_many([("cache-check", page_html), ("cache-check", page_html)])
-
-    bridge_runtime_stats(stats, registry)
-    print(stats.format())
-    print()
-    for brief in briefs:
-        for degradation in brief.degradations:
-            print(f"degradation: {degradation.describe()}")
-
-    baseline_urls = {p.url for p in baseline.pages}
-    chaos_urls = {p.url for p in result.pages}
-    masked = chaos_urls == baseline_urls and not result.failed_urls
-    served = all(b is not None for b in briefs)
-    verdict = "healthy" if masked and served else "degraded"
-    print(f"\ncrawl: {len(result.pages)}/{len(baseline.pages)} pages, "
-          f"{len(result.failed_urls)} failed urls -> {verdict}")
-    _write_obs(args, tracer, registry)
-    return 0 if masked and served else 1
-
-
 def _command_bench(args) -> int:
     from .core import run_chaos_bench
 
@@ -561,7 +471,6 @@ _COMMANDS = {
     "corpus-stats": _command_corpus_stats,
     "train": _command_train,
     "tables": _command_tables,
-    "health": _command_health,
     "bench": _command_bench,
     "serve-many": _command_serve_many,
     "top": _command_top,

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
-from ..obs import NOOP_REGISTRY, NOOP_TRACER
 from ..runtime.errors import FetchError
-from ..runtime.stats import RuntimeStats
 from .dom import ElementNode
 from .parser import HtmlParseError, parse_html
 from .render import render_visible_text
@@ -73,10 +71,8 @@ class CrawlResult:
     skipped_index: int
     skipped_media: int
     clusters: Dict[Tuple[Tuple[str, int], ...], int] = field(default_factory=dict)
-    #: URLs abandoned after retries/breakers gave up (see ``stats`` for why).
+    #: URLs whose fetch raised ``FetchError`` or whose HTML failed to parse.
     failed_urls: List[str] = field(default_factory=list)
-    #: runtime health counters accumulated during the crawl.
-    stats: RuntimeStats = field(default_factory=RuntimeStats)
 
 
 def structure_signature(root: ElementNode, depth: int = 3) -> Tuple[Tuple[str, int], ...]:
@@ -155,31 +151,13 @@ class StructureDrivenCrawler:
             return "index"
         return "content"
 
-    def crawl(
-        self,
-        host: WebsiteHost,
-        stats: Optional[RuntimeStats] = None,
-        tracer=None,
-        registry=None,
-    ) -> CrawlResult:
+    def crawl(self, host: WebsiteHost) -> CrawlResult:
         """Breadth-first crawl from the host root; return content pages.
 
-        Pass the same ``stats`` instance given to a ``ResilientHost`` /
-        ``ChaosHost`` wrapper to see the whole story in one counter block.
-        The crawler never raises on a failing URL: fetch errors (including
-        retries-exhausted and circuit-open) are recorded in
+        The crawler never raises on a failing URL: a ``FetchError`` from the
+        host, or HTML that fails to parse, is recorded in
         ``CrawlResult.failed_urls`` and the crawl moves on.
-
-        ``tracer`` / ``registry`` (default: no-ops) wrap the whole crawl in a
-        ``crawl`` span with one child span per processed URL and count pages
-        by classification in ``crawl_pages_total{kind=…}``.
         """
-        stats = stats if stats is not None else RuntimeStats()
-        tracer = tracer if tracer is not None else NOOP_TRACER
-        registry = registry if registry is not None else NOOP_REGISTRY
-        page_counter = registry.counter(
-            "crawl_pages_total", help="crawled URLs by outcome/classification"
-        )
         queue = deque([host.root_url])
         seen: Set[str] = {host.root_url}
         pages: List[CrawledPage] = []
@@ -187,64 +165,46 @@ class StructureDrivenCrawler:
         visited = skipped_index = skipped_media = 0
         clusters: Counter = Counter()
 
-        with tracer.span("crawl", root_url=host.root_url) as crawl_span:
-            while queue and visited < self.max_visits and len(pages) < self.max_pages:
-                url = queue.popleft()
-                # Media URLs are recognisable from the extension alone — skip
-                # them before spending a fetch on bytes we would discard anyway.
-                if url.lower().endswith(_MEDIA_EXTENSIONS):
-                    skipped_media += 1
-                    page_counter.inc(kind="media")
-                    continue
-                with tracer.span("page", url=url) as page_span:
-                    try:
-                        html = host.fetch(url)
-                    except FetchError as exc:
-                        stats.inc("fetch_failures")
-                        page_counter.inc(kind="fetch_failed")
-                        page_span.record_error(exc)
-                        failed.append(url)
-                        continue
-                    if html is None:
-                        page_span.set_attribute("kind", "missing")
-                        continue
-                    visited += 1
-                    stats.inc("pages_fetched")
-                    try:
-                        root = parse_html(html)
-                    except HtmlParseError as exc:
-                        stats.inc("parse_failures")
-                        page_counter.inc(kind="parse_failed")
-                        page_span.record_error(exc)
-                        failed.append(url)
-                        continue
-                    text = render_visible_text(root)
-                    for link in _extract_links(root, url):
-                        if link not in seen:
-                            seen.add(link)
-                            queue.append(link)
-                    kind = self._classify(url, root, text)
-                    page_span.set_attribute("kind", kind)
-                    page_counter.inc(kind=kind)
-                    if kind == "media":
-                        skipped_media += 1
-                        continue
-                    if kind == "index":
-                        skipped_index += 1
-                        continue
-                    signature = structure_signature(root)
-                    clusters[signature] += 1
-                    pages.append(
-                        CrawledPage(url=url, html=html, signature=signature, visible_text=text)
-                    )
+        while queue and visited < self.max_visits and len(pages) < self.max_pages:
+            url = queue.popleft()
+            # Media URLs are recognisable from the extension alone — skip
+            # them before spending a fetch on bytes we would discard anyway.
+            if url.lower().endswith(_MEDIA_EXTENSIONS):
+                skipped_media += 1
+                continue
+            try:
+                html = host.fetch(url)
+            except FetchError:
+                failed.append(url)
+                continue
+            if html is None:
+                continue
+            visited += 1
+            try:
+                root = parse_html(html)
+            except HtmlParseError:
+                failed.append(url)
+                continue
+            text = render_visible_text(root)
+            for link in _extract_links(root, url):
+                if link not in seen:
+                    seen.add(link)
+                    queue.append(link)
+            kind = self._classify(url, root, text)
+            if kind == "media":
+                skipped_media += 1
+                continue
+            if kind == "index":
+                skipped_index += 1
+                continue
+            signature = structure_signature(root)
+            clusters[signature] += 1
+            pages.append(CrawledPage(url=url, html=html, signature=signature, visible_text=text))
 
-            # Keep only the dominant template cluster (content template).
-            if pages:
-                dominant, _ = clusters.most_common(1)[0]
-                pages = [p for p in pages if p.signature == dominant]
-            crawl_span.set_attribute("pages", len(pages))
-            crawl_span.set_attribute("visited", visited)
-            crawl_span.set_attribute("failed", len(failed))
+        # Keep only the dominant template cluster (content template).
+        if pages:
+            dominant, _ = clusters.most_common(1)[0]
+            pages = [p for p in pages if p.signature == dominant]
         return CrawlResult(
             pages=pages,
             visited=visited,
@@ -252,5 +212,4 @@ class StructureDrivenCrawler:
             skipped_media=skipped_media,
             clusters=dict(clusters),
             failed_urls=failed,
-            stats=stats,
         )

@@ -20,7 +20,13 @@ __all__ = ["LSTMCell", "LSTM", "BiLSTM"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+    # In place on one fresh buffer: the same bits as ``1 / (1 + exp(-x))``
+    # without its three temporaries, which dominate on large float64 blocks.
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
 
 
 class LSTMCell(Module):

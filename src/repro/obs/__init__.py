@@ -49,7 +49,6 @@ from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     NoopMetricsRegistry,
-    bridge_runtime_stats,
     snapshot_delta,
 )
 from .slo import OUTCOMES, EventJournal, SLOTracker, percentile
@@ -80,7 +79,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
-    "bridge_runtime_stats",
     "snapshot_delta",
     "SLOTracker",
     "EventJournal",

@@ -7,7 +7,7 @@ file-like object with ``write``.  That keeps them trivially testable with
 
 Trace format — one JSON object per line.  Spans carry
 ``{"kind": "span", ...Span.to_dict()}``; events recorded outside any span
-(breaker transitions between requests, say) become ``{"kind": "event", ...}``
+(a degradation recorded outside a batch span, say) become ``{"kind": "event", ...}``
 lines, so nothing observed is dropped.
 
 Metrics format — the Prometheus text exposition format (``# HELP`` /

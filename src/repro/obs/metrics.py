@@ -3,13 +3,13 @@
 A :class:`MetricsRegistry` hands out named instruments::
 
     registry = MetricsRegistry()
-    registry.counter("fetch_attempts_total").inc()
-    registry.histogram("fetch_latency_seconds").observe(0.012, host="a.example")
+    registry.counter("serving_requests_total").inc(outcome="cache_hit")
+    registry.histogram("briefing_stage_seconds").observe(0.012, stage="parse")
     text = render_prometheus(registry.snapshot())        # repro.obs.export
 
 Instruments are *labelled*: every ``inc`` / ``set`` / ``observe`` takes
 keyword labels and each distinct label combination is an independent series
-(``fetch_latency_seconds{host="a.example"}``).  Histograms use fixed
+(``briefing_stage_seconds{stage="parse"}``).  Histograms use fixed
 log-scale buckets (default four per decade, 100 µs – 100 s — latency-shaped)
 and estimate percentiles by linear interpolation inside the covering bucket.
 
@@ -17,11 +17,6 @@ and estimate percentiles by linear interpolation inside the covering bucket.
 :class:`MetricsSnapshot` — plain data, mergeable with
 :meth:`MetricsSnapshot.merge` (element-wise sums, so merging is associative
 and shard-order independent).
-
-:func:`bridge_runtime_stats` syncs a
-:class:`~repro.runtime.stats.RuntimeStats` counter block (anything with an
-``as_dict()`` of numbers — ``obs`` sits below ``runtime`` and never imports
-it) into ``runtime_*`` counters, so one registry tells the whole story.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ __all__ = [
     "NoopMetricsRegistry",
     "NOOP_REGISTRY",
     "DEFAULT_BUCKETS",
-    "bridge_runtime_stats",
     "snapshot_delta",
 ]
 
@@ -483,22 +477,3 @@ class NoopMetricsRegistry:
 
 
 NOOP_REGISTRY = NoopMetricsRegistry()
-
-
-def bridge_runtime_stats(stats, registry, prefix: str = "runtime_") -> None:
-    """Sync a ``RuntimeStats``-shaped counter block into ``registry``.
-
-    ``stats`` is anything exposing ``as_dict() -> {name: number}`` (duck-typed
-    — ``obs`` sits below ``runtime`` and must not import it).  Each field
-    becomes the counter ``{prefix}{name}`` set to the current value; calling
-    the bridge again after more work is recorded is an idempotent re-sync, so
-    one registry accumulates the breaker / retry / chaos / cache /
-    degradation story alongside the metrics recorded natively.
-    """
-    for name, value in stats.as_dict().items():
-        counter = registry.counter(
-            prefix + name, help=f"{name} bridged from the runtime counter block"
-        )
-        delta = value - counter.value()
-        if delta > 0:
-            counter.inc(delta)

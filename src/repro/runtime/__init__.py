@@ -1,28 +1,24 @@
 """``repro.runtime`` — fault tolerance for the briefing serving path.
 
-The production story behind the paper's crawl of 312 live sites: the web is
-flaky, so the crawl → parse → render → model path must survive faults instead
-of crashing.  This package holds the serving-infrastructure layer:
+The briefing pipeline must survive bad pages and failing model stages
+instead of crashing, and the concurrent serving layer must survive failing
+workers.  This package holds what both degrade on:
 
 * :mod:`~repro.runtime.errors` — structured exception taxonomy
-  (``FetchError`` / ``ParseError`` / ``RenderError`` / ``ModelError`` under a
-  common ``BriefingError``);
-* :mod:`~repro.runtime.retry` — deterministic ``RetryPolicy`` (capped
-  exponential backoff + seeded jitter, injectable sleep/clock) and a per-host
-  ``CircuitBreaker`` (closed/open/half-open);
-* :mod:`~repro.runtime.resilient` — ``ResilientHost``, wrapping any
-  ``WebsiteHost`` with retries + breakers;
-* :mod:`~repro.runtime.chaos` — ``ChaosHost`` / ``ChaosModel`` /
-  ``ChaosWorker`` seeded fault injection (fetch faults, model faults, worker
-  stalls/exceptions/deaths), so robustness is testable offline;
+  (``FetchError`` / ``ParseError`` / ``RenderError`` / ``ModelError`` and the
+  serving errors ``QueueFull`` / ``DeadlineExceeded`` / ``Overloaded`` under
+  a common ``BriefingError``);
+* :mod:`~repro.runtime.chaos` — ``ChaosModel`` / ``ChaosWorker`` seeded fault
+  injection (model-stage faults, worker stalls/exceptions/deaths), so
+  robustness is testable offline;
 * :mod:`~repro.runtime.stats` — ``RuntimeStats`` counters threaded through
-  crawler and pipeline and surfaced by ``repro health``.
+  the briefing pipelines and the serving worker pool.
 
 The package depends only on the standard library — it sits *below*
 ``repro.html`` and ``repro.core`` in the layer diagram and never imports them.
 """
 
-from .chaos import ChaosConfig, ChaosHost, ChaosModel, ChaosWorker, WorkerDeath
+from .chaos import ChaosModel, ChaosWorker, WorkerDeath
 from .errors import (
     BriefingError,
     DeadlineExceeded,
@@ -33,8 +29,6 @@ from .errors import (
     QueueFull,
     RenderError,
 )
-from .resilient import ResilientHost
-from .retry import CircuitBreaker, RetryPolicy, StepClock
 from .stats import RuntimeStats
 
 __all__ = [
@@ -46,12 +40,6 @@ __all__ = [
     "QueueFull",
     "DeadlineExceeded",
     "Overloaded",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "StepClock",
-    "ResilientHost",
-    "ChaosConfig",
-    "ChaosHost",
     "ChaosModel",
     "ChaosWorker",
     "WorkerDeath",

@@ -1,112 +1,26 @@
-"""Fault injection: make robustness testable without a network.
+"""Fault injection: make robustness testable offline.
 
-:class:`ChaosHost` wraps any ``WebsiteHost`` and injects seeded faults on the
-way through — transient fetch errors (a retry may succeed), *sticky* permanent
-errors (the URL is dead for the rest of the run), truncated or garbled HTML,
-and latency spikes.  :class:`ChaosModel` does the same for the model stages of
-the briefing pipeline.  :class:`ChaosWorker` aims the same treatment at the
-concurrent serving layer: injected exceptions, stalls and outright *deaths*
-in :class:`~repro.core.serving.WorkerPool` worker loops (on either
-transport), so the supervisor / re-queue / conservation machinery is
-testable without real crashes.  All
-randomness comes from ``random.Random(seed)``: the same seed yields the same
-fault schedule, so chaos tests are ordinary deterministic tests.
+:class:`ChaosModel` wraps a WB model and makes its inference stages fail with
+seeded :class:`~repro.runtime.errors.ModelError` faults, so the briefing
+pipeline's degradation ladder can be exercised.  :class:`ChaosWorker` aims
+the same treatment at the concurrent serving layer: injected exceptions,
+stalls and outright *deaths* in :class:`~repro.core.serving.WorkerPool`
+worker loops (on either transport), so the supervisor / re-queue /
+conservation machinery is testable without real crashes.  All randomness
+comes from ``random.Random(seed)``: the same seed yields the same fault
+schedule, so chaos tests are ordinary deterministic tests.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
-from .errors import FetchError, ModelError
+from .errors import ModelError
 from .stats import RuntimeStats
 
-__all__ = ["ChaosConfig", "ChaosHost", "ChaosModel", "ChaosWorker", "WorkerDeath"]
-
-
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Fault-injection dials (all rates are independent probabilities)."""
-
-    #: probability a fetch raises a transient ``FetchError``.
-    transient_failure_rate: float = 0.0
-    #: probability a URL becomes permanently dead on first fetch.
-    permanent_failure_rate: float = 0.0
-    #: probability the returned HTML is truncated at a random point.
-    truncate_rate: float = 0.0
-    #: probability the returned HTML has a slice of characters scrambled.
-    garble_rate: float = 0.0
-    #: probability of an injected latency spike (calls the sleep hook).
-    latency_spike_rate: float = 0.0
-    #: seconds handed to the sleep hook on a latency spike.
-    latency: float = 0.25
-    seed: int = 0
-
-
-class ChaosHost:
-    """A ``WebsiteHost`` decorator that injects seeded fetch faults."""
-
-    def __init__(
-        self,
-        host,
-        config: Optional[ChaosConfig] = None,
-        stats: Optional[RuntimeStats] = None,
-        sleep: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self.host = host
-        self.config = config if config is not None else ChaosConfig()
-        self.stats = stats if stats is not None else RuntimeStats()
-        self._sleep = sleep
-        self._rng = random.Random(self.config.seed)
-        self._dead: Set[str] = set()
-        self._judged_permanent: Set[str] = set()
-
-    @property
-    def root_url(self) -> str:
-        return self.host.root_url
-
-    # ------------------------------------------------------------------
-    def fetch(self, url: str) -> Optional[str]:
-        cfg = self.config
-        if self._rng.random() < cfg.latency_spike_rate:
-            self.stats.inc("latency_spikes")
-            self.stats.inc("faults_injected")
-            if self._sleep is not None:
-                self._sleep(cfg.latency)
-        # Permanent death is decided once per URL and then sticky, so that
-        # "permanent" genuinely means retries cannot mask it.
-        if url not in self._judged_permanent:
-            self._judged_permanent.add(url)
-            if self._rng.random() < cfg.permanent_failure_rate:
-                self._dead.add(url)
-        if url in self._dead:
-            self.stats.inc("faults_injected")
-            raise FetchError(f"injected permanent failure for {url}", url=url, transient=False)
-        if self._rng.random() < cfg.transient_failure_rate:
-            self.stats.inc("faults_injected")
-            raise FetchError(f"injected transient failure for {url}", url=url, transient=True)
-        html = self.host.fetch(url)
-        if html is None:
-            return None
-        if self._rng.random() < cfg.truncate_rate:
-            self.stats.inc("faults_injected")
-            return html[: self._rng.randrange(len(html) + 1)]
-        if self._rng.random() < cfg.garble_rate:
-            self.stats.inc("faults_injected")
-            return self._garble(html)
-        return html
-
-    def _garble(self, html: str) -> str:
-        """Scramble a random slice of the document (mid-transfer corruption)."""
-        if len(html) < 2:
-            return html
-        start = self._rng.randrange(len(html) - 1)
-        end = min(len(html), start + self._rng.randrange(1, max(2, len(html) // 4)))
-        chunk = list(html[start:end])
-        self._rng.shuffle(chunk)
-        return html[:start] + "".join(chunk) + html[end:]
+__all__ = ["ChaosModel", "ChaosWorker", "WorkerDeath"]
 
 
 class ChaosModel:

@@ -4,8 +4,8 @@ Every failure mode on the serving path (crawl → parse → render → model) ge
 a typed exception carrying machine-readable context instead of a bare
 ``ValueError``/``None``:
 
-* :class:`FetchError` — the host could not serve the URL (network fault,
-  circuit open, retries exhausted);
+* :class:`FetchError` — the host could not serve the URL (the crawler records
+  it in ``CrawlResult.failed_urls`` and moves on);
 * :class:`ParseError` — the HTML could not be parsed into a DOM;
 * :class:`RenderError` — the DOM rendered to no usable visible text (also a
   ``ValueError`` for backwards compatibility with the seed API);
@@ -60,7 +60,7 @@ class BriefingError(Exception):
 
 
 class FetchError(BriefingError):
-    """A URL could not be fetched (fault, open circuit, retries exhausted)."""
+    """A host could not serve a URL; the crawler skips it and moves on."""
 
     stage = "fetch"
 

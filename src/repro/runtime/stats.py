@@ -1,10 +1,11 @@
-"""Runtime health counters threaded through crawler and pipeline.
+"""Runtime health counters threaded through the briefing and serving layers.
 
 A single :class:`RuntimeStats` instance is shared by whichever layers the
-caller wires together (``ChaosHost`` → ``ResilientHost`` → crawler →
-``BriefingPipeline``), so one object tells the whole serving story: attempts,
-retries, breaker trips, injected faults, degradations.  Pure data — no clocks,
-no globals, trivially mergeable across shards.
+caller wires together (``ChaosModel`` / ``ChaosWorker`` → briefing pipeline →
+serving worker pool), so one object tells the whole serving story: injected
+faults, model failures, degradations, cache traffic, shed and expired
+requests, worker restarts.  Pure data — no clocks, no globals, trivially
+mergeable across shards.
 """
 
 from __future__ import annotations
@@ -18,20 +19,6 @@ __all__ = ["RuntimeStats"]
 class RuntimeStats:
     """Counter block for the fault-tolerant briefing runtime."""
 
-    #: fetch() calls issued to the underlying host (includes retries).
-    fetch_attempts: int = 0
-    #: retries beyond the first attempt of each URL.
-    fetch_retries: int = 0
-    #: URLs given up on (permanent error, retries exhausted, circuit open).
-    fetch_failures: int = 0
-    #: pages fetched successfully.
-    pages_fetched: int = 0
-    #: pages whose HTML failed to parse.
-    parse_failures: int = 0
-    #: circuit-breaker transitions to the open state.
-    breaker_trips: int = 0
-    #: fetches rejected without an attempt because a circuit was open.
-    breaker_rejections: int = 0
     #: faults injected by the chaos layer (all kinds).
     faults_injected: int = 0
     #: injected latency spikes.
@@ -74,9 +61,3 @@ class RuntimeStats:
     def as_dict(self) -> dict:
         return {field.name: getattr(self, field.name) for field in fields(RuntimeStats)}
 
-    def format(self) -> str:
-        """Aligned, human-readable counter table (``repro health`` output)."""
-        lines = []
-        for name, value in self.as_dict().items():
-            lines.append(f"{name:>20}: {value}")
-        return "\n".join(lines)

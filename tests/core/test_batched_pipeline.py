@@ -1,12 +1,14 @@
 """Batched serving pipeline: cache semantics, equivalence, fault behaviour."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import BatchedBriefingPipeline, BriefCache, BriefingPipeline
 from repro.models import BertSumEncoder, make_joint_model
-from repro.runtime import ChaosConfig, ChaosHost, RuntimeStats
+from repro.runtime import RuntimeStats
 
 
 @pytest.fixture(scope="module")
@@ -139,26 +141,10 @@ def test_unparseable_pages_degrade_and_never_cache(model):
 
 
 def test_chaos_corrupted_pages_never_cached(model):
-    """Satellite (d): ChaosHost-truncated pages that degrade are not cached."""
-
-    class _OnePageHost:
-        def __init__(self, html):
-            self._html = html
-
-        @property
-        def urls(self):
-            return ["page.html"]
-
-        def fetch(self, url):
-            return self._html
-
-        @property
-        def root_url(self):
-            return "page.html"
-
-    # Seed chosen so the 8 truncations yield both broken and intact pages.
-    chaos = ChaosHost(_OnePageHost(PAGES[0]), ChaosConfig(truncate_rate=1.0, seed=5))
-    corrupted = [chaos.fetch("page.html") for _ in range(8)]
+    """Truncated pages that degrade are not cached; complete briefs are."""
+    # Seeded cut points: the 8 truncations yield both broken and intact pages.
+    rng = random.Random(5)
+    corrupted = [PAGES[0][: rng.randrange(len(PAGES[0]) + 1)] for _ in range(8)]
     pipeline = BatchedBriefingPipeline(model, beam_size=2)
     briefs = pipeline.brief_many(corrupted)
     degraded = [b for b in briefs if not b.complete]

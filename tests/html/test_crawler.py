@@ -6,6 +6,7 @@ import pytest
 from repro.data.synthesizer import SyntheticWebsite
 from repro.data.taxonomy import build_taxonomy
 from repro.html import StructureDrivenCrawler, parse_html, structure_signature
+from repro.runtime import FetchError
 
 
 @pytest.fixture()
@@ -57,6 +58,37 @@ def test_404_urls_are_skipped(website):
 
     result = StructureDrivenCrawler().crawl(Host())
     assert all(p.html is not None for p in result.pages)
+
+
+class FailingHost:
+    """Serve ``website`` but raise ``FetchError`` for the URLs in ``dead``."""
+
+    def __init__(self, website, dead):
+        self.website = website
+        self.dead = set(dead)
+
+    @property
+    def root_url(self):
+        return self.website.root_url
+
+    def fetch(self, url):
+        if url in self.dead:
+            raise FetchError("host unreachable", url=url, transient=True)
+        return self.website.fetch(url)
+
+
+def test_failing_content_url_is_recorded_and_crawl_goes_on(website):
+    baseline = {p.url for p in StructureDrivenCrawler().crawl(website).pages}
+    dead = sorted(baseline)[0]
+    result = StructureDrivenCrawler().crawl(FailingHost(website, [dead]))
+    assert result.failed_urls == [dead]
+    assert {p.url for p in result.pages} == baseline - {dead}
+
+
+def test_failing_root_yields_empty_result(website):
+    result = StructureDrivenCrawler().crawl(FailingHost(website, [website.root_url]))
+    assert result.pages == []
+    assert result.failed_urls == [website.root_url]
 
 
 def test_media_classification_by_extension():

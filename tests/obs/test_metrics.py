@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, histogram math, snapshot merge, bridge."""
+"""Metrics registry: instruments, histogram math, snapshot merge, no-op registry."""
 
 import pytest
 
@@ -6,9 +6,7 @@ from repro.obs import (
     DEFAULT_BUCKETS,
     NOOP_REGISTRY,
     MetricsRegistry,
-    bridge_runtime_stats,
 )
-from repro.runtime import RuntimeStats
 
 
 def test_counter_labeled_series_are_independent():
@@ -156,30 +154,8 @@ def test_merge_does_not_mutate_operands():
 
 
 # ----------------------------------------------------------------------
-# RuntimeStats bridge + no-op registry
+# No-op registry
 # ----------------------------------------------------------------------
-def test_bridge_runtime_stats_is_an_idempotent_resync():
-    stats = RuntimeStats()
-    stats.inc("fetch_retries", 3)
-    stats.inc("cache_hits", 2)
-    registry = MetricsRegistry()
-    bridge_runtime_stats(stats, registry)
-    bridge_runtime_stats(stats, registry)  # re-sync: no double counting
-    snapshot = registry.snapshot()
-    assert snapshot.value("runtime_fetch_retries") == 3
-    assert snapshot.value("runtime_cache_hits") == 2
-    stats.inc("fetch_retries", 1)
-    bridge_runtime_stats(stats, registry)
-    assert registry.snapshot().value("runtime_fetch_retries") == 4
-
-
-def test_bridge_covers_every_runtime_counter():
-    stats = RuntimeStats()
-    registry = MetricsRegistry()
-    bridge_runtime_stats(stats, registry)
-    assert {"runtime_" + name for name in stats.as_dict()} <= set(registry.names)
-
-
 def test_noop_registry_is_inert_singletons():
     counter = NOOP_REGISTRY.counter("a")
     histogram = NOOP_REGISTRY.histogram("b")

@@ -1,8 +1,11 @@
 """CLI tests (argument parsing + cheap commands)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import parse_prometheus_text
 
 
 def test_parser_requires_command():
@@ -21,13 +24,6 @@ def test_parser_tables_arguments():
     args = build_parser().parse_args(["tables", "--scale", "tiny", "--only", "table4"])
     assert args.scale == "tiny"
     assert args.only == ["table4"]
-
-
-def test_parser_health_arguments():
-    args = build_parser().parse_args(["health", "--failure-rate", "0.4", "--seed", "3"])
-    assert args.command == "health"
-    assert args.failure_rate == 0.4
-    assert args.seed == 3
 
 
 def test_parser_bench_arguments():
@@ -57,8 +53,6 @@ def test_bench_rejects_retired_options(argv, capsys):
 
 
 def _chaos_smoke(tmp_path, capsys, *extra):
-    import json
-
     report = tmp_path / "BENCH_serving.json"
     assert main(["bench", "--smoke", "--output", str(report), *extra]) == 0
     out = capsys.readouterr().out
@@ -78,14 +72,6 @@ def test_bench_smoke_honours_explicit_pages(tmp_path, capsys):
     section = _chaos_smoke(tmp_path, capsys, "--pages", "32")
     assert section["num_requests"] == 32
     assert section["unique_pages"] == 8
-
-
-def test_health_command_masks_faults(capsys):
-    assert main(["health", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "fetch_retries" in out
-    assert "degradation: render -> empty_brief" in out
-    assert "healthy" in out
 
 
 def test_corpus_stats_command(capsys):
@@ -108,52 +94,31 @@ def test_train_then_brief_roundtrip(tmp_path, capsys):
         "<html><body><p>welcome to our books pages about online shopping "
         "for books</p><p>the price is 42 for this books listing</p></body></html>"
     )
+    trace_path = tmp_path / "trace.jsonl"
+    metrics_path = tmp_path / "metrics.prom"
     assert main([
         "brief", str(page), "--model", str(checkpoint),
         "--topics", "2", "--pages", "3",
+        "--trace", str(trace_path), "--metrics", str(metrics_path),
     ]) == 0
     out = capsys.readouterr().out
     assert "Topic:" in out
+    # The observability outputs are written and parse back.
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert {"brief", "parse", "render"} <= {r["name"] for r in records if r["kind"] == "span"}
+    samples = parse_prometheus_text(metrics_path.read_text())
+    assert any(name.startswith("briefing_stage_seconds_count") for name in samples)
 
 
 def test_parser_obs_arguments_on_observable_commands():
     for argv in (
         ["brief", "page.html", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["train", "--save", "m.npz", "--trace", "t.jsonl", "--metrics", "m.prom"],
-        ["health", "--trace", "t.jsonl", "--metrics", "m.prom"],
         ["serve-many", "--trace", "t.jsonl", "--metrics", "m.prom"],
     ):
         args = build_parser().parse_args(argv)
         assert args.trace == "t.jsonl"
         assert args.metrics == "m.prom"
     # Defaults keep the no-op observability path.
-    args = build_parser().parse_args(["health"])
+    args = build_parser().parse_args(["brief", "page.html"])
     assert args.trace is None and args.metrics is None
-
-
-def test_health_command_with_observability(tmp_path, capsys):
-    import json
-
-    from repro.obs import parse_prometheus_text
-
-    trace_path = tmp_path / "trace.jsonl"
-    metrics_path = tmp_path / "metrics.prom"
-    assert main([
-        "health", "--seed", "7", "--pages", "4",
-        "--trace", str(trace_path), "--metrics", str(metrics_path),
-    ]) == 0
-    capsys.readouterr()
-
-    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    names = {record["name"] for record in records if record["kind"] == "span"}
-    assert {"crawl", "page", "fetch", "brief"} <= names
-    # One snapshot carries the retry / chaos / cache / degradation story
-    # (breaker families exist even when nothing tripped).
-    samples = parse_prometheus_text(metrics_path.read_text())
-    text = metrics_path.read_text()
-    assert samples["runtime_fetch_retries"] > 0
-    assert samples["runtime_faults_injected"] > 0
-    assert samples["runtime_cache_hits"] >= 1
-    assert samples["runtime_degradations"] >= 1
-    assert "# TYPE runtime_breaker_trips counter" in text
-    assert "# TYPE breaker_transitions_total counter" in text
