@@ -29,23 +29,23 @@ Commands
     Brief many pages through the concurrent serving layer
     (:class:`~repro.core.serving.ConcurrentBriefingPipeline`): bounded
     admission queue, micro-batching scheduler, N briefing workers behind
-    one front brief cache, governor load shedding and worker supervision.
+    one front brief cache, and worker supervision.
     With no files, synthesizes a ``--pages``-page stream.  ``--deadline-ms``
     gives every request an absolute budget; expired requests resolve to
     typed ``DeadlineExceeded`` briefs instead of hanging.  ``--transport
     process`` serves through worker processes (each holding its own model
     replica) instead of threads.  Prints one topic line per page plus the
     merged worker-pool counters.  ``--status-interval S`` prints a live
-    status frame (queue depth, governor level, per-worker throughput, SLO
-    burn) to stderr every S seconds while serving; ``--journal PATH``
-    writes the structured event journal (governor level changes, worker
-    restarts, poison quarantines) as JSON lines.
+    status frame (queue depth, per-worker throughput, SLO burn) to stderr
+    every S seconds while serving; ``--journal PATH`` writes the structured
+    event journal (worker restarts, requeued batches, poison quarantines)
+    as JSON lines.
 ``top [--workers N] [--transport T] [--frames N] [--interval S]``
     Live serving status view: run an observed serving pipeline over a
     synthetic request stream and render one status frame per interval —
-    queue depth, governor level and state, per-worker liveness /
-    generation / batches, cache hit rate, SLO burn rates and the recent
-    event journal — then a final frame after drain.
+    queue depth, per-worker liveness / generation / batches, cache hit
+    rate, SLO burn rates and the recent event journal — then a final frame
+    after drain.
 
 ``brief``, ``train`` and ``serve-many`` all accept
 ``--trace PATH`` (write a JSON-lines span trace) and ``--metrics PATH``
@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print a live status frame to stderr every SECONDS "
                             "while serving")
     serve.add_argument("--journal", metavar="PATH", default=None,
-                       help="write the serving event journal (governor moves, "
-                            "restarts, quarantines) as JSON lines to PATH")
+                       help="write the serving event journal (restarts, requeues, "
+                            "quarantines) as JSON lines to PATH")
     _add_obs_args(serve)
 
     top = sub.add_parser(

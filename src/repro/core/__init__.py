@@ -23,7 +23,6 @@ from .pipeline import BriefingPipeline, document_from_raw_html
 from .serving import (
     ConcurrentBriefingPipeline,
     RequestScheduler,
-    ServingGovernor,
     WorkerPool,
     WorkerSupervisor,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "BatchedBriefingPipeline",
     "BriefCache",
     "RequestScheduler",
-    "ServingGovernor",
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",

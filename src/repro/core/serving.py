@@ -14,14 +14,11 @@ Layers, bottom up:
   waiting at most ``max_wait_ms`` for stragglers, so one
   ``predict_batch`` call amortises the encoder across concurrent requests.
   A full queue rejects with :class:`~repro.runtime.errors.QueueFull`
-  (backpressure); ``close()`` starts a clean drain — queued work is always
-  served, new work is rejected, workers exit once the queue is empty.
-  Requests that carry an absolute ``deadline`` are swept out of batches
-  before dispatch and resolved via the scheduler's ``on_expired`` hook.
-* :class:`ServingGovernor` — the overload ladder: watches queue depth,
-  in-flight count and an EWMA of batch latency and degrades in steps —
-  shrink the micro-batch straggler wait, reject low-priority requests
-  (``Overloaded``), shed everything non-cached to cache-only serving.
+  (backpressure, the serving stack's one overload policy); ``close()``
+  starts a clean drain — queued work is always served, new work is
+  rejected, workers exit once the queue is empty.  Requests that carry an
+  absolute ``deadline`` are swept out of batches before dispatch and
+  resolved via the scheduler's ``on_expired`` hook.
 * :class:`WorkerPool` — N briefing workers draining one scheduler, one
   record and one loop each, over either transport: threads whose pipelines
   share one read-only float32 copy of the model, or worker processes that
@@ -37,7 +34,7 @@ Layers, bottom up:
   *poison* requests — content that repeatedly kills workers — by bisecting
   the blast radius down to a single request.
 * :class:`ConcurrentBriefingPipeline` — the facade: thread-safe
-  ``submit``/``brief_many`` with per-request deadlines and priorities,
+  ``submit``/``brief_many`` with per-request deadlines,
   hits in the one brief cache of the serving stack (a
   :class:`~repro.core.batched.BriefCache` of :data:`FRONT_CACHE_SIZE`
   entries, served without touching the queue), and a
@@ -80,7 +77,6 @@ from .transport import ModelSnapshot, serving_copy
 
 __all__ = [
     "RequestScheduler",
-    "ServingGovernor",
     "WorkerPool",
     "WorkerSupervisor",
     "ConcurrentBriefingPipeline",
@@ -164,8 +160,6 @@ class RequestScheduler:
     ``clock`` is any zero-argument monotonic callable (default
     ``time.monotonic``); inject a fake one to make the ``max_wait_ms`` flush
     deterministic in tests, mirroring :class:`repro.obs.trace.Tracer`.
-    ``wait_scale`` is an optional zero-argument callable multiplying the
-    straggler wait (the governor's first ladder step shrinks it under load).
     """
 
     def __init__(
@@ -175,7 +169,6 @@ class RequestScheduler:
         max_wait_ms: float = 2.0,
         clock: Optional[Callable[[], float]] = None,
         on_expired: Optional[Callable[[object], None]] = None,
-        wait_scale: Optional[Callable[[], float]] = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
@@ -188,7 +181,6 @@ class RequestScheduler:
         self.max_wait_ms = max_wait_ms
         self._clock = clock if clock is not None else time.monotonic
         self._on_expired = on_expired
-        self._wait_scale = wait_scale
         #: idle waits that woke with no work and no close — spurious wakeups.
         self.idle_wakeups = 0
         self._items: deque = deque()
@@ -298,8 +290,7 @@ class RequestScheduler:
             effective_max = min(self.max_batch, getattr(first, "batch_limit", self.max_batch))
             if effective_max <= 1:
                 return batch, expired, False
-            scale = self._wait_scale() if self._wait_scale is not None else 1.0
-            deadline = self._clock() + (self.max_wait_ms * max(0.0, scale)) / 1000.0
+            deadline = self._clock() + self.max_wait_ms / 1000.0
             while len(batch) < effective_max:
                 if self._items:
                     nxt = self._items[0]
@@ -333,157 +324,6 @@ class RequestScheduler:
             self._cond.notify_all()
 
 
-class ServingGovernor:
-    """Overload ladder for the serving layer: observe pressure, degrade in steps.
-
-    Pressure is the admission-queue depth as a fraction of capacity (the
-    in-flight count is folded in at quarter weight), optionally bumped one
-    level when the EWMA of batch latency blows through ``latency_slo_ms``.
-    Levels, in order:
-
-    ==============  =====================================================
-    ``healthy``     everything admitted, full straggler wait
-    ``reduced_wait``  micro-batch straggler wait cut to 25 % (flush sooner)
-    ``shedding``    straggler wait zero; priorities below ``normal_priority``
-                    are rejected with :class:`Overloaded` (``low_priority``)
-    ``cache_only``  only cache hits are served; everything else is shed
-                    (``cache_only``)
-    ==============  =====================================================
-
-    Hysteresis: stepping *down* requires the pressure fraction to fall
-    ``recover_margin`` below the threshold that triggered the step up, and
-    only one level per observation, so the ladder cannot flap per request.
-    All methods are thread-safe (one small lock).
-    """
-
-    LEVELS = ("healthy", "reduced_wait", "shedding", "cache_only")
-
-    def __init__(
-        self,
-        max_queue: int,
-        *,
-        reduce_wait_at: float = 0.5,
-        shed_at: float = 0.75,
-        cache_only_at: float = 0.9,
-        recover_margin: float = 0.15,
-        ewma_alpha: float = 0.2,
-        latency_slo_ms: Optional[float] = None,
-        normal_priority: int = 1,
-    ) -> None:
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if not 0.0 < reduce_wait_at <= shed_at <= cache_only_at <= 1.0:
-            raise ValueError(
-                "thresholds must satisfy 0 < reduce_wait_at <= shed_at <= cache_only_at <= 1"
-            )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.max_queue = max_queue
-        self.thresholds = (reduce_wait_at, shed_at, cache_only_at)
-        self.recover_margin = recover_margin
-        self.ewma_alpha = ewma_alpha
-        self.latency_slo_ms = latency_slo_ms
-        self.normal_priority = normal_priority
-        self._lock = threading.Lock()
-        self._level = 0
-        self._ewma_ms: Optional[float] = None
-        self._last_frac = 0.0
-        #: optional ``callback(old_level, new_level)`` fired on every ladder
-        #: move, *outside* the governor lock (it may journal, which locks).
-        self.on_level_change: Optional[Callable[[int, int], None]] = None
-
-    @property
-    def level(self) -> int:
-        with self._lock:
-            return self._level
-
-    @property
-    def state(self) -> str:
-        return self.LEVELS[self.level]
-
-    @property
-    def ewma_latency_ms(self) -> Optional[float]:
-        with self._lock:
-            return self._ewma_ms
-
-    # ------------------------------------------------------------------
-    def observe_queue(self, depth: int, inflight: int = 0) -> None:
-        """Fold one queue-depth sample into the ladder (called at submit)."""
-        frac = (depth + 0.25 * inflight) / self.max_queue
-        with self._lock:
-            change = self._update(frac)
-        self._notify(change)
-
-    def observe_batch(self, seconds: float, batch_size: int) -> None:
-        """Fold one completed batch's latency into the EWMA."""
-        ms = seconds * 1000.0
-        with self._lock:
-            if self._ewma_ms is None:
-                self._ewma_ms = ms
-            else:
-                self._ewma_ms += self.ewma_alpha * (ms - self._ewma_ms)
-            # Latency pressure re-evaluates the ladder at the last depth
-            # sample; the SLO bump is applied inside _update.
-            change = self._update(self._last_frac)
-        self._notify(change)
-
-    def _update(self, frac: float) -> Optional[Tuple[int, int]]:
-        """Re-evaluate the ladder; returns ``(old, new)`` on a level change."""
-        before = self._level
-        self._last_frac = frac
-        target = 0
-        for index, threshold in enumerate(self.thresholds):
-            if frac >= threshold:
-                target = index + 1
-        if (
-            self.latency_slo_ms is not None
-            and self._ewma_ms is not None
-            and self._ewma_ms > self.latency_slo_ms
-        ):
-            target = min(len(self.LEVELS) - 1, target + 1)
-        if target > self._level:
-            self._level = target
-        elif target < self._level:
-            # Step down one level at a time, and only once pressure has
-            # fallen recover_margin below the current level's threshold.
-            threshold = self.thresholds[self._level - 1]
-            if frac <= threshold - self.recover_margin:
-                self._level -= 1
-        return (before, self._level) if self._level != before else None
-
-    def _notify(self, change: Optional[Tuple[int, int]]) -> None:
-        if change is None:
-            return
-        callback = self.on_level_change
-        if callback is None:
-            return
-        try:
-            callback(*change)
-        except Exception:  # a journal fault must never block admission
-            pass
-
-    # ------------------------------------------------------------------
-    def admit(self, priority: int = 1) -> Optional[str]:
-        """``None`` to admit, else the shed reason for this request."""
-        with self._lock:
-            level = self._level
-        if level >= 3:
-            return "cache_only"
-        if level >= 2 and priority < self.normal_priority:
-            return "low_priority"
-        return None
-
-    def wait_scale(self) -> float:
-        """Multiplier for the scheduler's straggler wait at the current level."""
-        with self._lock:
-            level = self._level
-        if level == 0:
-            return 1.0
-        if level == 1:
-            return 0.25
-        return 0.0
-
-
 class _Request:
     """One admitted briefing request: payload plus its resolution future.
 
@@ -504,7 +344,6 @@ class _Request:
         "html",
         "future",
         "deadline",
-        "priority",
         "attempts",
         "batch_limit",
         "trace",
@@ -516,14 +355,12 @@ class _Request:
         html: str,
         future: "Future[PartialBrief]",
         deadline: Optional[float] = None,
-        priority: int = 1,
         trace=None,
     ) -> None:
         self.doc_id = doc_id
         self.html = html
         self.future = future
         self.deadline = deadline
-        self.priority = priority
         self.attempts = 0
         self.batch_limit = 1_000_000_000
         self.trace = trace
@@ -665,8 +502,8 @@ class WorkerPool:
     Each loop heartbeats, takes a micro-batch, sweeps expired requests,
     runs ``chaos`` (a :class:`~repro.runtime.chaos.ChaosWorker`), opens the
     per-request ``serve`` spans, calls the channel, folds the reply's stats
-    and telemetry into the record, feeds ``governor``, fills the front cache
-    and resolves the futures.  A lost worker — :class:`WorkerDeath` raised
+    and telemetry into the record, fills the front cache and resolves the
+    futures.  A lost worker — :class:`WorkerDeath` raised
     in the thread or injected, or a dead pipe — kills its process (if any)
     and leaves the loop holding the batch with ``exited`` unset: the
     signature :class:`WorkerSupervisor` scans for.  A replaced worker's loop
@@ -693,7 +530,6 @@ class WorkerPool:
         observe: bool = False,
         chaos=None,
         clock: Optional[Callable[[], float]] = None,
-        governor: Optional[ServingGovernor] = None,
         on_expired: Optional[Callable[[object], None]] = None,
         mp_context: Optional[str] = None,
     ) -> None:
@@ -702,7 +538,6 @@ class WorkerPool:
         self.transport_name = transport
         self.observe = observe
         self.chaos = chaos
-        self.governor = governor
         self.clock = clock if clock is not None else time.monotonic
         self._front_cache = front_cache
         self._warned_blind = False
@@ -721,7 +556,6 @@ class WorkerPool:
             max_wait_ms=max_wait_ms,
             clock=clock,
             on_expired=on_expired,
-            wait_scale=governor.wait_scale if governor is not None else None,
         )
         self._lock = threading.Lock()
         self._retired: List[_Worker] = []
@@ -755,28 +589,6 @@ class WorkerPool:
     def _is_current(self, worker: _Worker) -> bool:
         with self._lock:
             return self._workers[worker.index] is worker
-
-    # -- admission: the pool fronts its scheduler -------------------------
-    @property
-    def depth(self) -> int:
-        """Requests admitted but not yet handed to a worker."""
-        return self.scheduler.depth
-
-    def submit(self, request: _Request) -> None:
-        """Admit one request or raise :class:`QueueFull` (never blocks)."""
-        self.scheduler.submit(request)
-
-    def close(self) -> None:
-        """Stop admission; queued work keeps draining (clean shutdown)."""
-        self.scheduler.close()
-
-    def drain(self) -> list:
-        """Remove and return everything still queued (shutdown sweeper)."""
-        return self.scheduler.drain()
-
-    def requeue(self, requests: Iterable[object]) -> None:
-        """Re-admit a failed worker's survivors at the front of the queue."""
-        self.scheduler.requeue(requests)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -930,8 +742,6 @@ class WorkerPool:
         for name, amount in delta.items():
             worker.stats.inc(name, amount)
         self._fold(worker, telemetry)
-        if self.governor is not None:
-            self.governor.observe_batch(self.clock() - started, len(live))
         for request, brief in zip(live, briefs):
             if self._front_cache is not None and brief.complete:
                 self._front_cache.put(request.html, _copy_brief(brief))
@@ -1165,7 +975,7 @@ class WorkerSupervisor:
                     self.journal.record(
                         "batch_requeued", worker=worker.index, requests=len(survivors)
                     )
-                self.pool.requeue(survivors)
+                self.pool.scheduler.requeue(survivors)
         else:
             # Shutdown path: no replacement worker is coming, so the held
             # work resolves degraded instead of being re-queued.
@@ -1231,10 +1041,10 @@ class ConcurrentBriefingPipeline:
                            │ miss
                            ▼
                         in-flight? ──yes──▶ waiter future (copy on publish)
-                           │ no (leader)
+                           │ no
                            ▼
-                        governor.admit? ──shed──▶ degraded Overloaded brief
-                           │ admitted
+                        expired? poison? ──yes──▶ degraded brief (typed)
+                           │ no (leader)
                            ▼
                         scheduler.submit ──QueueFull──▶ degraded PartialBrief
                            │ admitted
@@ -1246,7 +1056,8 @@ class ConcurrentBriefingPipeline:
     * ``deadline_ms`` per request (or ``default_deadline_ms``): expired
       requests are dropped in the queue, at worker dispatch and per pipeline
       stage, and resolve to typed ``DeadlineExceeded`` briefs — never hang.
-    * a :class:`ServingGovernor` sheds load in steps before the queue fills;
+    * the bounded queue is the one overload policy: a full queue rejects
+      with ``QueueFull`` while cache hits and coalesced followers still flow;
     * a :class:`WorkerSupervisor` (``supervise=True``) resurrects dead or
       wedged workers, re-queues their held batches and quarantines poison
       content (whose hash is then shed at the front door).
@@ -1273,14 +1084,11 @@ class ConcurrentBriefingPipeline:
         clock: Optional[Callable[[], float]] = None,
         start: bool = True,
         default_deadline_ms: Optional[float] = None,
-        governor: Optional[ServingGovernor] = None,
         supervise: bool = True,
         supervisor_poll_ms: float = 20.0,
         wedge_timeout_ms: Optional[float] = None,
         chaos=None,
         mp_context: Optional[str] = None,
-        slo: Optional[SLOTracker] = None,
-        journal: Optional[EventJournal] = None,
     ) -> None:
         if transport not in ("thread", "process"):
             raise ValueError(f"transport must be 'thread' or 'process', got {transport!r}")
@@ -1289,11 +1097,6 @@ class ConcurrentBriefingPipeline:
         self._clock = clock if clock is not None else time.monotonic
         self.default_deadline_ms = default_deadline_ms
         self.brief_cache = BriefCache(FRONT_CACHE_SIZE)
-        if governor is None:
-            governor = ServingGovernor(max_queue)
-        elif governor is False:
-            governor = None
-        self.governor = governor
         self.pool = WorkerPool(
             model,
             num_workers,
@@ -1306,7 +1109,6 @@ class ConcurrentBriefingPipeline:
             observe=observe,
             chaos=chaos,
             clock=clock,
-            governor=governor,
             on_expired=self._on_queue_expired,
             mp_context=mp_context,
         )
@@ -1317,21 +1119,8 @@ class ConcurrentBriefingPipeline:
         # of each request's trace.  Shared across submitting threads, so
         # open/finish happen under the pipeline lock.
         self.tracer = Tracer(id_prefix="f", clock=clock) if observe else NOOP_TRACER
-        self.slo = slo if slo is not None else (SLOTracker(clock=clock) if observe else None)
-        self.journal = journal if journal is not None else (EventJournal() if observe else None)
-        if self.journal is not None and self.governor is not None:
-            levels = self.governor.LEVELS
-
-            def _journal_level_change(old: int, new: int) -> None:
-                self.journal.record(
-                    "governor_level_change",
-                    old=old,
-                    new=new,
-                    old_state=levels[old],
-                    new_state=levels[new],
-                )
-
-            self.governor.on_level_change = _journal_level_change
+        self.slo = SLOTracker(clock=clock) if observe else None
+        self.journal = EventJournal() if observe else None
         self._request_counter = self.registry.counter(
             "serving_requests_total", help="front-door requests, by outcome"
         )
@@ -1339,10 +1128,7 @@ class ConcurrentBriefingPipeline:
             "serving_queue_depth", help="admission queue depth sampled at submit"
         )
         self._shed_counter = self.registry.counter(
-            "serving_shed_total", help="requests shed by the governor, by reason"
-        )
-        self._governor_level = self.registry.gauge(
-            "serving_governor_level", help="overload ladder level (0=healthy)"
+            "serving_shed_total", help="requests shed at admission, by reason"
         )
         self.supervisor: Optional[WorkerSupervisor] = None
         if supervise:
@@ -1400,14 +1186,14 @@ class ConcurrentBriefingPipeline:
         """
         with self._lock:
             self._shutdown = True
-        self.pool.close()
+        self.scheduler.close()
         stuck = self.pool.join(timeout=timeout)
         if self.supervisor is not None:
             self.supervisor.stop()
         # Conservation sweep: anything still queued (e.g. re-queued work
         # that no worker picked up before the deadline) resolves degraded.
         exc = Overloaded("pipeline shut down before the request was served", reason="shutdown")
-        for request in self.pool.drain():
+        for request in self.scheduler.drain():
             _resolve(request.future, _empty_brief(exc))
         # A worker that never let go of its batch — stuck (alive past the
         # join deadline) or dead without supervision (e.g. a worker process
@@ -1483,22 +1269,6 @@ class ConcurrentBriefingPipeline:
             return None
         return self._clock() + ms / 1000.0
 
-    def _shed(
-        self,
-        future: "Future[PartialBrief]",
-        reason: str,
-        message: str,
-        span=NOOP_SPAN,
-    ) -> "Future[PartialBrief]":
-        with self._lock:
-            self.stats.inc("requests_shed")
-        self._shed_counter.inc(reason=reason)
-        self._request_counter.inc(outcome="shed")
-        span.set_attribute("outcome", "shed")
-        span.set_attribute("shed_reason", reason)
-        future.set_result(self._degraded(Overloaded(message, reason=reason)))
-        return future
-
     @staticmethod
     def _slo_outcome(brief: PartialBrief) -> str:
         if not brief.degradations:
@@ -1525,7 +1295,6 @@ class ConcurrentBriefingPipeline:
         doc_id: str = "adhoc",
         *,
         deadline_ms: Optional[float] = None,
-        priority: int = 1,
     ) -> "Future[PartialBrief]":
         """Admit one page; returns a future that always completes.
 
@@ -1533,10 +1302,11 @@ class ConcurrentBriefingPipeline:
         attach to the leader's computation (their deadline *extends* the
         shared request's effective deadline, so the computation only drops
         when every waiter has expired); a full (or shut down) queue resolves
-        the future with a degraded ``admission → rejected`` brief, and the
-        governor's ladder sheds with a typed ``Overloaded`` reason — never
-        raising either way.  ``deadline_ms`` is relative to now (``None``
-        falls back to ``default_deadline_ms``; both ``None`` = unbounded).
+        the future with a degraded ``admission → rejected`` brief, and
+        quarantined content is shed with a typed ``Overloaded`` reason —
+        never raising either way.  ``deadline_ms`` is relative to now
+        (``None`` falls back to ``default_deadline_ms``; both ``None`` =
+        unbounded).
 
         When observing, every submit opens a detached ``admission`` span
         (the root of the request's trace, ``trace_id`` = ``req-<span id>``)
@@ -1545,11 +1315,11 @@ class ConcurrentBriefingPipeline:
         span = NOOP_SPAN
         if self.tracer.enabled:
             with self._lock:
-                span = self.tracer.open("admission", doc_id=doc_id, priority=priority)
+                span = self.tracer.open("admission", doc_id=doc_id)
             span.trace_id = f"req-{span.span_id}"
         submitted = self._clock()
         try:
-            future = self._submit(html, doc_id, deadline_ms, priority, span)
+            future = self._submit(html, doc_id, deadline_ms, span)
         finally:
             if span is not NOOP_SPAN:
                 with self._lock:
@@ -1565,94 +1335,67 @@ class ConcurrentBriefingPipeline:
         html: str,
         doc_id: str,
         deadline_ms: Optional[float],
-        priority: int,
         span,
     ) -> "Future[PartialBrief]":
+        """One admission decision, made in a single pass under the lock.
+
+        In order: a front-cache hit, a follower joining the in-flight
+        computation of the same content, a request dead on arrival, content
+        quarantined as poison, else a new flight whose leader request goes to
+        the queue.  The content hash and the deadline are computed before the
+        lock is taken, and futures resolve after it is released.
+        """
         future: "Future[PartialBrief]" = Future()
         cached = self.brief_cache.get(html)
-        if cached is not None:
-            with self._lock:
-                self.stats.inc("cache_hits")
-            self._request_counter.inc(outcome="cache_hit")
-            span.set_attribute("outcome", "cache_hit")
-            future.set_result(_copy_brief(cached))
-            return future
+        key = None if cached is not None else content_hash(html)
         deadline = self._effective_deadline(deadline_ms)
+        request: Optional[_Request] = None
         with self._lock:
             flight = self._inflight.get(html)
-            if flight is not None:
+            if cached is not None:
+                outcome = "cache_hit"
+                self.stats.inc("cache_hits")
+            elif flight is not None:
+                outcome = "coalesced"
+                self.stats.inc("cache_hits")
                 flight.waiters.append((future, deadline))
                 flight.request.extend_deadline(deadline)
-                self.stats.inc("cache_hits")
-                self._request_counter.inc(outcome="coalesced")
-                span.set_attribute("outcome", "coalesced")
-                return future
-        if deadline is not None and self._clock() >= deadline:
-            # Dead on arrival (e.g. deadline_ms=0): resolve without queueing.
-            with self._lock:
+            elif deadline is not None and self._clock() >= deadline:
+                outcome = "expired"
                 self.stats.inc("deadline_expirations")
-            self._request_counter.inc(outcome="expired")
-            span.set_attribute("outcome", "expired")
-            future.set_result(_deadline_partial("on arrival"))
-            return future
-        with self._lock:
-            poisoned = content_hash(html) in self._poison
-        if poisoned:
-            return self._shed(
-                future,
-                "poison",
-                "content quarantined after repeated worker deaths",
-                span,
-            )
-        if self.governor is not None:
-            self.governor.observe_queue(self.pool.depth, self.in_flight())
-            self._governor_level.set(self.governor.level)
-            reason = self.governor.admit(priority)
-            if reason is not None:
-                return self._shed(
-                    future,
-                    reason,
-                    f"shed by the serving governor ({self.governor.state})",
-                    span,
-                )
-        computation: "Future[PartialBrief]" = Future()
-        with self._lock:
-            flight = self._inflight.get(html)
-            if flight is not None:
-                # Another submit won the leader race while we were checking
-                # the governor; join its flight instead.
+            elif key in self._poison:
+                outcome = "shed"
+                self.stats.inc("requests_shed")
+            else:
+                outcome = "admitted"
+                request = _Request(doc_id, html, Future(), deadline=deadline, trace=span.context())
+                flight = _Flight(request)
                 flight.waiters.append((future, deadline))
-                flight.request.extend_deadline(deadline)
-                self.stats.inc("cache_hits")
-                self._request_counter.inc(outcome="coalesced")
-                span.set_attribute("outcome", "coalesced")
-                return future
-            request = _Request(
-                doc_id,
-                html,
-                computation,
-                deadline=deadline,
-                priority=priority,
-                trace=span.context(),
-            )
-            flight = _Flight(request)
-            flight.waiters.append((future, deadline))
-            self._inflight[html] = flight
-        computation.add_done_callback(lambda done, html=html: self._publish(html, done))
-        try:
-            self.pool.submit(request)
-        except QueueFull as exc:
-            with self._lock:
-                self.stats.inc("queue_rejections")
-            self._request_counter.inc(outcome="rejected")
-            span.set_attribute("outcome", "rejected")
-            # Resolving the computation fires _publish, which serves every
-            # waiter that attached while we were trying to enqueue.
-            computation.set_result(self._degraded(exc))
-            return future
-        self._request_counter.inc(outcome="admitted")
-        span.set_attribute("outcome", "admitted")
-        self._queue_depth.set(self.pool.depth)
+                self._inflight[html] = flight
+        if request is not None:
+            request.future.add_done_callback(lambda done, html=html: self._publish(html, done))
+            try:
+                self.scheduler.submit(request)
+            except QueueFull as exc:
+                outcome = "rejected"
+                with self._lock:
+                    self.stats.inc("queue_rejections")
+                # Resolving the computation fires _publish, which serves every
+                # waiter that attached while we were trying to enqueue.
+                request.future.set_result(self._degraded(exc))
+            else:
+                self._queue_depth.set(self.scheduler.depth)
+        elif outcome == "cache_hit":
+            future.set_result(_copy_brief(cached))
+        elif outcome == "expired":
+            future.set_result(_deadline_partial("on arrival"))
+        elif outcome == "shed":
+            self._shed_counter.inc(reason="poison")
+            span.set_attribute("shed_reason", "poison")
+            exc = Overloaded("content quarantined after repeated worker deaths", reason="poison")
+            future.set_result(self._degraded(exc))
+        self._request_counter.inc(outcome=outcome)
+        span.set_attribute("outcome", outcome)
         return future
 
     # ------------------------------------------------------------------
@@ -1662,17 +1405,15 @@ class ConcurrentBriefingPipeline:
         doc_id: str = "adhoc",
         *,
         deadline_ms: Optional[float] = None,
-        priority: int = 1,
     ) -> PartialBrief:
         """Single-page convenience wrapper; blocks until the brief is ready."""
-        return self.submit(html, doc_id=doc_id, deadline_ms=deadline_ms, priority=priority).result()
+        return self.submit(html, doc_id=doc_id, deadline_ms=deadline_ms).result()
 
     def brief_many(
         self,
         pages: Iterable[Page],
         *,
         deadline_ms: Optional[float] = None,
-        priority: int = 1,
     ) -> List[PartialBrief]:
         """Brief many pages concurrently; results align with input order.
 
@@ -1687,9 +1428,7 @@ class ConcurrentBriefingPipeline:
                 doc_id, html = f"page-{position}", page
             else:
                 doc_id, html = page
-            futures.append(
-                self.submit(html, doc_id=doc_id, deadline_ms=deadline_ms, priority=priority)
-            )
+            futures.append(self.submit(html, doc_id=doc_id, deadline_ms=deadline_ms))
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
@@ -1735,9 +1474,8 @@ class ConcurrentBriefingPipeline:
     def status(self) -> dict:
         """One JSON-safe frame for the live status view (``repro top``).
 
-        Collects queue depth, governor level, per-worker liveness and
-        throughput, merged request counters, the SLO snapshot and the
-        journal tail; :func:`repro.obs.render_status` renders it.
+        Collects queue depth, per-worker liveness and throughput, merged
+        request counters, the SLO snapshot and the journal tail; :func:`repro.obs.render_status` renders it.
         """
         now = self._clock()
         workers = []
@@ -1754,18 +1492,10 @@ class ConcurrentBriefingPipeline:
                     "batches": worker.stats.as_dict().get("batches_dispatched", 0),
                 }
             )
-        governor = None
-        if self.governor is not None:
-            governor = {
-                "level": self.governor.level,
-                "state": self.governor.state,
-                "ewma_latency_ms": self.governor.ewma_latency_ms,
-            }
         return {
             "transport": self.transport,
-            "queue_depth": self.pool.depth,
+            "queue_depth": self.scheduler.depth,
             "in_flight": self.in_flight(),
-            "governor": governor,
             "requests": self.merged_stats().as_dict(),
             "workers": workers,
             "slo": self.slo.snapshot() if self.slo is not None else None,

@@ -13,8 +13,8 @@ serving objectives:
     Fraction of requests that finished degraded (including deadline
     expirations) against an error budget.
 ``shed_rate``
-    Fraction of requests rejected at admission (governor shed, queue
-    rejection, poison) against a shed budget.
+    Fraction of requests rejected at admission (queue rejection, poison)
+    against a shed budget.
 
 Each objective reports a **burn rate** — observed value over budget, the
 standard multi-window SLO idiom: ``1.0`` means burning the budget exactly as
@@ -25,7 +25,7 @@ Prometheus text endpoint alongside everything else.
 
 :class:`EventJournal` is the companion structured log: a bounded, thread-safe
 list of ``{"time", "kind", "attributes"}`` dicts recording the *discrete*
-state changes — governor level moves, worker restarts, poison quarantines —
+state changes — worker restarts, requeued batches, poison quarantines —
 that the continuous metrics can only hint at.  ``write_jsonl`` serialises it
 one JSON object per line.
 

@@ -1,7 +1,7 @@
 """The live serving status view: a pure formatter over plain status dicts.
 
 ``ConcurrentBriefingPipeline.status()`` assembles one JSON-safe dict per
-frame (queue depth, governor level, per-worker liveness and throughput,
+frame (queue depth, per-worker liveness and throughput,
 cache hit rates, SLO burn, recent journal events); :func:`render_status`
 turns it into the fixed-width text block that ``repro top`` and
 ``serve-many --status-interval`` print.  Splitting collection from rendering
@@ -44,13 +44,6 @@ def render_status(status: Dict[str, Any]) -> str:
         f"queue {_fmt(status.get('queue_depth'))} · "
         f"in-flight {_fmt(status.get('in_flight'))}"
     )
-
-    governor = status.get("governor")
-    if governor:
-        lines.append(
-            f"governor: {governor.get('state', '?')} (level {_fmt(governor.get('level'))})"
-            f" · batch EWMA {_fmt(governor.get('ewma_latency_ms'), '.1f')} ms"
-        )
 
     requests = status.get("requests")
     if requests:

@@ -16,9 +16,9 @@ a typed exception carrying machine-readable context instead of a bare
 * :class:`DeadlineExceeded` — a request's absolute deadline expired before a
   worker could finish it (in the admission queue, before the model call, or
   mid-pipeline); retrying with a fresh deadline may succeed;
-* :class:`Overloaded` — the serving governor shed the request to protect the
-  rest of the traffic (overload ladder: reduced batching wait → low-priority
-  rejection → cache-only serving);
+* :class:`Overloaded` — the serving layer gave up on the request: its
+  content was quarantined as poison, or the pipeline shut down before a
+  worker could serve it;
 * :class:`BriefingError` — the common base, so callers can catch the whole
   family with one clause.
 
@@ -118,13 +118,13 @@ class DeadlineExceeded(BriefingError):
 
 
 class Overloaded(BriefingError):
-    """The serving governor shed this request to protect overall latency.
+    """The serving layer gave up on this request without a model answer.
 
-    Carried by the degraded brief a shed request resolves to.  ``reason``
-    names the ladder step that rejected it (``low_priority`` at the shedding
-    level, ``cache_only`` at the final level, ``poison`` for quarantined
-    content).  Transient: once queue depth / batch latency recover the same
-    request is admitted normally.
+    Carried by the degraded brief the request resolves to.  ``reason`` says
+    why: ``poison`` for content quarantined after repeatedly killing
+    workers (shed at admission from then on), ``shutdown`` for work still
+    held or queued when the pipeline shut down.  A full admission queue is
+    :class:`QueueFull`, not this.
     """
 
     stage = "admission"

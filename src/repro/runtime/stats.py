@@ -38,7 +38,7 @@ class RuntimeStats:
     #: requests dropped because their absolute deadline expired (in the
     #: queue, at the worker's budget check, or mid-pipeline).
     deadline_expirations: int = 0
-    #: requests shed by the serving governor's overload ladder.
+    #: requests shed at admission because their content is quarantined poison.
     requests_shed: int = 0
     #: dead/wedged serving workers resurrected by the supervisor.
     worker_restarts: int = 0

@@ -118,7 +118,7 @@ def test_outcomes_tuple_is_stable():
 def test_journal_records_and_bounds():
     journal = EventJournal(capacity=3, clock=FakeClock())
     for i in range(5):
-        journal.record("governor_level_change", old=i, new=i + 1)
+        journal.record("batch_requeued", old=i, new=i + 1)
     assert len(journal) == 3
     assert [e["attributes"]["old"] for e in journal.events] == [2, 3, 4]
     assert journal.tail(2)[-1]["attributes"]["new"] == 5

@@ -7,7 +7,6 @@ FULL_FRAME = {
     "transport": "process",
     "queue_depth": 3,
     "in_flight": 2,
-    "governor": {"level": 1, "state": "degraded", "ewma_latency_ms": 42.5},
     "requests": {
         "cache_hits": 5,
         "cache_misses": 15,
@@ -41,7 +40,6 @@ def test_full_frame_renders_every_section():
     assert "serving [process]" in text
     assert "workers 1/2 alive" in text
     assert "queue 3" in text
-    assert "governor: degraded (level 1)" in text
     assert "cache hit 25.0%" in text
     assert "2 restarts" in text
     # Burn above 1.0 gets flagged; burn below does not.

@@ -7,6 +7,7 @@ from repro.core import ConcurrentBriefingPipeline
 PAGE_A = "<html><body><p>first backpressure page</p><p>the price is 1</p></body></html>"
 PAGE_B = "<html><body><p>second backpressure page</p><p>the price is 2</p></body></html>"
 PAGE_C = "<html><body><p>third backpressure page</p><p>the price is 3</p></body></html>"
+PAGE_D = "<html><body><p>fourth backpressure page</p><p>the price is 4</p></body></html>"
 
 
 class GatedModel:
@@ -50,11 +51,41 @@ def test_queue_full_degrades_instead_of_raising(serving_model):
     assert future_a.result(timeout=30).complete
     assert future_b.result(timeout=30).complete
     merged = server.merged_stats()
-    # With the governor enabled the overload ladder sheds the request before
-    # the bounded queue even gets to reject it; either way exactly one request
-    # bounced and the caller saw a degraded admission brief, never an exception.
-    assert merged.queue_rejections + merged.requests_shed == 1
+    assert merged.queue_rejections == 1
+    assert merged.requests_shed == 0
     assert merged.cache_hits + merged.cache_misses == 2  # the two served pages
+
+
+def test_cache_hit_is_served_while_the_queue_is_full(serving_model):
+    """A full queue bounces a cold page, yet a page already in the front
+    cache still comes back complete: hits never touch the queue."""
+    gated = GatedModel(serving_model)
+    server = ConcurrentBriefingPipeline(
+        gated, num_workers=1, beam_size=2, max_batch=1, max_queue=1
+    )
+    try:
+        gated.release.set()  # let the warm-up through, then close the gate
+        assert server.submit(PAGE_A, doc_id="warm").result(timeout=30).complete
+        gated.started.clear()
+        gated.release.clear()
+
+        blocker = server.submit(PAGE_B, doc_id="blocker")
+        assert gated.started.wait(timeout=30)  # the worker now holds page B
+        queued = server.submit(PAGE_C, doc_id="queued")  # fills the queue
+        cold = server.submit(PAGE_D, doc_id="cold").result(timeout=30)
+        assert not cold.complete
+        assert cold.degradations[0].stage == "admission"
+        assert cold.degradations[0].fallback == "rejected"
+        assert server.submit(PAGE_A, doc_id="hot").result(timeout=30).complete
+    finally:
+        gated.release.set()
+        server.shutdown(timeout=30)
+
+    assert blocker.result(timeout=30).complete
+    assert queued.result(timeout=30).complete
+    merged = server.merged_stats()
+    assert merged.queue_rejections == 1
+    assert merged.requests_shed == 0
 
 
 def test_shutdown_drains_admitted_work(serving_model):

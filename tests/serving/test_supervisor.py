@@ -87,6 +87,7 @@ def test_poison_bisection_isolates_the_bad_request(serving_model):
     server = ConcurrentBriefingPipeline(
         PoisonModel(serving_model), num_workers=1, beam_size=2,
         max_batch=4, max_wait_ms=0.0, supervisor_poll_ms=5.0, start=False,
+        observe=True,
     )
     goods = [server.submit(page, doc_id=f"good-{i}") for i, page in enumerate(GOOD_PAGES)]
     poisoned = server.submit(POISON_PAGE, doc_id="poison")
@@ -112,7 +113,9 @@ def test_poison_bisection_isolates_the_bad_request(serving_model):
     merged = server.merged_stats()
     assert merged.poison_quarantined == 1
     assert merged.worker_restarts >= 2  # at least the two bisection deaths
-    assert merged.requests_shed >= 1
+    assert merged.requests_shed == 1  # the retry, shed at the front door
+    snapshot = server.metrics_snapshot()
+    assert snapshot.value("serving_shed_total", reason="poison") == 1.0
 
 
 def test_wedged_worker_is_detected_and_replaced(serving_model):

@@ -1,6 +1,6 @@
 """Both worker transports honour the same serving contracts.
 
-Deadlines, governor shedding, backpressure, supervisor restart and poison
+Deadlines, backpressure, supervisor restart and poison
 quarantine were built against the thread transport; this suite runs the same
 scenarios parametrized over ``thread`` and ``process`` so the pipe/process
 implementation can never silently diverge.  Worker death maps naturally:
@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core import ConcurrentBriefingPipeline, ServingGovernor, synthesize_serving_corpus
+from repro.core import ConcurrentBriefingPipeline, synthesize_serving_corpus
 from repro.runtime import ChaosWorker, WorkerDeath
 
 from .test_deadlines import PAGE_A, PAGE_B, assert_deadline_brief
@@ -113,23 +113,6 @@ def test_deadline_expires_while_queued(serving_model, transport):
     finally:
         server.shutdown(timeout=30)
     assert server.merged_stats().deadline_expirations == 1
-
-
-def test_governor_sheds_low_priority_on_both_transports(serving_model, transport):
-    governor = ServingGovernor(max_queue=100)
-    governor.observe_queue(95)  # force cache_only; submit's own observation
-    # of the empty queue steps it down exactly one level, to shedding.
-    server = ConcurrentBriefingPipeline(
-        serving_model, num_workers=1, transport=transport, beam_size=2,
-        max_wait_ms=0.0, governor=governor, supervise=False,
-    )
-    try:
-        brief = server.submit(PAGE_A, doc_id="low", priority=0).result(timeout=30)
-        assert not brief.complete
-        assert brief.degradations[0].stage == "admission"
-        assert server.merged_stats().requests_shed == 1
-    finally:
-        server.shutdown(timeout=30)
 
 
 def test_worker_death_restarts_and_requeues(serving_model, transport):
@@ -251,7 +234,7 @@ def test_backpressure_rejects_typed_and_resolves_everything(serving_model, trans
     raises and nothing hangs, whichever transport holds the queue."""
     server = ConcurrentBriefingPipeline(
         serving_model, num_workers=1, transport=transport, beam_size=2,
-        max_batch=1, max_wait_ms=0.0, max_queue=1, governor=False,
+        max_batch=1, max_wait_ms=0.0, max_queue=1,
         supervise=False, start=False,
     )
     pages = [
