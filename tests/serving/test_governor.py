@@ -1,149 +1,29 @@
-"""ServingGovernor: the overload ladder, hysteresis, and front-door shedding."""
+"""Front-door shedding: every request shed at admission is counted by reason."""
 
-import pytest
+from repro.core import ConcurrentBriefingPipeline
 
-from repro.core import ConcurrentBriefingPipeline, ServingGovernor
-
-from .test_deadlines import PAGE_A, PAGE_B, GatedModel
-
-
-def test_ladder_steps_up_with_queue_pressure():
-    governor = ServingGovernor(max_queue=100)
-    assert governor.state == "healthy"
-    assert governor.wait_scale() == 1.0
-    governor.observe_queue(55)
-    assert governor.state == "reduced_wait"
-    assert governor.wait_scale() == 0.25
-    governor.observe_queue(80)
-    assert governor.state == "shedding"
-    assert governor.wait_scale() == 0.0
-    governor.observe_queue(95)
-    assert governor.state == "cache_only"
-    assert governor.wait_scale() == 0.0
-
-
-def test_admit_reasons_by_level():
-    governor = ServingGovernor(max_queue=100, normal_priority=1)
-    assert governor.admit(priority=0) is None  # healthy admits everyone
-    governor.observe_queue(80)  # shedding
-    assert governor.admit(priority=1) is None
-    assert governor.admit(priority=0) == "low_priority"
-    governor.observe_queue(95)  # cache_only
-    assert governor.admit(priority=1) == "cache_only"
-
-
-def test_recovery_needs_margin_and_is_stepwise():
-    """One ladder level per observation on the way down, and only after
-    pressure falls recover_margin below the triggering threshold."""
-    governor = ServingGovernor(max_queue=100, recover_margin=0.15)
-    governor.observe_queue(95)
-    assert governor.state == "cache_only"
-    governor.observe_queue(80)  # below 0.9 but not by the margin
-    assert governor.state == "cache_only"
-    governor.observe_queue(70)  # 0.70 <= 0.90 - 0.15: one step down
-    assert governor.state == "shedding"
-    governor.observe_queue(5)  # plenty of slack, but still one step at a time
-    assert governor.state == "reduced_wait"
-    governor.observe_queue(5)
-    assert governor.state == "healthy"
-
-
-def test_latency_slo_bumps_the_ladder():
-    """A blown batch-latency EWMA adds one level even with a shallow queue."""
-    governor = ServingGovernor(max_queue=100, latency_slo_ms=50.0, ewma_alpha=1.0)
-    governor.observe_batch(0.2, batch_size=4)  # 200 ms >> 50 ms SLO
-    assert governor.state == "reduced_wait"
-    assert governor.ewma_latency_ms == pytest.approx(200.0)
-    governor.observe_batch(0.001, batch_size=4)  # recovered
-    governor.observe_queue(0)
-    assert governor.state == "healthy"
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        ServingGovernor(max_queue=0)
-    with pytest.raises(ValueError):
-        ServingGovernor(max_queue=10, reduce_wait_at=0.9, shed_at=0.5)
-    with pytest.raises(ValueError):
-        ServingGovernor(max_queue=10, ewma_alpha=0.0)
-
-
-def _fill_page(index):
-    return (
-        f"<html><body><p>governor filler page {index}</p>"
-        f"<p>the price is {index + 10}</p></body></html>"
-    )
-
-
-def test_cache_only_level_sheds_non_cached_requests(serving_model):
-    """With the queue near capacity the ladder reaches cache_only: requests
-    needing a worker resolve to typed Overloaded briefs while cache hits
-    keep flowing."""
-    gated = GatedModel(serving_model)
-    server = ConcurrentBriefingPipeline(
-        gated, num_workers=1, beam_size=2, max_batch=1, max_queue=4, supervise=False
-    )
-    try:
-        # Warm the cache with PAGE_A, then close the gate again so the next
-        # request wedges the lone worker while the queue backs up behind it.
-        warm = server.submit(PAGE_A, doc_id="warm")
-        assert gated.started.wait(timeout=30)
-        gated.release.set()
-        assert warm.result(timeout=30).complete
-        gated.started.clear()
-        gated.release.clear()
-
-        blocker = server.submit(PAGE_B, doc_id="blocker")
-        assert gated.started.wait(timeout=30)
-        fills = [server.submit(_fill_page(i), doc_id=f"fill-{i}") for i in range(3)]
-
-        # depth 3 + the in-flight work pushes the pressure fraction to 1.0.
-        shed = server.submit(_fill_page(99), doc_id="cold").result(timeout=30)
-        assert not shed.complete
-        assert shed.degradations[0].stage == "admission"
-        assert server.governor.state == "cache_only"
-        cached = server.submit(PAGE_A, doc_id="hot").result(timeout=30)
-        assert cached.complete  # cache hits bypass the ladder entirely
-    finally:
-        gated.release.set()
-        server.shutdown(timeout=30)
-    assert blocker.result(timeout=30).complete
-    assert all(f.result(timeout=30) is not None for f in fills)
-    merged = server.merged_stats()
-    assert merged.requests_shed >= 1
-    assert merged.cache_hits >= 1  # the hot request hit the warmed cache
+from .test_deadlines import PAGE_A
+from .test_supervisor import POISON_PAGE, PoisonModel
 
 
 def test_shed_requests_are_counted_by_reason(serving_model):
-    """serving_shed_total carries a reason label for the ladder step."""
-    governor = ServingGovernor(
-        max_queue=4, reduce_wait_at=0.01, shed_at=0.01, cache_only_at=0.01
-    )
+    """serving_shed_total carries the reason a request was shed: content the
+    supervisor quarantined is shed with reason=poison on every resubmit."""
     server = ConcurrentBriefingPipeline(
-        serving_model, num_workers=1, beam_size=2, max_queue=4,
-        governor=governor, supervise=False, observe=True, start=False,
-    )
-    # Workers never start, so the first submit stays queued and the second
-    # one sees real pressure over the hair-trigger thresholds.
-    admitted = server.submit(PAGE_A, doc_id="queued")
-    shed = server.submit(PAGE_B, doc_id="cold").result(timeout=30)
-    assert not shed.complete
-    server.shutdown(timeout=30)
-    assert admitted.result(timeout=30) is not None  # drained, not dropped
-    snapshot = server.metrics_snapshot()
-    assert snapshot.value("serving_shed_total", reason="cache_only") == 1.0
-
-
-def test_governor_disabled_with_false(serving_model):
-    """governor=False opts out of shedding: the bounded queue is the only
-    backpressure, as before this subsystem existed."""
-    server = ConcurrentBriefingPipeline(
-        serving_model, num_workers=1, beam_size=2, max_queue=4,
-        governor=False, supervise=False,
+        PoisonModel(serving_model), num_workers=1, beam_size=2,
+        max_batch=1, max_wait_ms=0.0, supervisor_poll_ms=5.0, observe=True,
     )
     try:
-        assert server.governor is None
-        assert server.submit(PAGE_A, doc_id="a").result(timeout=30).complete
+        quarantined = server.submit(POISON_PAGE, doc_id="poison").result(timeout=30)
+        assert quarantined.degradations[0].fallback == "quarantined"
+        for attempt in range(2):
+            shed = server.submit(POISON_PAGE, doc_id=f"retry-{attempt}").result(timeout=30)
+            assert not shed.complete
+            assert shed.degradations[0].stage == "admission"
+        assert server.submit(PAGE_A, doc_id="healthy").result(timeout=30).complete
     finally:
         server.shutdown(timeout=30)
-    assert server.merged_stats().requests_shed == 0
+    assert server.merged_stats().requests_shed == 2
+    snapshot = server.metrics_snapshot()
+    assert snapshot.value("serving_shed_total", reason="poison") == 2.0
+    assert snapshot.value("serving_requests_total", outcome="shed") == 2.0
