@@ -1147,7 +1147,6 @@ class ConcurrentBriefingPipeline:
         self._lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
         self._poison: Set[str] = set()
-        self._shutdown = False
         #: thread names that failed to exit during the last shutdown().
         self.stuck_workers: List[str] = []
         if self.journal is not None:
@@ -1184,8 +1183,6 @@ class ConcurrentBriefingPipeline:
         (also kept in :attr:`stuck_workers`); their held requests are
         resolved degraded so no future is left hanging.
         """
-        with self._lock:
-            self._shutdown = True
         self.scheduler.close()
         stuck = self.pool.join(timeout=timeout)
         if self.supervisor is not None:

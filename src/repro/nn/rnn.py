@@ -3,11 +3,15 @@
 The paper's extractor, generator and single-task baselines are all built on
 (Bi-)LSTM encoders (Hochreiter & Schmidhuber, 1997).  Gates are computed with
 one fused matrix multiply per timestep for speed; the input is a sequence of
-shape ``(T, d)`` or a batch ``(B, T, d)``.
+shape ``(T, d)`` or a batch ``(B, T, d)``.  Under ``no_grad`` the gate math
+runs in one raw-numpy step kernel, called by the decoder's
+:meth:`LSTMCell.step_inference` and by :class:`BiLSTM`'s fast path, which
+steps both directions in one time loop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,6 +31,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out += 1.0
     np.divide(1.0, out, out=out)
     return out
+
+
+def _lstm_step(
+    xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, w_h: np.ndarray, bias: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The one no-grad copy of the gate math: ``(h_new, c_new)``.
+
+    ``xw`` is the input projection ``x @ W_x``.  ``w_h`` is one cell's
+    ``(h, 4h)`` matrix, or two stacked as ``(2, h, 4h)`` with ``h_prev``,
+    ``c_prev``, ``xw`` and ``bias`` stacked alike: ``@`` then runs each
+    direction's own GEMM, so its floats do not change.
+    """
+    hd = w_h.shape[-2]
+    gates = xw + h_prev @ w_h + bias
+    # One sigmoid over the whole block (its cell-gate slice goes unused):
+    # elementwise, so bit-identical to one call per gate, and a third of
+    # the numpy calls on the small float32 blocks serving decodes.
+    sigmoid = _sigmoid(gates)
+    i_gate = sigmoid[..., 0:hd]
+    f_gate = sigmoid[..., hd : 2 * hd]
+    g_gate = np.tanh(gates[..., 2 * hd : 3 * hd])
+    o_gate = sigmoid[..., 3 * hd : 4 * hd]
+    c_new = f_gate * c_prev + i_gate * g_gate
+    h_new = o_gate * np.tanh(c_new)
+    return h_new, c_new
+
+
+def _checked(x: Tensor, mask: Optional[np.ndarray]) -> Tuple[Tensor, Optional[np.ndarray]]:
+    """Validate a recurrent layer's ``(T, d)`` / ``(B, T, d)`` input and mask."""
+    x = as_tensor(x)
+    if x.ndim < 2:
+        raise ValueError("LSTM expects input of shape (T, d) or (B, T, d)")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape[:-1]:
+            raise ValueError(f"mask shape {mask.shape} does not match input {x.shape[:-1]}")
+    return x, mask
 
 
 class LSTMCell(Module):
@@ -83,26 +124,13 @@ class LSTMCell(Module):
         Computes the same arithmetic as :meth:`forward` — gate sum order
         ``(x·Wx) + h·Wh + b`` preserved — but without building autograd graph
         nodes, which is the decode hot path's per-step cost.  Callers that
-        already hold the input projection (e.g. :class:`LSTM` hoists
-        ``X @ w_x`` for all timesteps as one GEMM) pass it via ``xw`` and may
-        leave ``x`` as ``None``.  Returns the raw ``(h_new, c_new)`` pair.
+        already hold the input projection (``X @ w_x`` hoisted for all
+        timesteps as one GEMM) pass it via ``xw`` and may leave ``x`` as
+        ``None``.  Returns the raw ``(h_new, c_new)`` pair.
         """
-        h_prev, c_prev = state
         if xw is None:
             xw = x @ self.w_x.data
-        hd = self.hidden_dim
-        gates = xw + h_prev @ self.w_h.data + self.bias.data
-        # One sigmoid over the whole block (its cell-gate slice goes unused):
-        # elementwise, so bit-identical to one call per gate, and a third of
-        # the numpy calls on the small float32 blocks serving decodes.
-        sigmoid = _sigmoid(gates)
-        i_gate = sigmoid[..., 0:hd]
-        f_gate = sigmoid[..., hd : 2 * hd]
-        g_gate = np.tanh(gates[..., 2 * hd : 3 * hd])
-        o_gate = sigmoid[..., 3 * hd : 4 * hd]
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * np.tanh(c_new)
-        return h_new, c_new
+        return _lstm_step(xw, state[0], state[1], self.w_h.data, self.bias.data)
 
 
 class LSTM(Module):
@@ -118,9 +146,8 @@ class LSTM(Module):
     direction of a padded sequence starts from its true last token and the
     final state equals the state at each sequence's true end.
 
-    When gradients are disabled the recurrence runs on raw numpy arrays with
-    a preallocated output buffer (no per-step autograd tensors) — the serving
-    fast path; it computes exactly the same arithmetic, in the weights' dtype.
+    This Tensor loop is the reference recurrence in both grad modes; the
+    no-grad fast path lives in :class:`BiLSTM`, the layer every model uses.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -136,20 +163,9 @@ class LSTM(Module):
         reverse: bool = False,
         mask: Optional[np.ndarray] = None,
     ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        x = as_tensor(x)
-        if x.ndim < 2:
-            raise ValueError("LSTM expects input of shape (T, d) or (B, T, d)")
+        x, mask = _checked(x, mask)
         seq_len = x.shape[-2]
-        batch_shape = x.shape[:-2]
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != batch_shape + (seq_len,):
-                raise ValueError(
-                    f"mask shape {mask.shape} does not match input {batch_shape + (seq_len,)}"
-                )
-        if not is_grad_enabled():
-            return self._forward_no_grad(x, initial_state, reverse, mask)
-        state = initial_state or self.cell.initial_state(batch_shape)
+        state = initial_state or self.cell.initial_state(x.shape[:-2])
         indices = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
         outputs = [None] * seq_len
         for t in indices:
@@ -169,46 +185,13 @@ class LSTM(Module):
             outputs[t] = h
         return stack(outputs, axis=-2), state
 
-    def _forward_no_grad(
-        self,
-        x: Tensor,
-        initial_state: Optional[Tuple[Tensor, Tensor]],
-        reverse: bool,
-        mask: Optional[np.ndarray],
-    ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Inference fast path: same recurrence on plain numpy arrays."""
-        cell = self.cell
-        hd = cell.hidden_dim
-        data = x.data
-        seq_len = data.shape[-2]
-        batch_shape = data.shape[:-2]
-        if initial_state is None:
-            h = np.zeros(batch_shape + (hd,), dtype=data.dtype)
-            c = np.zeros(batch_shape + (hd,), dtype=data.dtype)
-        else:
-            h = np.array(initial_state[0].data, copy=True)
-            c = np.array(initial_state[1].data, copy=True)
-        # One fused matmul for the input contribution of every timestep; the
-        # per-step sum order (x·Wx + h·Wh + b) matches the autograd path.
-        xw = data @ cell.w_x.data
-        outputs = np.empty(batch_shape + (seq_len, hd), dtype=xw.dtype)
-        indices = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
-        for t in indices:
-            h_new, c_new = cell.step_inference(None, (h, c), xw=xw[..., t, :])
-            if mask is not None:
-                keep = mask[..., t : t + 1]
-                h = np.where(keep, h_new, h)
-                c = np.where(keep, c_new, c)
-            else:
-                h, c = h_new, c_new
-            outputs[..., t, :] = h_new
-        return Tensor(outputs), (Tensor(h), Tensor(c))
-
 
 class BiLSTM(Module):
     """Bidirectional LSTM; concatenates forward and backward hidden states.
 
-    Output dimensionality is ``2 * hidden_dim``.
+    Output dimensionality is ``2 * hidden_dim``.  Under ``no_grad`` both
+    directions step together in one time loop (:meth:`_forward_no_grad`),
+    with the same floats as the two :class:`LSTM` loops of the grad path.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -220,6 +203,41 @@ class BiLSTM(Module):
         self.backward_lstm = LSTM(input_dim, hidden_dim, rng)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        if not is_grad_enabled():
+            return self._forward_no_grad(*_checked(x, mask))
         fwd, _ = self.forward_lstm(x, mask=mask)
         bwd, _ = self.backward_lstm(x, reverse=True, mask=mask)
         return concatenate([fwd, bwd], axis=-1)
+
+    def _forward_no_grad(self, x: Tensor, mask: Optional[np.ndarray]) -> Tensor:
+        """Inference fast path: both directions stacked as ``(2, B, ...)``.
+
+        The backward half of the hoisted input projection is stored
+        time-reversed, so step ``t`` advances the forward direction at ``t``
+        and the backward one at ``T-1-t`` through one :func:`_lstm_step`.
+        """
+        cells = (self.forward_lstm.cell, self.backward_lstm.cell)
+        data = x.data
+        seq_len, hd = data.shape[-2], self.hidden_dim
+        rows = data.reshape((math.prod(data.shape[:-2]),) + data.shape[-2:])  # (B, T, d)
+        projected = [rows @ cell.w_x.data for cell in cells]
+        xw = np.stack([projected[0], projected[1][:, ::-1]])  # (2, B, T, 4h)
+        w_h = np.stack([cell.w_h.data for cell in cells])
+        bias = np.stack([cell.bias.data for cell in cells])[:, None]
+        keep = None
+        if mask is not None and not mask.all():
+            keep = mask.reshape(len(rows), seq_len)
+            keep = np.stack([keep, keep[:, ::-1]])[..., None]  # (2, B, T, 1)
+        h = np.zeros((2, len(rows), hd), dtype=data.dtype)
+        c = np.zeros_like(h)
+        out = np.empty((2, len(rows), seq_len, hd), dtype=xw.dtype)
+        for t in range(seq_len):
+            h_new, c_new = _lstm_step(xw[:, :, t], h, c, w_h, bias)
+            if keep is None:
+                h, c = h_new, c_new
+            else:
+                h = np.where(keep[:, :, t], h_new, h)
+                c = np.where(keep[:, :, t], c_new, c)
+            out[:, :, t] = h_new
+        out = np.concatenate([out[0], out[1, :, ::-1]], axis=-1)
+        return Tensor(out.reshape(data.shape[:-1] + (2 * hd,)))

@@ -18,7 +18,8 @@ a typed exception carrying machine-readable context instead of a bare
   mid-pipeline); retrying with a fresh deadline may succeed;
 * :class:`Overloaded` — the serving layer gave up on the request: its
   content was quarantined as poison, or the pipeline shut down before a
-  worker could serve it;
+  worker could serve it; permanent, since resubmitting either meets the
+  same answer;
 * :class:`BriefingError` — the common base, so callers can catch the whole
   family with one clause.
 
@@ -123,8 +124,10 @@ class Overloaded(BriefingError):
     Carried by the degraded brief the request resolves to.  ``reason`` says
     why: ``poison`` for content quarantined after repeatedly killing
     workers (shed at admission from then on), ``shutdown`` for work still
-    held or queued when the pipeline shut down.  A full admission queue is
-    :class:`QueueFull`, not this.
+    held or queued when the pipeline shut down.  Permanent by default: the
+    quarantine set never forgets a content hash and a shut-down pipeline
+    admits nothing, so a retry meets the same answer.  A full admission
+    queue is :class:`QueueFull` (transient), not this.
     """
 
     stage = "admission"
@@ -135,7 +138,7 @@ class Overloaded(BriefingError):
         *,
         reason: str = "overloaded",
         url: Optional[str] = None,
-        transient: bool = True,
+        transient: bool = False,
     ):
         super().__init__(message, url=url, transient=transient)
         self.reason = reason

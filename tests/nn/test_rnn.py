@@ -144,3 +144,60 @@ def test_initial_state_respects_parameter_dtype(rng):
         rng.normal(size=(2, 5)).astype(np.float32), (h.data, c.data)
     )
     assert h_new.dtype == np.float32 and c_new.dtype == np.float32
+
+
+def _two_loop_oracle(bilstm, x, mask):
+    """Each direction in its own loop over ``cell.step_inference`` with the
+    hoisted ``x @ w_x`` — the per-direction arithmetic the one loop keeps."""
+    outputs = []
+    for lstm, reverse in ((bilstm.forward_lstm, False), (bilstm.backward_lstm, True)):
+        cell = lstm.cell
+        xw = x @ cell.w_x.data
+        h = np.zeros(x.shape[:-2] + (cell.hidden_dim,), dtype=x.dtype)
+        c = np.zeros_like(h)
+        out = np.empty(x.shape[:-1] + (cell.hidden_dim,), dtype=xw.dtype)
+        steps = range(x.shape[-2] - 1, -1, -1) if reverse else range(x.shape[-2])
+        for t in steps:
+            h_new, c_new = cell.step_inference(None, (h, c), xw=xw[..., t, :])
+            if mask is None:
+                h, c = h_new, c_new
+            else:
+                keep = mask[..., t : t + 1]
+                h, c = np.where(keep, h_new, h), np.where(keep, c_new, c)
+            out[..., t, :] = h_new
+        outputs.append(out)
+    return np.concatenate(outputs, axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape, lengths",
+    [
+        ((3, 7, 5), [7, 4, 1]),  # ragged mask
+        ((3, 7, 5), [7, 7, 7]),  # all-True mask: the carry's where is skipped
+        ((3, 7, 5), None),  # no mask
+        ((7, 5), None),  # unbatched (T, d)
+        ((2, 1, 5), [1, 1]),  # T = 1
+        ((1, 1, 5), None),
+    ],
+)
+def test_bilstm_no_grad_equals_per_direction_step_loops(dtype, shape, lengths):
+    """Both directions in one no-grad loop give the two loops' floats exactly."""
+    bilstm = nn.BiLSTM(5, 4, np.random.default_rng(21)).astype(dtype)
+    x = np.random.default_rng(22).standard_normal(shape).astype(dtype)
+    mask = None
+    if lengths is not None:
+        mask = np.arange(shape[-2])[None, :] < np.array(lengths)[:, None]
+    with nn.no_grad():
+        out = bilstm(nn.Tensor(x), mask=mask)
+    assert out.dtype == dtype and out.shape == shape[:-1] + (8,)
+    assert np.array_equal(out.data, _two_loop_oracle(bilstm, x, mask))
+
+
+def test_bilstm_no_grad_rejects_bad_input(rng):
+    bilstm = nn.BiLSTM(3, 4, rng)
+    with nn.no_grad():
+        with pytest.raises(ValueError):
+            bilstm(nn.Tensor(np.zeros(3)))
+        with pytest.raises(ValueError):
+            bilstm(nn.Tensor(np.zeros((2, 5, 3))), mask=np.ones((2, 4), dtype=bool))
