@@ -5,9 +5,10 @@ Each benchmark regenerates one paper table/figure at the calibrated
 slack) rather than absolute numbers — our substrate is a scaled-down CPU
 simulator of the paper's GPU/BERT_base testbed (DESIGN.md §2).
 
-Trained models are cached across benchmarks within the session (the same
-Joint-WB teacher backs Tables IV–X), so run the whole directory in one
-pytest invocation for the intended runtime.
+Trained models are cached across benchmarks within the session, keyed by
+the rng they were built from (Tables V–VII share one Joint-WB teacher, the
+other tables another), so run the whole directory in one pytest invocation
+for the intended runtime.
 """
 
 import pytest

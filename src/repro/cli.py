@@ -14,17 +14,6 @@ Commands
 ``tables [--only table4 ...] [--scale tiny|small]``
     Regenerate the paper's tables (delegates to
     :mod:`repro.experiments.runner`).
-``bench [--smoke] [--pages N]``
-    Chaos/soak self-check of the concurrent serving layer: replay a
-    Zipfian request stream while a seeded
-    :class:`~repro.runtime.ChaosWorker` stalls, fails and kills workers;
-    assert every future resolves and shutdown does not deadlock, and record
-    p50/p99-under-chaos plus shed/restart/quarantine counts under the
-    report's ``resilience`` key (``--soak-rounds N`` replays the stream N
-    times against the same pipeline).  ``--smoke`` defaults the stream to
-    12 pages (64 otherwise; an explicit ``--pages`` always wins) and prints
-    the verdict.  Exit code 1 means the conservation contract broke.
-    Throughput and latency are measured by ``perfbench/``, not here.
 ``serve-many [page.html ...] [--workers N] [--transport T] [--deadline-ms B]``
     Brief many pages through the concurrent serving layer
     (:class:`~repro.core.serving.ConcurrentBriefingPipeline`): bounded
@@ -51,6 +40,10 @@ Commands
 ``--trace PATH`` (write a JSON-lines span trace) and ``--metrics PATH``
 (write a Prometheus text snapshot); omitting both keeps the no-op
 observability path.
+
+The chaos soak (conservation under injected worker faults) is the test
+``tests/serving/test_soak.py``; throughput and latency are measured by
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -101,36 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="regenerate the paper's tables")
     tables.add_argument("--scale", choices=("tiny", "small"), default="small")
     tables.add_argument("--only", nargs="*")
-
-    bench = sub.add_parser(
-        "bench", help="chaos/soak: replay a Zipfian stream with injected worker "
-                      "stalls/exceptions/deaths and assert conservation"
-    )
-    bench.add_argument("--pages", type=int, default=None,
-                       help="pages in the synthesized stream (default 12 with "
-                            "--smoke, else 64)")
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--batch-size", type=int, default=8)
-    bench.add_argument("--beam-size", type=int, default=2)
-    bench.add_argument("--output", default="BENCH_serving.json",
-                       help="JSON report path ('' to skip writing)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="small default stream; print the smoke verdict")
-    bench.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="scheduler micro-batch straggler wait")
-    bench.add_argument("--chaos-workers", type=int, default=4,
-                       help="worker pool size")
-    bench.add_argument("--chaos-exception-rate", type=float, default=0.08,
-                       help="per-batch probability of an injected transient failure")
-    bench.add_argument("--chaos-stall-rate", type=float, default=0.05,
-                       help="per-batch probability of an injected stall")
-    bench.add_argument("--chaos-death-rate", type=float, default=0.03,
-                       help="per-batch probability an injected crash kills the worker")
-    bench.add_argument("--soak-rounds", type=int, default=1,
-                       help="replay the chaos stream this many times against the "
-                            "same pipeline (soak mode)")
-    bench.add_argument("--deadline-ms", type=float, default=None,
-                       help="per-request deadline budget")
 
     serve = sub.add_parser(
         "serve-many", help="brief many pages through the concurrent worker pool"
@@ -291,39 +254,11 @@ def _command_tables(args) -> int:
     return 0
 
 
-def _command_bench(args) -> int:
-    from .core import run_chaos_bench
-
-    num_pages = args.pages if args.pages is not None else (12 if args.smoke else 64)
-    result = run_chaos_bench(
-        num_requests=num_pages,
-        unique_pages=max(4, num_pages // 4),
-        seed=args.seed,
-        workers=args.chaos_workers,
-        max_batch=args.batch_size,
-        beam_size=args.beam_size,
-        max_wait_ms=args.max_wait_ms,
-        exception_rate=args.chaos_exception_rate,
-        stall_rate=args.chaos_stall_rate,
-        death_rate=args.chaos_death_rate,
-        deadline_ms=args.deadline_ms,
-        rounds=args.soak_rounds,
-        output_path=args.output or None,
-    )
-    ok = result.conserved and not result.deadlocked
-    print(result.format())
-    if args.output:
-        print(f"\nwrote {args.output}")
-    if args.smoke:
-        print(f"smoke: {'ok' if ok else 'FAILED'}")
-    return 0 if ok else 1
-
-
 def _command_serve_many(args) -> int:
     import threading
 
     from .core import ConcurrentBriefingPipeline
-    from .core.bench import synthesize_serving_corpus
+    from .data import synthesize_serving_corpus
 
     observe = bool(
         getattr(args, "trace", None)
@@ -419,7 +354,7 @@ def _command_top(args) -> int:
     import time as _time
 
     from .core import ConcurrentBriefingPipeline
-    from .core.bench import synthesize_serving_corpus
+    from .data import synthesize_serving_corpus
     from .obs import render_status
 
     corpus, _, model = _build_model(args.topics, 6, args.seed)
@@ -471,7 +406,6 @@ _COMMANDS = {
     "corpus-stats": _command_corpus_stats,
     "train": _command_train,
     "tables": _command_tables,
-    "bench": _command_bench,
     "serve-many": _command_serve_many,
     "top": _command_top,
 }

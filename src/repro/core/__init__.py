@@ -1,12 +1,6 @@
 """``repro.core`` — the WB task API: briefing, training, evaluation, stats."""
 
 from .batched import BatchedBriefingPipeline, BriefCache, content_hash
-from .bench import (
-    ResilienceBenchResult,
-    run_chaos_bench,
-    synthesize_serving_corpus,
-    synthesize_zipf_stream,
-)
 from .briefing import Brief, Degradation, PartialBrief
 from .evaluation import (
     ExtractionMetrics,
@@ -50,10 +44,6 @@ __all__ = [
     "ConcurrentBriefingPipeline",
     "ModelSnapshot",
     "content_hash",
-    "ResilienceBenchResult",
-    "run_chaos_bench",
-    "synthesize_serving_corpus",
-    "synthesize_zipf_stream",
     "document_from_raw_html",
     "ExtractionMetrics",
     "GenerationMetrics",

@@ -33,6 +33,7 @@ from .synthesizer import (
     build_swde_corpus,
     document_from_html,
     document_from_rendered,
+    synthesize_serving_corpus,
 )
 from .taxonomy import AttributeType, DomainFamily, Topic, build_taxonomy
 from .templates import WebsiteStyle, content_page_html, index_page_html, make_style, media_page_html
@@ -71,6 +72,7 @@ __all__ = [
     "build_swde_corpus",
     "document_from_html",
     "document_from_rendered",
+    "synthesize_serving_corpus",
     "AttributeType",
     "DomainFamily",
     "Topic",

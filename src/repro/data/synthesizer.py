@@ -41,6 +41,7 @@ from .templates import (
 
 __all__ = [
     "SyntheticWebsite",
+    "synthesize_serving_corpus",
     "DatasetConfig",
     "document_from_rendered",
     "document_from_html",
@@ -92,6 +93,48 @@ class SyntheticWebsite:
     @property
     def urls(self) -> List[str]:
         return sorted(self._pages)
+
+
+def synthesize_serving_corpus(
+    num_pages: int,
+    seed: int = 7,
+    duplicate_fraction: float = 0.25,
+) -> List[Tuple[str, str]]:
+    """``(doc_id, html)`` pages from synthetic websites, with repeats.
+
+    Roughly ``duplicate_fraction`` of the stream re-serves earlier content
+    under a fresh ``doc_id`` (same bytes, new request) to exercise the
+    serving cache; the rest are unique pages drawn from as many synthetic
+    websites as needed.
+    """
+    if num_pages <= 0:
+        raise ValueError(f"num_pages must be positive, got {num_pages}")
+    if not 0.0 <= duplicate_fraction < 1.0:
+        raise ValueError(f"duplicate_fraction must be in [0, 1), got {duplicate_fraction}")
+    rng = np.random.default_rng(seed)
+    topics = build_taxonomy()
+    num_unique = max(1, num_pages - int(round(num_pages * duplicate_fraction)))
+
+    unique: List[str] = []
+    site_index = 0
+    while len(unique) < num_unique:
+        topic = topics[site_index % len(topics)]
+        website = SyntheticWebsite(
+            f"bench-{site_index}.example", topic, num_pages=4, rng=rng
+        )
+        for url in website.urls:
+            html = website.fetch(url)
+            if html:
+                unique.append(html)
+            if len(unique) == num_unique:
+                break
+        site_index += 1
+
+    stream = list(unique)
+    while len(stream) < num_pages:
+        stream.append(unique[int(rng.integers(len(unique)))])
+    rng.shuffle(stream)
+    return [(f"page-{position:04d}", html) for position, html in enumerate(stream)]
 
 
 def document_from_rendered(

@@ -16,6 +16,7 @@ from .common import (
     make_single_generator,
     make_topic_bank,
     train_model,
+    trained_joint,
 )
 from .config import ExperimentScale, paper_shape, small, tiny
 from .dataset_quality import run_dataset_quality
@@ -46,6 +47,7 @@ __all__ = [
     "make_single_generator",
     "make_topic_bank",
     "train_model",
+    "trained_joint",
     "generation_metrics",
     "extraction_metrics",
     "ResultTable",

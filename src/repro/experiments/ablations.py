@@ -15,12 +15,10 @@ from ..distill.dual import DualDistiller
 from .common import (
     distill_config,
     generation_metrics,
-    get_trained,
     get_world,
-    make_joint,
     make_single_generator,
     make_topic_bank,
-    train_model,
+    trained_joint,
 )
 from .config import ExperimentScale, small
 from .reporting import ResultTable
@@ -30,13 +28,7 @@ __all__ = ["run_alpha_sweep", "run_gamma_sweep"]
 
 def _teacher_and_bank(world):
     scale = world.scale
-
-    def build():
-        rng = np.random.default_rng(scale.seed + 310 + 6)
-        model = make_joint(world, "Joint-WB", rng)
-        return train_model(model, world.seen_split.train, scale)
-
-    teacher = get_trained(scale, "teacher:Joint-WB:seen", build)
+    teacher = trained_joint(world, "Joint-WB", 316)  # Table VIII/IX's Joint-WB
     bank = make_topic_bank(
         world,
         teacher.generator.embedding.weight.data,

@@ -45,6 +45,7 @@ __all__ = [
     "get_world",
     "clear_world_cache",
     "get_trained",
+    "trained_joint",
     "compositional_topic_ids",
     "make_encoder",
     "make_single_extractor",
@@ -332,6 +333,21 @@ def train_model(
     )
     Trainer(model, config).train(documents, dev_documents=dev_documents)
     return model
+
+
+def trained_joint(world: World, name: str, offset: int) -> JointWBModel:
+    """Joint model ``name`` trained on the seen split from rng ``seed + offset``.
+
+    The offset is part of the cache key, so runners that build the same
+    model from different rngs each get their own, whatever order they run in.
+    """
+    scale = world.scale
+
+    def build():
+        model = make_joint(world, name, np.random.default_rng(scale.seed + offset))
+        return train_model(model, world.seen_split.train, scale)
+
+    return get_trained(scale, f"joint:{name}:seen:{offset}", build)
 
 
 def make_topic_bank(

@@ -25,7 +25,7 @@ from .common import (
     make_joint,
     make_single_generator,
     make_topic_bank,
-    train_model,
+    trained_joint,
 )
 from .config import ExperimentScale, small
 from .reporting import ResultTable
@@ -56,12 +56,7 @@ def run_sensitivity(
     scale = scale or small()
     world = get_world(scale)
 
-    def build_teacher():
-        rng = np.random.default_rng(scale.seed + 310 + 6)
-        model = make_joint(world, "Joint-WB", rng)
-        return train_model(model, world.seen_split.train, scale)
-
-    teacher = get_trained(scale, "teacher:Joint-WB:seen", build_teacher)
+    teacher = trained_joint(world, "Joint-WB", 316)  # Table VIII/IX's Joint-WB
     bank = make_topic_bank(
         world, teacher.generator.embedding.weight.data, np.random.default_rng(scale.seed + 700)
     )

@@ -30,7 +30,9 @@ from .common import (
     make_single_generator,
     make_topic_bank,
     train_model,
+    trained_joint,
 )
+from .table89 import JOINT_ROWS
 from .config import ExperimentScale, small
 from .reporting import ResultTable
 
@@ -62,14 +64,7 @@ def _models(world) -> Dict[str, Callable]:
         return get_trained(scale, f"table10:{kind}-gen", build)
 
     def joint(name: str):
-        def build():
-            offset = 310 + ["Naive-Join", "Con-Extractor", "Ave-Extractor",
-                            "Att-Extractor", "Att-Extractor+Att-Generator",
-                            "Pip-Extractor+Pip-Generator", "Joint-WB"].index(name)
-            model = make_joint(world, name, np.random.default_rng(scale.seed + offset))
-            return train_model(model, world.seen_split.train, scale)
-
-        return get_trained(scale, f"teacher:{name}:seen", build)
+        return trained_joint(world, name, 310 + JOINT_ROWS.index(name))
 
     teacher = joint("Joint-WB")
     bank = make_topic_bank(

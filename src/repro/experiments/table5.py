@@ -32,6 +32,7 @@ from .common import (
     make_single_generator,
     make_topic_bank,
     train_model,
+    trained_joint,
 )
 from .config import ExperimentScale, small
 from .reporting import ResultTable
@@ -73,12 +74,7 @@ def _teacher_pair(world: World, name: str):
             get_trained(scale, "table5:bert-single-gen", build_gen),
         )
 
-    def build_joint():
-        rng = np.random.default_rng(scale.seed + 310 + TEACHER_NAMES.index(name))
-        model = make_joint(world, name, rng)
-        return train_model(model, world.seen_split.train, scale)
-
-    joint = get_trained(scale, f"teacher:{name}:seen", build_joint)
+    joint = trained_joint(world, name, 310 + TEACHER_NAMES.index(name))
     return joint, joint
 
 

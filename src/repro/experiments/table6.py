@@ -18,9 +18,9 @@ from .common import (
     extraction_metrics,
     get_trained,
     get_world,
-    make_joint,
     make_single_extractor,
     train_model,
+    trained_joint,
 )
 from .config import ExperimentScale, small
 from .reporting import ResultTable
@@ -69,12 +69,7 @@ def run_table6(scale: Optional[ExperimentScale] = None) -> ResultTable:
             {"P": 100 * metrics.precision, "R": 100 * metrics.recall, "F1": 100 * metrics.f1},
         )
 
-    def build_joint():
-        rng = np.random.default_rng(scale.seed + 310 + 2)  # shared key with table5
-        model = make_joint(world, "Joint-WB", rng)
-        return train_model(model, world.seen_split.train, scale)
-
-    joint = get_trained(scale, "teacher:Joint-WB:seen", build_joint)
+    joint = trained_joint(world, "Joint-WB", 312)  # Table V's Joint-WB teacher
     metrics = extraction_metrics(joint, test)
     table.add_row(
         "Joint-WB",

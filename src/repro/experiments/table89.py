@@ -14,35 +14,14 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..models.joint_baselines import JOINT_BASELINE_CONFIGS
-from .common import (
-    extraction_metrics,
-    generation_metrics,
-    get_trained,
-    get_world,
-    make_joint,
-    train_model,
-)
+from .common import extraction_metrics, generation_metrics, get_world, trained_joint
 from .config import ExperimentScale, small
 from .reporting import ResultTable
 
 __all__ = ["run_joint_tables", "run_table8", "run_table9", "JOINT_ROWS"]
 
 JOINT_ROWS = tuple(JOINT_BASELINE_CONFIGS)  # insertion order: Naive-Join … Joint-WB
-
-
-def _trained_joint(world, name: str):
-    scale = world.scale
-
-    def build():
-        offset = 310 + list(JOINT_ROWS).index(name)
-        rng = np.random.default_rng(scale.seed + offset)
-        model = make_joint(world, name, rng)
-        return train_model(model, world.seen_split.train, scale)
-
-    return get_trained(scale, f"teacher:{name}:seen", build)
 
 
 def run_joint_tables(
@@ -65,7 +44,7 @@ def run_joint_tables(
     )
     test = world.seen_split.test
     for name in JOINT_ROWS:
-        model = _trained_joint(world, name)
+        model = trained_joint(world, name, 310 + JOINT_ROWS.index(name))
         ext = extraction_metrics(model, test)
         gen = generation_metrics(model, test, scale.beam_size)
         table8.add_row(

@@ -30,8 +30,8 @@ that the continuous metrics can only hint at.  ``write_jsonl`` serialises it
 one JSON object per line.
 
 :func:`percentile` is the package's one exact percentile over raw samples
-(the same linear interpolation as ``numpy.percentile``'s default); the
-tracker and the ``repro bench`` scenarios both use it.
+(the same linear interpolation as ``numpy.percentile``'s default), used
+by the tracker.
 
 Like the rest of ``repro.obs`` this module is stdlib-only and imports no
 other ``repro`` package; the serving layer feeds it through plain callables.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.taxonomy import build_taxonomy
+from repro.experiments import common
 from repro.experiments import (
     ExperimentScale,
     build_world,
@@ -15,6 +16,7 @@ from repro.experiments import (
     make_joint,
     make_single_extractor,
     make_single_generator,
+    trained_joint,
 )
 
 MICRO = ExperimentScale(
@@ -92,6 +94,21 @@ def test_get_trained_caches():
     second = get_trained(MICRO, "thing", builder)
     assert first is second
     assert len(calls) == 1
+
+
+def test_trained_joint_caches_per_rng_offset(world, monkeypatch):
+    """Runners that build Joint-WB from different rngs get different models,
+    whichever runs first; the same offset returns the cached object."""
+    monkeypatch.setattr(common, "train_model", lambda model, *args, **kwargs: model)
+    clear_world_cache()
+    table6_row = trained_joint(world, "Joint-WB", 312)
+    table8_row = trained_joint(world, "Joint-WB", 316)
+    assert table6_row is not table8_row
+    assert not np.array_equal(
+        table6_row.generator.embedding.weight.data, table8_row.generator.embedding.weight.data
+    )
+    assert trained_joint(world, "Joint-WB", 312) is table6_row
+    clear_world_cache()
 
 
 def test_encoder_factory_kinds(world):

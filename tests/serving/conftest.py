@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import (
-    BatchedBriefingPipeline,
-    BriefingPipeline,
-    ConcurrentBriefingPipeline,
-    synthesize_serving_corpus,
-)
+from repro.core import BatchedBriefingPipeline, BriefingPipeline, ConcurrentBriefingPipeline
+from repro.data import synthesize_serving_corpus
 from repro.models import BertSumEncoder, make_joint_model
 
 

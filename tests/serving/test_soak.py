@@ -1,8 +1,50 @@
-"""Chaos/soak harness: Zipf replay, conservation, resilience reporting."""
+"""Chaos soak: a Zipfian stream under seeded worker faults, and conservation.
 
-import json
+Conservation is the serving layer's contract under chaos: with workers
+stalling, raising and dying, every submitted future still resolves,
+``shutdown`` joins every worker, and every submission comes back as a
+complete or a degraded brief.
+"""
 
-from repro.core import run_chaos_bench, synthesize_zipf_stream
+import concurrent.futures
+import time
+
+import numpy as np
+import pytest
+
+from repro.core import ConcurrentBriefingPipeline
+from repro.data import synthesize_serving_corpus
+from repro.runtime.chaos import ChaosWorker
+from repro.runtime.stats import RuntimeStats
+
+
+def synthesize_zipf_stream(num_requests, unique_pages=16, seed=7, alpha=1.1):
+    """``(doc_id, html)`` requests whose pages follow ``p(rank) ∝ rank**-alpha``.
+
+    A few hot pages and a long cold tail give the front cache and the
+    single-flight coalescing realistic work, unlike the uniform repeats of
+    :func:`synthesize_serving_corpus`.
+    """
+    base = synthesize_serving_corpus(unique_pages, seed=seed, duplicate_fraction=0.0)
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, len(base) + 1, dtype=float) ** alpha
+    picks = rng.choice(len(base), size=num_requests, p=weights / weights.sum())
+    return [(f"req-{position:05d}", base[int(pick)][1]) for position, pick in enumerate(picks)]
+
+
+def soak(server, stream, rounds, timeout=60.0):
+    """Submit ``stream`` ``rounds`` times; ``(briefs, unresolved, stuck_workers)``.
+
+    All futures share one overall deadline, so a broken contract fails the
+    test in ``timeout`` seconds rather than ``timeout`` per future.
+    """
+    futures = [
+        server.submit(html, doc_id=doc_id) for _ in range(rounds) for doc_id, html in stream
+    ]
+    done, not_done = concurrent.futures.wait(futures, timeout=timeout)
+    briefs = [future.result() for future in done if future.exception() is None]
+    unresolved = len(not_done) + len(done) - len(briefs)
+    return briefs, unresolved, server.shutdown(timeout=timeout)
 
 
 def test_zipf_stream_is_deterministic_and_skewed():
@@ -22,58 +64,47 @@ def test_zipf_stream_is_deterministic_and_skewed():
     assert counts[0] > 64 / 8
 
 
-def test_chaos_bench_conserves_every_future(serving_model, tmp_path):
-    """A short soak under ≥10% fault rates: every submitted future resolves,
-    shutdown does not deadlock, and the resilience section is written."""
-    output = tmp_path / "BENCH_serving.json"
-    result = run_chaos_bench(
-        num_requests=24,
-        unique_pages=8,
+@pytest.mark.parametrize(
+    "rates",
+    [(0.15, 0.10, 0.15), (0.0, 0.0, 0.0)],
+    ids=["chaos", "fault-free"],
+)
+def test_soak_conserves_every_future(serving_model, rates):
+    """256 submissions (128 Zipf requests over 32 pages, two rounds) on 4
+    workers with micro-batches of 2, so enough batches dispatch for faults
+    to fire.  Under chaos every future resolves and no worker is stuck;
+    with every rate at 0 nothing dies, restarts or degrades."""
+    exception_rate, stall_rate, death_rate = rates
+    chaos_stats = RuntimeStats()
+    chaos = ChaosWorker(
+        exception_rate=exception_rate,
+        stall_rate=stall_rate,
+        death_rate=death_rate,
+        stall_seconds=0.01,
         seed=7,
-        workers=2,
+        stats=chaos_stats,
+        sleep=time.sleep,
+        max_deaths=8,
+    )
+    server = ConcurrentBriefingPipeline(
+        serving_model,
+        num_workers=4,
+        beam_size=2,
         max_batch=2,
-        beam_size=2,
-        exception_rate=0.15,
-        stall_rate=0.1,
-        death_rate=0.1,
-        stall_seconds=0.001,
-        max_deaths=4,
-        model=serving_model,
-        output_path=str(output),
+        max_wait_ms=2.0,
+        max_queue=256,
+        supervise=True,
+        chaos=chaos,
     )
-    assert result.conserved
-    assert result.unresolved == 0
-    assert not result.deadlocked
-    assert result.stuck_workers == []
-    assert result.complete_briefs + result.degraded_briefs == 24
+    stream = synthesize_zipf_stream(128, unique_pages=32, seed=7)
+    briefs, unresolved, stuck = soak(server, stream, rounds=2)
 
-    payload = json.loads(output.read_text())
-    section = payload["resilience"]
-    assert section["conservation"]["conserved"] is True
-    assert section["latency_ms"]["p99"] >= section["latency_ms"]["p50"] >= 0.0
-    assert section["chaos"]["death_rate"] == 0.1
-    assert section["recovery"]["worker_restarts"] == result.worker_restarts
-
-
-def test_chaos_bench_fault_free_baseline(serving_model):
-    """With all rates zeroed the harness is just a soak: no deaths, no
-    restarts, everything complete."""
-    result = run_chaos_bench(
-        num_requests=12,
-        unique_pages=4,
-        seed=3,
-        workers=2,
-        max_batch=4,
-        beam_size=2,
-        exception_rate=0.0,
-        stall_rate=0.0,
-        death_rate=0.0,
-        model=serving_model,
-    )
-    assert result.conserved and not result.deadlocked
-    assert result.worker_deaths == 0
-    assert result.worker_restarts == 0
-    assert result.degraded_briefs == 0
-    assert result.complete_briefs == 12
-    assert result.fault_free_docs_per_second > 0.0
-    assert result.docs_per_second > 0.0
+    assert unresolved == 0
+    assert stuck == []
+    assert len(briefs) == 256  # complete + degraded
+    if any(rates):
+        assert chaos_stats.faults_injected > 0
+    else:
+        assert chaos.deaths == 0
+        assert server.merged_stats().worker_restarts == 0
+        assert all(brief.complete for brief in briefs)

@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from repro.core import ConcurrentBriefingPipeline, synthesize_serving_corpus
+from repro.core import ConcurrentBriefingPipeline
+from repro.data import synthesize_serving_corpus
 from repro.runtime import ChaosWorker, WorkerDeath
 
 from .test_deadlines import PAGE_A, PAGE_B, assert_deadline_brief

@@ -26,16 +26,6 @@ def test_parser_tables_arguments():
     assert args.only == ["table4"]
 
 
-def test_parser_bench_arguments():
-    """``bench`` is the chaos scenario: it parses without a mode flag."""
-    args = build_parser().parse_args(["bench", "--pages", "16", "--smoke", "--output", ""])
-    assert args.command == "bench"
-    assert args.pages == 16
-    assert args.smoke
-    assert args.output == ""
-    assert build_parser().parse_args(["bench"]).pages is None
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -43,35 +33,17 @@ def test_parser_bench_arguments():
         ["bench", "--compare", "prev.json"],
         ["bench", "--trace", "t.jsonl"],
         ["bench", "--cascade"],
+        ["bench"],
+        ["bench", "--smoke"],
     ],
 )
 def test_bench_rejects_retired_options(argv, capsys):
+    """``bench`` is retired with all its options; the chaos soak is
+    ``tests/serving/test_soak.py``."""
     with pytest.raises(SystemExit) as excinfo:
-        build_parser().parse_args(argv)
+        main(argv)
     assert excinfo.value.code == 2
     assert "usage: repro" in capsys.readouterr().err
-
-
-def _chaos_smoke(tmp_path, capsys, *extra):
-    report = tmp_path / "BENCH_serving.json"
-    assert main(["bench", "--smoke", "--output", str(report), *extra]) == 0
-    out = capsys.readouterr().out
-    assert "smoke: ok" in out
-    return json.loads(report.read_text())["resilience"]
-
-
-def test_bench_smoke_command(tmp_path, capsys):
-    """``--smoke`` alone runs the small default stream."""
-    section = _chaos_smoke(tmp_path, capsys)
-    assert section["num_requests"] == 12
-    assert section["conservation"]["conserved"] is True
-
-
-def test_bench_smoke_honours_explicit_pages(tmp_path, capsys):
-    """An explicit ``--pages`` wins over the ``--smoke`` default."""
-    section = _chaos_smoke(tmp_path, capsys, "--pages", "32")
-    assert section["num_requests"] == 32
-    assert section["unique_pages"] == 8
 
 
 def test_corpus_stats_command(capsys):
