@@ -283,6 +283,12 @@ class TopicGenerator(nn.Module):
         Pass a list as ``margins`` to receive one beam-score margin per page
         (same semantics as :meth:`generate`; the batched search replicates
         the scalar hypothesis scores bitwise, so the margins agree too).
+
+        The topic needs the best hypothesis and the margin the runner-up, so
+        the search runs with ``n_best=2``: a page stops expanding hypotheses
+        that score at or below its second-best finished one.  The
+        max-shifted :meth:`_log_softmax_raw` keeps every log-prob ``<= 0``,
+        which that pruning needs.
         """
         memories = list(memories)
         if not memories:
@@ -307,6 +313,7 @@ class TopicGenerator(nn.Module):
                 num_sequences=len(memories),
                 beam_size=beam_size,
                 max_depth=max_depth,
+                n_best=2,
             )
         decoded: List[List[str]] = []
         for hypotheses in results:

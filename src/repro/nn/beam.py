@@ -9,15 +9,19 @@ Two implementations share the ranking semantics:
 
 * :func:`beam_search` — the scalar spec: one :data:`StepFn` call per live
   hypothesis per depth.  A row expands in log-prob order, ties to the
-  higher token id; candidates rank by normalised score, ties to the
-  earlier place (beam slot, then rank in the row).
+  higher token id; candidates rank by score, ties to the earlier place
+  (beam slot, then rank in the row).
 * :func:`batched_beam_search` / :func:`batched_beam_search_many` — the one
   batched host: every live hypothesis (across every sequence in a
   micro-batch) is one row of a single :data:`BatchStepFn` call, so a
   depth-``D`` decode costs ``D`` step calls instead of ``~D·beam_size``
   per sequence.  Selection is a partial top-``beam_size`` per sequence in
   numpy with the spec's exact tie rule: token sequences, scores and
-  hypothesis order are bit-identical.
+  hypothesis order are bit-identical.  Given ``n_best``, it returns only
+  each sequence's first ``n_best`` hypotheses and stops expanding rows that
+  score at or below the ``n_best``-th best finished one: scores never rise,
+  so those rows cannot reach the top (Huang et al., "When to Finish?",
+  EMNLP 2017).  The decoder needs only the best two.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ StepFn = Callable[[int, object], Tuple[np.ndarray, object]]
 #: with :func:`gather_beam_state` after each expansion.
 BatchStepFn = Callable[[np.ndarray, object], Tuple[np.ndarray, object]]
 
+_by_score = attrgetter("score")
+
 
 def gather_beam_state(state, indices: np.ndarray):
     """Select rows of a batched decoder state along its leading beam axis.
@@ -81,11 +87,6 @@ class BeamHypothesis:
     state: object = field(compare=False, default=None)
     finished: bool = field(compare=False, default=False)
 
-    def normalized_score(self, length_penalty: float = 0.0) -> float:
-        """Score divided by ``len^length_penalty`` (0 disables normalisation)."""
-        length = max(1, len(self.tokens))
-        return self.score / (length ** length_penalty) if length_penalty else self.score
-
 
 def beam_search(
     step_fn: StepFn,
@@ -94,7 +95,6 @@ def beam_search(
     end_id: int,
     beam_size: int = 8,
     max_depth: int = 4,
-    length_penalty: float = 0.0,
 ) -> List[BeamHypothesis]:
     """Run beam search and return finished hypotheses sorted best-first.
 
@@ -135,7 +135,7 @@ def beam_search(
                     finished=token_id == end_id,
                 )
                 candidates.append(hyp)
-        candidates.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
+        candidates.sort(key=_by_score, reverse=True)
         beams = candidates[:beam_size]
         newly_finished = [b for b in beams if b.finished]
         finished.extend(newly_finished)
@@ -144,7 +144,7 @@ def beam_search(
             break
 
     finished.extend(beams)  # unfinished hypotheses still count at max depth
-    finished.sort(key=lambda h: h.normalized_score(length_penalty), reverse=True)
+    finished.sort(key=_by_score, reverse=True)
     return finished
 
 
@@ -214,7 +214,7 @@ def batched_beam_search_many(
     num_sequences: int,
     beam_size: int = 8,
     max_depth: int = 4,
-    length_penalty: float = 0.0,
+    n_best: Optional[int] = None,
 ) -> List[List[BeamHypothesis]]:
     """Beam-search ``num_sequences`` sequences with fused per-depth steps.
 
@@ -234,15 +234,28 @@ def batched_beam_search_many(
     are bit-identical.  A candidate's place in the scalar search's list is
     ``(beam slot, rank in its row)``, where a row ranks tokens by
     log-probability and then by higher token id; candidates are ordered by
-    (normalised score desc, that place asc).  No row is sorted: each
-    sequence's candidates are partitioned at the ``beam_size``-th best
-    score, and only the survivors and the candidates tied at the cut are
-    sorted.
+    (score desc, that place asc).  No row is sorted: each sequence's
+    candidates are partitioned at the ``beam_size``-th best score, and only
+    the survivors and the candidates tied at the cut are sorted.
+
+    With ``n_best`` set, each returned list is the first ``n_best`` of the
+    spec's list, and the search stops expanding hypotheses that cannot
+    reach it.  A sequence's *bar* is the ``n_best``-th best score among its
+    finished hypotheses (no bar until ``n_best`` have finished).  After each
+    depth, every live row scoring at or below its sequence's bar is dropped,
+    and the search ends when no row is left.  Log-probabilities must be
+    ``<= 0`` (a positive one raises :class:`ValueError`), so a dropped row
+    and all its descendants score at most the bar; they would join the
+    list after the hypotheses that set it, and the stable best-first sort
+    ranks them below.  The beam places they free go to candidates that rank
+    below their children, so those cannot reach the first ``n_best`` either.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if num_sequences < 0:
         raise ValueError("num_sequences must be >= 0")
+    if n_best is not None and n_best < 1:
+        raise ValueError("n_best must be >= 1")
     if num_sequences == 0:
         return []
 
@@ -253,6 +266,8 @@ def batched_beam_search_many(
     alive = np.arange(num_sequences, dtype=np.intp)
     counts = np.ones(num_sequences, dtype=np.intp)
     finished: List[List[BeamHypothesis]] = [[] for _ in range(num_sequences)]
+    # Each sequence's bar; NaN (no bar) compares false, so it drops nothing.
+    bars = np.full(num_sequences, np.nan)
     state = initial_state
 
     for _ in range(max_depth):
@@ -264,6 +279,8 @@ def batched_beam_search_many(
                 f"batched step_fn must return (N, V) log-probs for N={n_rows} "
                 f"hypotheses, got shape {log_probs.shape}"
             )
+        if n_best is not None and (log_probs > 0).any():
+            raise ValueError("n_best needs log-probs <= 0: a score must never rise")
         vocab = log_probs.shape[1]
         # The scalar search expands only each row's top min(beam, V) tokens,
         # but a candidate with r better tokens in its own row has r better
@@ -271,10 +288,6 @@ def batched_beam_search_many(
         # never reaches past a row's top ``beam_size``: every token can be a
         # candidate, and no row is sorted.
         cand = scores[:, None] + log_probs  # float64: an exact upcast
-        # All candidates at one depth share a length, so the penalty is one
-        # divisor — computed the same way as normalized_score.
-        length = tokens.shape[1] + 1
-        norm = cand / (length ** length_penalty) if length_penalty else cand
 
         # One block row per alive sequence: its candidates, slot-major.
         starts = counts.cumsum() - counts
@@ -282,16 +295,16 @@ def batched_beam_search_many(
         max_beams = max(sizes)
         widths = None
         if min(sizes) == max_beams:
-            block = norm.reshape(alive.size, max_beams * vocab)
+            block = cand.reshape(alive.size, max_beams * vocab)
         else:
             # Ragged: pad past each sequence's live rows with values at or
             # below every candidate.  Distinct pads keep argpartition fast;
             # a block of equal pads (say -inf) slows it several-fold.
             filled = np.arange(max_beams) < counts[:, None]
             block = np.empty((alive.size, max_beams, vocab))
-            block[filled] = norm
+            block[filled] = cand
             block[~filled] = np.subtract(
-                norm.min(), np.arange((filled.size - n_rows) * vocab, dtype=np.float64)
+                cand.min(), np.arange((filled.size - n_rows) * vocab, dtype=np.float64)
             ).reshape(-1, vocab)
             block = block.reshape(alive.size, max_beams * vocab)
             widths = counts * vocab
@@ -308,13 +321,21 @@ def batched_beam_search_many(
         scores = cand[parents, new_tokens]
 
         tokens = np.concatenate([tokens[parents], new_tokens[:, None]], axis=1)
-        done = new_tokens == end_id
-        if done.any():
-            for g, prefix, score in zip(
-                alive[block_rows[done]].tolist(), tokens[done].tolist(), scores[done].tolist()
-            ):
+        live = new_tokens != end_id
+        if not live.all():
+            done = ~live
+            ended = alive[block_rows[done]]
+            for g, prefix, score in zip(ended.tolist(), tokens[done].tolist(), scores[done].tolist()):
                 finished[g].append(BeamHypothesis(score=score, tokens=prefix, finished=True))
-            live = ~done
+            if n_best is not None:
+                for g in np.unique(ended).tolist():
+                    # A stable sort keeps ties in the order they finished.
+                    top = finished[g] = sorted(finished[g], key=_by_score, reverse=True)[:n_best]
+                    if len(top) == n_best:
+                        bars[g] = top[-1].score
+        if n_best is not None:
+            live &= ~(scores <= bars[alive[block_rows]])
+        if not live.all():
             tokens, parents, new_tokens = tokens[live], parents[live], new_tokens[live]
             scores, block_rows = scores[live], block_rows[live]
         counts = np.bincount(block_rows, minlength=alive.size)
@@ -328,10 +349,10 @@ def batched_beam_search_many(
     for g, prefix, score in zip(np.repeat(alive, counts).tolist(), tokens.tolist(), scores.tolist()):
         # unfinished hypotheses still count at max depth
         finished[g].append(BeamHypothesis(score=score, tokens=prefix))
-    # Without a penalty the normalised score is the score itself.
-    key = (lambda h: h.normalized_score(length_penalty)) if length_penalty else attrgetter("score")
     for hypotheses in finished:
-        hypotheses.sort(key=key, reverse=True)
+        hypotheses.sort(key=_by_score, reverse=True)
+    if n_best is not None:
+        finished = [hypotheses[:n_best] for hypotheses in finished]
     return finished
 
 
@@ -346,7 +367,6 @@ def batched_beam_search(
     end_id: int,
     beam_size: int = 8,
     max_depth: int = 4,
-    length_penalty: float = 0.0,
 ) -> List[BeamHypothesis]:
     """Single-sequence convenience wrapper over :func:`batched_beam_search_many`."""
     return batched_beam_search_many(
@@ -357,7 +377,6 @@ def batched_beam_search(
         num_sequences=1,
         beam_size=beam_size,
         max_depth=max_depth,
-        length_penalty=length_penalty,
     )[0]
 
 

@@ -4,7 +4,10 @@
 float32 rounding could flip a decision (sharper softmaxes, larger logits), so
 this gate trains a small Joint-WB for a few seconds and briefs pages it never
 saw through the serving pipeline, which casts a float32 copy, and through the
-sequential float64 :class:`BriefingPipeline`, the executable spec.
+sequential float64 :class:`BriefingPipeline`, the executable spec.  Serving
+decodes with the batched beam host pruned to the top two hypotheses; the spec
+runs the unpruned scalar ``beam_search``, so the paper's width 200 checks the
+pruning on trained, peaked weights.
 """
 
 import numpy as np
@@ -16,6 +19,10 @@ from repro.data import SyntheticWebsite, Vocabulary, build_jasmine_corpus, build
 from repro.models import BertSumEncoder, make_joint_model
 
 NUM_TOPICS = 3
+# Pages between briefed pages, per beam width.  The scalar spec steps one
+# hypothesis per call, about 0.7 s a page at width 200, so that width briefs
+# 6 of the 48 pages (two per topic).
+PAGE_STRIDE = {4: 1, 200: 8}
 
 
 def held_out_pages(sites_per_topic=4, pages_per_site=4, seed=99):
@@ -47,13 +54,14 @@ def trained_model():
     return model
 
 
-def test_float32_serving_briefs_equal_float64_spec_on_trained_model(trained_model):
-    pages = held_out_pages()
-    pipeline = BatchedBriefingPipeline(trained_model, beam_size=4, batch_size=8)
+@pytest.mark.parametrize("beam_size", sorted(PAGE_STRIDE))
+def test_float32_serving_briefs_equal_float64_spec_on_trained_model(trained_model, beam_size):
+    pages = held_out_pages()[:: PAGE_STRIDE[beam_size]]
+    pipeline = BatchedBriefingPipeline(trained_model, beam_size=beam_size, batch_size=8)
     assert all(p.data.dtype == np.float32 for p in pipeline.model.parameters())
     assert all(p.data.dtype == np.float64 for p in trained_model.parameters())
     served = pipeline.brief_many(pages)
-    spec = BriefingPipeline(trained_model, beam_size=4)
+    spec = BriefingPipeline(trained_model, beam_size=beam_size)
     for (doc_id, html), brief in zip(pages, served):
         want = spec.brief_html(html, doc_id=doc_id)
         assert brief.complete and want.complete, doc_id

@@ -65,12 +65,6 @@ def test_beam_size_validation():
         nn.beam_search(lambda t, s: (np.zeros(VOCAB), s), None, 0, END, beam_size=0)
 
 
-def test_length_penalty_normalisation():
-    hyp = nn.BeamHypothesis(score=-2.0, tokens=[0, 1, 2, 3])
-    assert hyp.normalized_score(0.0) == -2.0
-    assert hyp.normalized_score(1.0) == pytest.approx(-0.5)
-
-
 def test_state_threading():
     """Decoder state must follow each hypothesis independently."""
 

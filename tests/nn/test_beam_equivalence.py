@@ -10,6 +10,8 @@ see provably identical floats.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn.beam import gather_beam_state
@@ -57,20 +59,6 @@ def test_bit_identical_to_scalar_reference(beam_size, seed):
             batch_step, None, START, END, beam_size=beam_size, max_depth=max_depth
         )
         assert_identical(ref, fast, f"beam={beam_size} depth={max_depth} seed={seed}")
-
-
-@pytest.mark.parametrize("length_penalty", [0.3, 0.7, 1.0])
-def test_length_penalty_ranking_parity(length_penalty):
-    scalar_step, batch_step = table_steps(5)
-    ref = nn.beam_search(
-        scalar_step, None, START, END, beam_size=8, max_depth=5,
-        length_penalty=length_penalty,
-    )
-    fast = nn.batched_beam_search(
-        batch_step, None, START, END, beam_size=8, max_depth=5,
-        length_penalty=length_penalty,
-    )
-    assert_identical(ref, fast, f"lp={length_penalty}")
 
 
 def test_tie_breaking_determinism():
@@ -240,8 +228,7 @@ def test_one_batched_host():
 
 
 @pytest.mark.parametrize("beam_size", [1, 4, 8])
-@pytest.mark.parametrize("length_penalty", [0.0, 0.7])
-def test_fast_host_identical_to_reference_host(beam_size, length_penalty):
+def test_fast_host_identical_to_reference_host(beam_size):
     """Hypothesis tokens, scores and order equal per-page scalar searches.
 
     Briefs are compared bit-for-bit across transports and against the
@@ -250,7 +237,7 @@ def test_fast_host_identical_to_reference_host(beam_size, length_penalty):
     for seed in (0, 3, 17):
         _assert_host_matches_spec(
             _page_tables(seed, num_pages=4), START, END, f"seed={seed}",
-            beam_size=beam_size, max_depth=5, length_penalty=length_penalty,
+            beam_size=beam_size, max_depth=5,
         )
 
 
@@ -271,39 +258,6 @@ def test_spec_ranks_tied_tokens_higher_id_first():
         )
         expected = sorted(range(vocab), key=lambda token: (-row[token], -token))
         assert [h.tokens[1] for h in hyps] == expected
-
-
-def test_length_penalty_ties_break_by_place_not_raw_score():
-    """Two raw scores 1 ulp apart normalise to one float at length 6 with
-    penalty 0.7; the spec then keeps the earlier beam slot first."""
-    low, high = -3.577875247484592, -3.5778752474845916
-    assert low < high and low / 6 ** 0.7 == high / 6 ** 0.7
-    vocab, start, end = 8, 0, 7
-
-    def row_for(token, steps):
-        row = np.full(vocab, -50.0)
-        if token == start:
-            row[[1, 2]] = 0.0  # tie: token 2 takes slot 0, token 1 slot 1
-        elif steps < 4:
-            row[3 if token in (1, 3) else 4] = 0.0
-        else:
-            row[5] = low if token == 4 else high
-        return row
-
-    def scalar_step(token, steps):
-        return row_for(token, steps), steps + 1
-
-    def batch_step(tokens, steps):
-        return np.stack([row_for(t, s) for t, s in zip(tokens, steps)]), steps + 1
-
-    kwargs = dict(beam_size=2, max_depth=5, length_penalty=0.7)
-    ref = nn.beam_search(scalar_step, 0, start, end, **kwargs)
-    fast = nn.batched_beam_search_many(
-        batch_step, np.zeros(1, dtype=np.int64), start, end, num_sequences=1, **kwargs
-    )[0]
-    assert [h.tokens for h in ref] == [[0, 2, 4, 4, 4, 5], [0, 1, 3, 3, 3, 5]]
-    assert [h.score for h in ref] == [low, high]
-    assert_identical(ref, fast, "length-penalty tie")
 
 
 def test_host_breaks_rounded_score_ties_by_row_rank():
@@ -368,14 +322,13 @@ def test_host_page_with_fewer_candidates_than_the_beam():
 def test_host_fuzz_against_spec_in_the_decode_wide_regime(seed):
     """Vocabularies up to 200, beams up to 250 (beam > vocabulary too),
     up to 5 pages finishing at different depths, float32/float64 and
-    tied/untied tables, with and without a length penalty."""
+    tied/untied tables."""
     rng = np.random.default_rng(1000 + seed)
     vocab = int(rng.integers(3, 201))
     beam_size = int(rng.integers(1, 251))
     num_pages = int(rng.integers(1, 6))
     max_depth = int(rng.integers(1, 6))
     dtype = (np.float32, np.float64)[seed % 2]
-    length_penalty = (0.0, 0.7)[(seed // 2) % 2]
     tied = (seed // 4) % 2 == 1
     tables = rng.normal(size=(num_pages, vocab, vocab)) * rng.uniform(0.5, 3.0)
     # Per-page END boost: some pages finish early, some run to max depth.
@@ -386,9 +339,104 @@ def test_host_fuzz_against_spec_in_the_decode_wide_regime(seed):
     _assert_host_matches_spec(
         tables, 0, vocab - 1,
         f"V={vocab} beam={beam_size} pages={num_pages} depth={max_depth} "
-        f"{np.dtype(dtype).name} lp={length_penalty} tied={tied}",
-        beam_size=beam_size, max_depth=max_depth, length_penalty=length_penalty,
+        f"{np.dtype(dtype).name} tied={tied}",
+        beam_size=beam_size, max_depth=max_depth,
     )
+
+
+# ----------------------------------------------------------------------
+# n_best: the pruned host keeps the spec's first n_best hypotheses
+# ----------------------------------------------------------------------
+def _log_softmax(logits):
+    """The generator's max-shifted log-softmax: every entry is <= 0."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beam_size=st.sampled_from([1, 2, 4, 8, 32]),
+    max_depth=st.integers(1, 6),
+    num_pages=st.integers(1, 4),
+    n_best=st.integers(1, 3),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_pruned_host_keeps_the_specs_first_n_best(
+    seed, beam_size, max_depth, num_pages, n_best, dtype
+):
+    """Rounded logits make ties common within a row, and tokens that share a
+    row tie across beam slots; a per-page END shift makes pages finish at
+    different depths, so sequences drop out of the batch raggedly."""
+    rng = np.random.default_rng(seed)
+    vocab = int(rng.integers(3, 10))
+    end = vocab - 1
+    shared = int(rng.integers(1, vocab + 1))  # token t steps with row t % shared
+    # (page, depth, row, next token): each depth has its own table.
+    logits = np.round(rng.normal(size=(num_pages, max_depth, shared, vocab)) * 2.0, 0)
+    logits[..., end] += rng.integers(-3, 4, size=(num_pages, 1, 1))
+    tables = _log_softmax(logits.astype(dtype))
+
+    def step(pages, depths, tokens):
+        return tables[pages, depths, tokens % shared]
+
+    def batch_step(tokens, state):
+        pages, depths = state
+        return step(pages, depths, tokens), (pages, depths + 1)
+
+    pruned = nn.batched_beam_search_many(
+        batch_step, (np.arange(num_pages), np.zeros(num_pages, dtype=np.int64)), 0, end,
+        num_sequences=num_pages, beam_size=beam_size, max_depth=max_depth, n_best=n_best,
+    )
+    for page in range(num_pages):
+        ref = nn.beam_search(
+            lambda token, depth, page=page: (step(page, depth, token), depth + 1),
+            0, 0, end, beam_size=beam_size, max_depth=max_depth,
+        )
+        assert_identical(ref[:n_best], pruned[page], f"page={page}")
+
+
+def test_pruned_host_stops_expanding_rows_below_the_bar():
+    """By depth 2, END has finished above every live row twice, so with
+    ``n_best=2`` no row can reach the top two and the search stops."""
+    log_probs = _log_softmax(np.array([0.0, 1.0, 2.0, 3.0, 5.0, 4.0]))
+    rows_stepped = []
+
+    def batch_step(tokens, state):
+        rows_stepped.append(len(tokens))
+        return np.tile(log_probs, (len(tokens), 1)), state
+
+    full = nn.batched_beam_search(batch_step, None, START, 4, beam_size=4, max_depth=5)
+    assert rows_stepped == [1, 3, 2, 2, 2]
+    rows_stepped.clear()
+    (pruned,) = nn.batched_beam_search_many(
+        batch_step, None, START, 4, num_sequences=1, beam_size=4, max_depth=5, n_best=2
+    )
+    assert rows_stepped == [1, 3]
+    assert_identical(full[:2], pruned, "n_best=2")
+    assert [h.tokens for h in pruned] == [[START, 4], [START, 5, 4]]
+
+
+def test_pruned_host_rejects_positive_log_probs():
+    """Pruning is sound only while scores never rise."""
+
+    def rising_step(tokens, state):
+        log_probs = np.full((len(tokens), VOCAB), -1.0)
+        log_probs[:, 1] = 0.5
+        return log_probs, state
+
+    with pytest.raises(ValueError, match="log-probs <= 0"):
+        nn.batched_beam_search_many(
+            rising_step, None, START, END, num_sequences=1, beam_size=2, n_best=2
+        )
+    with pytest.raises(ValueError, match="n_best"):
+        nn.batched_beam_search_many(
+            rising_step, None, START, END, num_sequences=1, beam_size=2, n_best=0
+        )
+    # Without n_best the host ranks whatever the step returns, like the spec.
+    assert nn.batched_beam_search_many(
+        rising_step, None, START, END, num_sequences=1, beam_size=2, max_depth=2
+    )[0][0].score == 1.0
 
 
 # ----------------------------------------------------------------------
