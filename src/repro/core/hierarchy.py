@@ -107,20 +107,7 @@ class HierarchicalBriefer:
         from .. import nn
 
         with nn.no_grad():
-            enc = self.model.encoder.encode(document)
-            probs = (
-                self.model.section.probabilities(enc.sentence_states)
-                if self.model.section
-                else None
-            )
-            c_e = self.model.extractor.hidden(enc.token_states)
-            c_g = self.model.generator.encode(enc.sentence_states)
-            e_pool = (
-                self.model.attr_pool(c_e.mean(axis=0).reshape(1, -1))
-                if self.model.config.attr_to_generator != "none"
-                else None
-            )
-            c_g_dual = self.model._update_generator_hidden(c_g, e_pool, probs)
+            enc, probs, c_e, c_g_dual = self.model._inference_states(document)
             topic_hidden = self.model._greedy_topic_hidden(c_g_dual)
             c_e_dual = self.model._update_extractor_hidden(
                 c_e, topic_hidden, probs, enc.token_sentence_index

@@ -137,13 +137,27 @@ class AttributeExtractor(nn.Module):
         The score ranks spans for the runtime's degradation ladder: when topic
         generation fails, the pipeline promotes the highest-scoring attribute.
         """
+        tags, confidence = self.tag_confidence(logits)
+        return self.scored_spans(tags, confidence, document)
+
+    def tag_confidence(self, logits: nn.Tensor) -> Tuple[np.ndarray, np.ndarray]:
+        """Argmax tags and each tag's softmax probability.
+
+        Takes ``(L, 3)`` logits or a padded ``(B, T, 3)`` bucket.
+        """
         tags = self.predict_tags(logits)
         data = logits.data - logits.data.max(axis=-1, keepdims=True)
         probs = np.exp(data)
         probs /= probs.sum(axis=-1, keepdims=True)
+        return tags, np.take_along_axis(probs, tags[..., None], axis=-1)[..., 0]
+
+    @staticmethod
+    def scored_spans(
+        tags: np.ndarray, confidence: np.ndarray, document: Document
+    ) -> List[Tuple[str, float]]:
+        """One page's BIO spans, each scored by its tokens' mean confidence."""
         tokens = document.flat_tokens()
-        scored: List[Tuple[str, float]] = []
-        for start, end in decode_spans(tags):
-            confidence = float(probs[np.arange(start, end), tags[start:end]].mean())
-            scored.append((" ".join(tokens[start:end]), confidence))
-        return scored
+        return [
+            (" ".join(tokens[start:end]), float(confidence[start:end].mean()))
+            for start, end in decode_spans(tags)
+        ]

@@ -58,6 +58,11 @@ from .section import SectionPredictor
 __all__ = ["BriefPrediction", "ExchangeConfig", "JointForward", "JointWBModel"]
 
 
+def _if_padded(mask: np.ndarray) -> Optional[np.ndarray]:
+    """A bucket's ``(B, T)`` mask, or None when no row is padded."""
+    return None if mask.all() else mask
+
+
 @dataclass
 class BriefPrediction:
     """Everything the serving layer needs for one document, from one pass.
@@ -168,49 +173,88 @@ class JointWBModel(nn.Module):
 
     # ------------------------------------------------------------------
     # Exchange helpers
+    #
+    # Each takes one page's rows ``(n, ·)`` or a padded bucket ``(B, n, ·)``
+    # with the ``(B, n)`` mask of each page's real rows.  A 2-D call with no
+    # mask (training and the sequential ``predict_*`` methods) runs the plain
+    # per-page ops.
     # ------------------------------------------------------------------
+    @staticmethod
+    def _row_mean(hidden: nn.Tensor, mask: Optional[np.ndarray] = None) -> nn.Tensor:
+        """Mean over the row axis; with a mask, over each page's real rows."""
+        if mask is None:
+            return hidden.mean(axis=-2)
+        counts = mask.sum(axis=-1, keepdims=True)
+        real = hidden * mask[..., None].astype(hidden.dtype)
+        return real.sum(axis=-2) * (1.0 / counts).astype(hidden.dtype)
+
+    def _pooled(self, hidden: nn.Tensor, dense: nn.Dense, mask: Optional[np.ndarray] = None) -> nn.Tensor:
+        """Integrated representation tanh(pool(H) W): ``(1, x)`` or ``(B, 1, x)``."""
+        summary = self._row_mean(hidden, mask)
+        return dense(summary.reshape(summary.shape[:-1] + (1, summary.shape[-1])))
+
+    @staticmethod
+    def _per_row(probs: nn.Tensor, sentence_index: Optional[np.ndarray]) -> nn.Tensor:
+        """Section probability of each row (rows are sentences when no index)."""
+        if sentence_index is None:
+            return probs
+        if probs.ndim == 1:
+            return probs[sentence_index]
+        return probs[np.arange(probs.shape[0])[:, None], sentence_index]
+
     def _inject_section(self, hidden: nn.Tensor, probs: Optional[nn.Tensor], sentence_index: Optional[np.ndarray], dense: nn.Dense) -> nn.Tensor:
         """Section-dependent representation: tanh([H ⊕ Φ(p)] W)."""
         if self.config.section_aware and probs is not None:
-            if sentence_index is not None:
-                per_row = probs[sentence_index].reshape(-1, 1)
-            else:
-                per_row = probs.reshape(-1, 1)
-            hidden = nn.concatenate([hidden, per_row], axis=-1)
+            per_row = self._per_row(probs, sentence_index)
+            hidden = nn.concatenate([hidden, per_row.reshape(per_row.shape + (1,))], axis=-1)
         return dense(hidden)
 
+    def _with_zero_section(self, hidden: nn.Tensor) -> nn.Tensor:
+        """The pipeline baselines' section-free input to a section-aware dense."""
+        if not self.config.section_aware:
+            return hidden
+        zero = nn.Tensor(np.zeros(hidden.shape[:-1] + (1,), dtype=hidden.dtype))
+        return nn.concatenate([hidden, zero], axis=-1)
+
     @staticmethod
-    def _gate(hidden: nn.Tensor, attention: nn.Tensor) -> nn.Tensor:
-        """Re-weight rows by attention, scaled to mean-one gating."""
-        rows = hidden.shape[0]
-        return hidden * (attention.reshape(-1, 1) * float(rows))
+    def _attention(scores: nn.Tensor, mask: Optional[np.ndarray]) -> nn.Tensor:
+        """Softmax of ``(..., n, 1)`` scores over the rows; padded rows get 0."""
+        scores = scores.reshape(scores.shape[:-1])
+        return scores.softmax(axis=-1) if mask is None else nn.masked_softmax(scores, mask)
+
+    @staticmethod
+    def _gate(hidden: nn.Tensor, attention: nn.Tensor, mask: Optional[np.ndarray] = None) -> nn.Tensor:
+        """Re-weight rows by attention, scaled to mean-one gating.
+
+        The scale is each page's own row count, never the padded width.
+        """
+        weights = attention.reshape(attention.shape + (1,))
+        if mask is None:
+            return hidden * (weights * float(hidden.shape[-2]))
+        rows = mask.sum(axis=-1).astype(weights.dtype)[:, None, None]
+        return hidden * (weights * rows)
 
     def _update_generator_hidden(
         self,
         c_g: nn.Tensor,
         e_pool: Optional[nn.Tensor],
         probs: Optional[nn.Tensor],
+        mask: Optional[np.ndarray] = None,
     ) -> nn.Tensor:
         """Section-and-key-attributes dual-aware sentence representations."""
         if self.config.attr_to_generator == "none" or e_pool is None:
             return c_g
         if self.config.pipeline:
             # Pip-Generator: attribute-dependent gate, then section gate.
-            rep = (
-                nn.concatenate([c_g, nn.Tensor(np.zeros((c_g.shape[0], 1), dtype=c_g.dtype))], axis=-1)
-                if self.config.section_aware
-                else c_g
-            )
-            attr_scores = self.attend_sentences(self.sentence_section(rep) * e_pool)
-            attention = attr_scores.reshape(-1).softmax(axis=-1)
-            gated = self._gate(c_g, attention)
+            rep = self.sentence_section(self._with_zero_section(c_g))
+            attention = self._attention(self.attend_sentences(rep * e_pool), mask)
+            gated = self._gate(c_g, attention, mask)
             if self.config.section_aware and probs is not None:
-                gated = gated * (probs.reshape(-1, 1) + 0.5)
+                gated = gated * (probs.reshape(probs.shape + (1,)) + 0.5)
             return gated
         c_g_b = self._inject_section(c_g, probs, None, self.sentence_section)
-        scores = self.attend_sentences(c_g_b * e_pool).reshape(-1)
-        attention = scores.softmax(axis=-1)
-        return self._gate(c_g, attention)
+        attention = self._attention(self.attend_sentences(c_g_b * e_pool), mask)
+        return self._gate(c_g, attention, mask)
 
     def _update_extractor_hidden(
         self,
@@ -218,39 +262,41 @@ class JointWBModel(nn.Module):
         topic_hidden: Optional[nn.Tensor],
         probs: Optional[nn.Tensor],
         sentence_index: np.ndarray,
+        mask: Optional[np.ndarray] = None,
+        topic_mask: Optional[np.ndarray] = None,
     ) -> nn.Tensor:
-        """Section-and-topic dual-aware token representations."""
+        """Section-and-topic dual-aware token representations.
+
+        In a bucket, ``topic_hidden`` is the padded ``(B, N, h)`` block of
+        each page's greedy hiddens and ``topic_mask`` its real rows.
+        """
         mode = self.config.topic_to_extractor
         if mode == "none" or topic_hidden is None:
             return c_e
         if mode in ("concat", "average"):
             if mode == "average":
-                summary = topic_hidden.mean(axis=0)
-            else:
+                summary = self._row_mean(topic_hidden, topic_mask)
+            elif topic_mask is None:
                 # "Concat": flatten the decoder states; to stay length-safe we
                 # use the last state, the standard fixed-size summary.
-                summary = topic_hidden[topic_hidden.shape[0] - 1]
-            tiled = nn.stack([summary] * c_e.shape[0], axis=0)
+                summary = topic_hidden[..., topic_hidden.shape[-2] - 1, :]
+            else:
+                summary = topic_hidden[np.arange(len(topic_mask)), topic_mask.sum(axis=-1) - 1]
+            tiled = nn.stack([summary] * c_e.shape[-2], axis=-2)
             return self.concat_project(nn.concatenate([c_e, tiled], axis=-1))
         # attention mode
-        q_pool = self.topic_pool(topic_hidden.mean(axis=0).reshape(1, -1))  # (1, x)
+        q_pool = self._pooled(topic_hidden, self.topic_pool, topic_mask)  # (1, x) / (B, 1, x)
         if self.config.pipeline:
-            rep = (
-                nn.concatenate([c_e, nn.Tensor(np.zeros((c_e.shape[0], 1), dtype=c_e.dtype))], axis=-1)
-                if self.config.section_aware
-                else c_e
-            )
-            topic_scores = self.attend_tokens.scores(self.token_section(rep), q_pool)
-            attention = topic_scores.reshape(-1).softmax(axis=-1)
-            gated = self._gate(c_e, attention)
+            rep = self.token_section(self._with_zero_section(c_e))
+            attention = self._attention(self.attend_tokens.scores(rep, q_pool), mask)
+            gated = self._gate(c_e, attention, mask)
             if self.config.section_aware and probs is not None:
-                token_probs = probs[sentence_index]
-                gated = gated * (token_probs.reshape(-1, 1) + 0.5)
+                token_probs = self._per_row(probs, sentence_index)
+                gated = gated * (token_probs.reshape(token_probs.shape + (1,)) + 0.5)
             return gated
         c_e_b = self._inject_section(c_e, probs, sentence_index, self.token_section)
-        scores = self.attend_tokens.scores(c_e_b, q_pool).reshape(-1)
-        attention = scores.softmax(axis=-1)
-        return self._gate(c_e, attention)
+        attention = self._attention(self.attend_tokens.scores(c_e_b, q_pool), mask)
+        return self._gate(c_e, attention, mask)
 
     # ------------------------------------------------------------------
     # Forward / loss
@@ -263,11 +309,7 @@ class JointWBModel(nn.Module):
         c_e = self.extractor.hidden(enc.token_states)
         c_g = self.generator.encode(enc.sentence_states)
 
-        e_pool = (
-            self.attr_pool(c_e.mean(axis=0).reshape(1, -1))
-            if self.config.attr_to_generator != "none"
-            else None
-        )
+        e_pool = self._pooled(c_e, self.attr_pool) if self.config.attr_to_generator != "none" else None
         c_g_dual = self._update_generator_hidden(c_g, e_pool, probs)
 
         loss_g, gen_logits, topic_hidden = self.generator.teacher_forcing(
@@ -311,11 +353,7 @@ class JointWBModel(nn.Module):
         probs = self.section.probabilities(enc.sentence_states) if self.section else None
         c_e = self.extractor.hidden(enc.token_states)
         c_g = self.generator.encode(enc.sentence_states)
-        e_pool = (
-            self.attr_pool(c_e.mean(axis=0).reshape(1, -1))
-            if self.config.attr_to_generator != "none"
-            else None
-        )
+        e_pool = self._pooled(c_e, self.attr_pool) if self.config.attr_to_generator != "none" else None
         c_g_dual = self._update_generator_hidden(c_g, e_pool, probs)
         return enc, probs, c_e, c_g_dual
 
@@ -366,16 +404,18 @@ class JointWBModel(nn.Module):
         """Brief many documents with padded batched forward passes.
 
         Documents are length-bucketed so padded batches waste little compute,
-        the encoder and both Bi-LSTM heads run once per batch (one Python
-        loop over T for the whole bucket), and — unlike the sequential
-        ``predict_*`` trio, which re-encodes the document for every head —
-        each document is encoded exactly once.  Topic decoding also batches
-        across pages: one :meth:`TopicGenerator.generate_batch` beam search
-        and one :meth:`TopicGenerator.greedy_hidden_batch` greedy pass per
-        bucket advance every page's hypotheses together, instead of one
-        scalar decode per document.  Results are returned in input order and
-        are numerically equivalent to the sequential path (identical spans /
-        topic tokens / section decisions).
+        and — unlike the sequential ``predict_*`` trio, which re-encodes the
+        document for every head — each document is encoded exactly once.
+        Every stage runs once per bucket over padded ``(B, T, ·)`` blocks:
+        the encoder and both Bi-LSTM heads (one Python loop over T), the
+        signal exchange (section probabilities, E^b, A_G, Q^b, A_E and both
+        gates, through the same helpers the sequential path calls with one
+        page and no mask), one :meth:`TopicGenerator.generate_batch` beam
+        search, one :meth:`TopicGenerator.greedy_hidden_batch` greedy pass,
+        and the tag layer with its softmax.  Python runs per page only to
+        decode BIO spans and slice out its sections.  Results are returned
+        in input order and are numerically equivalent to the sequential
+        path (identical spans / topic tokens / section decisions).
         """
         documents = list(documents)
         results: List[Optional[BriefPrediction]] = [None] * len(documents)
@@ -388,50 +428,50 @@ class JointWBModel(nn.Module):
                 indices = [index for index, _ in batch]
                 docs = [document for _, document in batch]
                 encs = self.encoder.encode_batch(docs)
-                c_e_list = self.extractor.hidden_batch([enc.token_states for enc in encs])
-                c_g_list = self.generator.encode_batch([enc.sentence_states for enc in encs])
-                probs_list = [
-                    self.section.probabilities(enc.sentence_states) if self.section else None
-                    for enc in encs
-                ]
-                c_g_duals = []
-                for c_e, c_g, probs in zip(c_e_list, c_g_list, probs_list):
-                    e_pool = (
-                        self.attr_pool(c_e.mean(axis=0).reshape(1, -1))
-                        if self.config.attr_to_generator != "none"
-                        else None
-                    )
-                    c_g_duals.append(self._update_generator_hidden(c_g, e_pool, probs))
-                topics = self.generator.generate_batch(c_g_duals, beam_size=beam_size)
-                topic_hiddens = self.generator.greedy_hidden_batch(c_g_duals)
-                for index, document, enc, c_e, probs, topic, topic_hidden in zip(
-                    indices, docs, encs, c_e_list, probs_list, topics, topic_hiddens
-                ):
-                    results[index] = self._finish_prediction(
-                        document, enc, c_e, probs, topic, topic_hidden
+                sentence_states = [enc.sentence_states for enc in encs]
+                c_e, token_mask = nn.pad_stack(
+                    self.extractor.hidden_batch([enc.token_states for enc in encs])
+                )
+                c_g, sentence_mask = nn.pad_stack(self.generator.encode_batch(sentence_states))
+                # The helpers take no mask where nothing is padded (always at B = 1).
+                token_pad, sentence_pad = _if_padded(token_mask), _if_padded(sentence_mask)
+                probs = (
+                    self.section.probabilities(nn.pad_stack(sentence_states)[0], sentence_pad)
+                    if self.section
+                    else None
+                )
+                e_pool = (
+                    self._pooled(c_e, self.attr_pool, token_pad)
+                    if self.config.attr_to_generator != "none"
+                    else None
+                )
+                c_g_dual = self._update_generator_hidden(c_g, e_pool, probs, sentence_pad)
+                memories = nn.unpad_stack(c_g_dual, sentence_mask)
+                topics = self.generator.generate_batch(memories, beam_size=beam_size)
+                topic_hidden, topic_mask = nn.pad_stack(self.generator.greedy_hidden_batch(memories))
+                sentence_index, _ = DocumentEncoder._pad_id_matrix(
+                    [enc.token_sentence_index for enc in encs], 0
+                )
+                c_e_dual = self._update_extractor_hidden(
+                    c_e, topic_hidden, probs, sentence_index, token_pad, _if_padded(topic_mask)
+                )
+                tags, confidence = self.extractor.tag_confidence(self.extractor.logits(c_e_dual))
+                if probs is None:
+                    sections = np.ones(sentence_mask.shape, dtype=np.int64)
+                else:
+                    sections = (probs.data >= 0.5).astype(np.int64)
+                lengths = token_mask.sum(axis=1)
+                counts = sentence_mask.sum(axis=1)
+                for row, (index, document) in enumerate(zip(indices, docs)):
+                    length = lengths[row]
+                    results[index] = BriefPrediction(
+                        topic=topics[row],
+                        scored_attributes=self.extractor.scored_spans(
+                            tags[row, :length], confidence[row, :length], document
+                        ),
+                        sections=sections[row, : counts[row]],
                     )
         return results
-
-    def _finish_prediction(
-        self,
-        document: Document,
-        enc: EncoderOutput,
-        c_e: nn.Tensor,
-        probs: Optional[nn.Tensor],
-        topic: List[str],
-        topic_hidden: nn.Tensor,
-    ) -> BriefPrediction:
-        """Per-document extractor tail on top of batch-decoded topic signals."""
-        c_e_dual = self._update_extractor_hidden(
-            c_e, topic_hidden, probs, enc.token_sentence_index
-        )
-        logits = self.extractor.logits(c_e_dual)
-        scored = self.extractor.predict_attributes_with_scores(logits, document)
-        if probs is None:
-            sections = np.ones(document.num_sentences, dtype=np.int64)
-        else:
-            sections = (probs.data >= 0.5).astype(np.int64)
-        return BriefPrediction(topic=topic, scored_attributes=scored, sections=sections)
 
     def _greedy_topic_hidden(self, memory: nn.Tensor, max_depth: int = 8) -> nn.Tensor:
         """Greedy decode collecting decoder hidden states (for the exchange)."""

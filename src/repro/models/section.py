@@ -12,7 +12,7 @@ extractor and generator — and exposes the hard 0/1 decision for evaluation.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,18 +43,32 @@ class SectionPredictor(nn.Module):
         self.w_self = nn.Parameter(rng.spawn(1)[0].normal(0.0, 0.05, size=(dim,)))
         self.bias = nn.Parameter(np.zeros(1))
 
-    def probabilities(self, sentence_states: nn.Tensor) -> nn.Tensor:
-        """Soft informative-section probabilities, shape ``(m,)``."""
+    def probabilities(
+        self, sentence_states: nn.Tensor, mask: Optional[np.ndarray] = None
+    ) -> nn.Tensor:
+        """Soft informative-section probabilities, shape ``(m,)``.
+
+        Also takes a padded bucket ``(B, M, d)`` with the ``(B, M)`` mask of
+        its real sentences and returns ``(B, M)``.  Padded rows are zeroed
+        first, so a page's last sentence sees the same zero neighbour it has
+        on its own; padded entries come back as 0.
+        """
         states = nn.as_tensor(sentence_states)
+        if mask is not None:
+            states = states * mask[..., None].astype(states.dtype)
         if not self.markov:
-            return (states @ self.w_self + self.bias).sigmoid()
-        m = states.shape[0]
-        zero = nn.Tensor(np.zeros((1, states.shape[1]), dtype=states.dtype))
-        prev = nn.concatenate([zero, states[: m - 1]], axis=0) if m > 1 else zero
-        nxt = nn.concatenate([states[1:], zero], axis=0) if m > 1 else zero
-        left = ((prev @ self.w_prev) * states).sum(axis=-1)
-        right = ((states @ self.w_next) * nxt).sum(axis=-1)
-        return (left + right + self.bias).sigmoid()
+            probs = (states @ self.w_self + self.bias).sigmoid()
+        else:
+            m = states.shape[-2]
+            zero = nn.Tensor(np.zeros(states.shape[:-2] + (1, states.shape[-1]), dtype=states.dtype))
+            prev = nn.concatenate([zero, states[..., : m - 1, :]], axis=-2) if m > 1 else zero
+            nxt = nn.concatenate([states[..., 1:, :], zero], axis=-2) if m > 1 else zero
+            left = ((prev @ self.w_prev) * states).sum(axis=-1)
+            right = ((states @ self.w_next) * nxt).sum(axis=-1)
+            probs = (left + right + self.bias).sigmoid()
+        if mask is not None:
+            probs = probs * mask.astype(probs.dtype)
+        return probs
 
     def forward(self, sentence_states: nn.Tensor) -> nn.Tensor:
         return self.probabilities(sentence_states)

@@ -69,10 +69,15 @@ class BilinearAttention(Module):
         self.weight = Parameter(init.xavier_uniform(rng, (query_dim, key_dim)))
 
     def scores(self, queries: Tensor, keys: Tensor) -> Tensor:
-        """Raw (pre-softmax) bilinear scores ``H W K^T``."""
+        """Raw (pre-softmax) bilinear scores ``H W K^T``.
+
+        ``keys`` is ``(k, key_dim)``, or ``(B, k, key_dim)`` with queries
+        ``(B, n, query_dim)`` for one key set per batch entry.
+        """
         queries = as_tensor(queries)
         keys = as_tensor(keys)
-        return (queries @ self.weight) @ keys.transpose()
+        keys_t = keys.transpose() if keys.ndim == 2 else keys.transpose(0, 2, 1)
+        return (queries @ self.weight) @ keys_t
 
     def precompute_keys(self, keys: np.ndarray) -> np.ndarray:
         """Project the key side once: ``K W^T``, reusable across queries.

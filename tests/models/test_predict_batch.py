@@ -11,19 +11,23 @@ import copy
 import numpy as np
 import pytest
 
+from repro.models import (
+    JOINT_BASELINE_CONFIGS,
+    BriefPrediction,
+    JointWBModel,
+    SectionPredictor,
+    SingleTaskExtractor,
+    SingleTaskGenerator,
+    make_joint_model,
+)
+
+
 def _assert_scored_equal(left, right):
     """Spans must match exactly; confidence floats to 1e-10 (GEMM blocking)."""
     assert [attribute for attribute, _ in left] == [attribute for attribute, _ in right]
     np.testing.assert_allclose(
         [score for _, score in left], [score for _, score in right], atol=1e-10
     )
-
-from repro.models import (
-    BriefPrediction,
-    SingleTaskExtractor,
-    SingleTaskGenerator,
-    make_joint_model,
-)
 
 
 @pytest.fixture()
@@ -36,16 +40,41 @@ def docs(small_corpus):
     return list(small_corpus)[:6]
 
 
-def test_joint_predict_batch_matches_sequential(joint_model, docs):
-    predictions = joint_model.predict_batch(docs, beam_size=2, batch_size=3)
+@pytest.mark.parametrize("batch_size", [1, 3, 6])
+@pytest.mark.parametrize("name", list(JOINT_BASELINE_CONFIGS))
+def test_joint_predict_batch_matches_sequential(
+    bertsum_encoder, small_vocab, rng, docs, name, batch_size
+):
+    """Every exchange config, in full, ragged and single-page buckets."""
+    model = make_joint_model(name, bertsum_encoder, small_vocab, hidden_dim=12, rng=rng)
+    predictions = model.predict_batch(docs, beam_size=2, batch_size=batch_size)
     assert len(predictions) == len(docs)
     for document, prediction in zip(docs, predictions):
         assert isinstance(prediction, BriefPrediction)
-        assert prediction.topic == joint_model.predict_topic(document, beam_size=2)
-        scored = joint_model.predict_attributes_scored(document)
+        assert prediction.topic == model.predict_topic(document, beam_size=2)
+        scored = model.predict_attributes_scored(document)
         _assert_scored_equal(prediction.scored_attributes, scored)
         assert prediction.attributes == [attribute for attribute, _ in scored]
-        np.testing.assert_array_equal(prediction.sections, joint_model.predict_sections(document))
+        np.testing.assert_array_equal(prediction.sections, model.predict_sections(document))
+
+
+def test_joint_predict_batch_runs_the_exchange_once_per_bucket(joint_model, docs, monkeypatch):
+    """Six pages in two buckets: the section layer and the extractor's
+    exchange run twice, once per padded bucket, not once per page."""
+    calls = {"probabilities": 0, "_update_extractor_hidden": 0}
+    for owner, name in (
+        (SectionPredictor, "probabilities"),
+        (JointWBModel, "_update_extractor_hidden"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    joint_model.predict_batch(docs, beam_size=2, batch_size=3)
+    assert calls == {"probabilities": 2, "_update_extractor_hidden": 2}
 
 
 def test_joint_predict_batch_odd_batch_sizes(joint_model, docs):
@@ -83,10 +112,12 @@ def test_single_task_generator_batch_matches_sequential(glove_encoder, small_voc
     assert batched == [model.predict_topic(document, beam_size=2) for document in docs]
 
 
-def test_joint_predict_batch_float32_same_decisions(joint_model, docs):
+@pytest.mark.parametrize("name", ["Joint-WB", "Pip-Extractor+Pip-Generator"])
+def test_joint_predict_batch_float32_same_decisions(bertsum_encoder, small_vocab, rng, docs, name):
     """A float32 copy agrees with the float64 model on decoded outputs."""
-    baseline = joint_model.predict_batch(docs[:4], beam_size=2, batch_size=2)
-    clone = copy.deepcopy(joint_model).astype(np.float32)
+    model = make_joint_model(name, bertsum_encoder, small_vocab, hidden_dim=12, rng=rng)
+    baseline = model.predict_batch(docs[:4], beam_size=2, batch_size=2)
+    clone = copy.deepcopy(model).astype(np.float32)
     low_precision = clone.predict_batch(docs[:4], beam_size=2, batch_size=2)
     for left, right in zip(baseline, low_precision):
         assert left.topic == right.topic
