@@ -71,7 +71,8 @@ class Vocabulary:
         return self._id_to_token[token_id]
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
-        return [self.id_of(t) for t in tokens]
+        get, unk = self._token_to_id.get, self.unk_id
+        return [get(t, unk) for t in tokens]
 
     def decode(self, ids: Sequence[int], skip_special: bool = True) -> List[str]:
         tokens = [self._id_to_token[i] for i in ids]

@@ -9,6 +9,13 @@ Every encoder maps a :class:`~repro.data.corpus.Document` to an
   for BertSum these are the hidden states at the per-sentence [CLS]
   positions, for the others a mean over the sentence's token states).
 
+:meth:`DocumentEncoder.encode_batch` returns the same views for a bucket of
+pages as one :class:`EncoderOutput` of zero-padded blocks — ``(B, T, dim)``
+tokens, ``(B, M, dim)`` sentences, a ``(B, T)`` token → sentence index —
+with the masks of each page's real rows.  Both entry points place tokens
+through one index computation (:func:`_layout`): BertSum gathers the word
+view and the [CLS] view of the whole bucket with one fancy index each.
+
 This is the interface every extractor/generator/section-predictor consumes,
 so swapping ``GloVe→*`` / ``BERT→*`` / ``BERTSUM→*`` baselines (§IV-A6) is a
 one-line change.
@@ -17,7 +24,8 @@ one-line change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -31,13 +39,74 @@ __all__ = ["EncoderOutput", "DocumentEncoder", "GloveEncoder", "BertEncoder", "B
 
 @dataclass
 class EncoderOutput:
-    """Contextual views of one document."""
+    """Contextual views of one document, or of a padded bucket of them.
 
-    token_states: nn.Tensor     # (num_word_tokens, dim)
-    sentence_states: nn.Tensor  # (num_sentences, dim)
+    From :meth:`DocumentEncoder.encode` the fields are one page's rows and
+    both masks are None.  From :meth:`DocumentEncoder.encode_batch` they are
+    zero-padded ``(B, ·)`` blocks and the masks mark each page's real rows.
+    """
+
+    token_states: nn.Tensor     # (num_word_tokens, dim) | (B, T, dim)
+    sentence_states: nn.Tensor  # (num_sentences, dim) | (B, M, dim)
     #: sentence index of each word token (for injecting sentence-level signals
-    #: such as the section distribution into token-level layers).
+    #: such as the section distribution into token-level layers); 0 on padding.
     token_sentence_index: np.ndarray
+    token_mask: Optional[np.ndarray] = None     # (B, T)
+    sentence_mask: Optional[np.ndarray] = None  # (B, M)
+
+
+@dataclass
+class _Layout:
+    """Where each page's tokens and sentences sit in a padded bucket.
+
+    Every array is ``(B, T)`` over word tokens or ``(B, M)`` over sentences,
+    with 0 on padding.
+    """
+
+    token_mask: np.ndarray
+    sentence_mask: np.ndarray
+    token_sentence_index: np.ndarray
+    sentence_starts: np.ndarray   # flat-token offset of each sentence
+    sentence_lengths: np.ndarray
+
+    @property
+    def word_positions(self) -> np.ndarray:
+        """Stream position of each word with a [CLS] before every sentence."""
+        return np.arange(self.token_mask.shape[1]) + self.token_sentence_index + 1
+
+    @property
+    def cls_positions(self) -> np.ndarray:
+        """Stream position of each sentence's [CLS]."""
+        cls = self.sentence_starts + np.arange(self.sentence_mask.shape[1])
+        return np.where(self.sentence_mask, cls, 0)
+
+
+def _layout(documents: Sequence[Document]) -> _Layout:
+    """Padded token/sentence placement of a bucket, without a per-page loop."""
+    lengths = [[len(sentence) for sentence in d.sentences] for d in documents]
+    counts = np.array([len(row) for row in lengths])
+    sentence_mask = np.arange(counts.max()) < counts[:, None]
+    flat_lengths = np.fromiter(chain.from_iterable(lengths), dtype=np.int64)
+    sentence_lengths = np.zeros(sentence_mask.shape, dtype=np.int64)
+    sentence_lengths[sentence_mask] = flat_lengths
+    ends = np.cumsum(sentence_lengths, axis=1)
+    token_mask = np.arange(ends[:, -1].max()) < ends[:, -1:]
+    token_sentence_index = np.zeros(token_mask.shape, dtype=np.int64)
+    token_sentence_index[token_mask] = np.repeat(np.nonzero(sentence_mask)[1], flat_lengths)
+    return _Layout(
+        token_mask=token_mask,
+        sentence_mask=sentence_mask,
+        token_sentence_index=token_sentence_index,
+        sentence_starts=np.where(sentence_mask, ends - sentence_lengths, 0),
+        sentence_lengths=sentence_lengths,
+    )
+
+
+def _zero_padding(block: nn.Tensor, mask: np.ndarray) -> nn.Tensor:
+    """Zero the rows of ``block`` that ``mask`` marks as padding."""
+    if mask.all():
+        return block
+    return block * mask[..., None].astype(block.dtype)
 
 
 def truncate_document(document: Document, max_tokens: int) -> Document:
@@ -80,59 +149,81 @@ def truncate_document(document: Document, max_tokens: int) -> Document:
 
 
 class DocumentEncoder(nn.Module):
-    """Base class defining the encoding contract."""
+    """Base class defining the encoding contract.
+
+    Subclasses supply :meth:`_views`; :meth:`encode` and
+    :meth:`encode_batch` share the id and index computation around it.
+    """
 
     dim: int
+    vocabulary: Vocabulary
 
     def encode(self, document: Document) -> EncoderOutput:
-        raise NotImplementedError
+        """One page's views (both masks None); the training path."""
+        layout = _layout([document])
+        ids, _ = self._ids([document], layout)
+        token_states, sentence_states = self._views(ids[0], None, layout)
+        return EncoderOutput(
+            token_states=token_states,
+            sentence_states=sentence_states,
+            token_sentence_index=layout.token_sentence_index[0],
+        )
 
-    def encode_batch(self, documents: Sequence[Document]) -> List[EncoderOutput]:
-        """Encode several documents at once.
+    def encode_batch(self, documents: Sequence[Document]) -> EncoderOutput:
+        """Encode a bucket of pages in one padded pass.
 
-        The base implementation simply loops; contextual encoders override it
-        to run one padded forward pass for the whole batch (the serving hot
-        path).  Results are per-document and numerically equivalent to
-        :meth:`encode`.
+        Returns one :class:`EncoderOutput` of zero-padded blocks with both
+        masks; each page's real rows are numerically equivalent to
+        :meth:`encode` of that page.
         """
-        return [self.encode(document) for document in documents]
+        layout = _layout(documents)
+        ids, mask = self._ids(documents, layout)
+        token_states, sentence_states = self._views(ids, None if mask.all() else mask, layout)
+        return EncoderOutput(
+            token_states=_zero_padding(token_states, layout.token_mask),
+            sentence_states=_zero_padding(sentence_states, layout.sentence_mask),
+            token_sentence_index=layout.token_sentence_index,
+            token_mask=layout.token_mask,
+            sentence_mask=layout.sentence_mask,
+        )
 
     def forward(self, document: Document) -> EncoderOutput:
         return self.encode(document)
 
-    @staticmethod
-    def _pad_id_matrix(
-        id_lists: Sequence[Sequence[int]], pad_id: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pad per-document token-id lists into ``(B, T)`` ids + bool mask."""
-        batch = len(id_lists)
-        t_max = max(len(ids) for ids in id_lists)
-        matrix = np.full((batch, t_max), pad_id, dtype=np.int64)
-        mask = np.zeros((batch, t_max), dtype=bool)
-        for row, ids in enumerate(id_lists):
-            matrix[row, : len(ids)] = ids
-            mask[row, : len(ids)] = True
-        return matrix, mask
+    def _ids(self, documents: Sequence[Document], layout: _Layout):
+        """The bucket's ``(B, T)`` input ids (pad id on padding) and mask."""
+        words = [t for d in documents for sentence in d.sentences for t in sentence]
+        return self._fill(words, layout.token_mask)
 
-    # Helper shared by subclasses -------------------------------------
-    @staticmethod
-    def _sentence_index(document: Document) -> np.ndarray:
-        index = np.empty(document.num_tokens, dtype=np.int64)
-        position = 0
-        for sentence_id, sentence in enumerate(document.sentences):
-            index[position : position + len(sentence)] = sentence_id
-            position += len(sentence)
-        return index
+    def _fill(self, tokens: List[str], mask: np.ndarray):
+        ids = np.full(mask.shape, self.vocabulary.pad_id, dtype=np.int64)
+        ids[mask] = self.vocabulary.encode(tokens)
+        return ids, mask
+
+    def _views(self, ids: np.ndarray, mask: Optional[np.ndarray], layout: _Layout):
+        """``(token_states, sentence_states)`` of one page's ``(T,)`` ids, or
+        of a bucket's ``(B, T)`` ids with their mask (None: no padding)."""
+        raise NotImplementedError
 
     @staticmethod
-    def _mean_sentence_states(token_states: nn.Tensor, document: Document) -> nn.Tensor:
-        """Average token states per sentence (differentiable)."""
-        rows = []
-        position = 0
-        for sentence in document.sentences:
-            rows.append(token_states[position : position + len(sentence)].mean(axis=0))
-            position += len(sentence)
-        return nn.stack(rows, axis=0)
+    def _sentence_means(token_states: nn.Tensor, layout: _Layout) -> nn.Tensor:
+        """Per-sentence means of ``(T, dim)`` / ``(B, T, dim)`` token states.
+
+        Gathers each sentence's rows into a zero-filled ``(..., M, W, dim)``
+        block and sums over ``W`` in reading order, so every mean is the
+        same float as ``token_states[start:end].mean(axis=0)``.
+        """
+        lengths = layout.sentence_lengths
+        offsets = np.arange(max(1, int(lengths.max())))
+        inside = offsets < lengths[..., None]
+        positions = np.where(inside, layout.sentence_starts[..., None] + offsets, 0)
+        if token_states.ndim == 2:  # one page
+            index, inside, lengths = positions[0], inside[0], lengths[0]
+        else:
+            index = (np.arange(len(positions))[:, None, None], positions)
+        rows = token_states[index] * inside[..., None].astype(token_states.dtype)
+        scale = (1.0 / np.maximum(lengths, 1)).astype(token_states.dtype)
+        return rows.sum(axis=-2) * scale[..., None]
 
 
 class GloveEncoder(DocumentEncoder):
@@ -160,37 +251,9 @@ class GloveEncoder(DocumentEncoder):
         elif not trainable:
             self.embedding.weight.requires_grad = False
 
-    def encode(self, document: Document) -> EncoderOutput:
-        ids = self.vocabulary.encode(document.flat_tokens())
-        token_states = self.embedding(np.asarray(ids))
-        return EncoderOutput(
-            token_states=token_states,
-            sentence_states=self._mean_sentence_states(token_states, document),
-            token_sentence_index=self._sentence_index(document),
-        )
-
-    def encode_batch(self, documents: Sequence[Document]) -> List[EncoderOutput]:
-        """One padded embedding lookup for the whole batch.
-
-        Embedding rows are independent, so padded results are exactly the
-        per-document ones; the win is amortising the lookup and graph setup.
-        """
-        if not documents:
-            return []
-        id_lists = [self.vocabulary.encode(d.flat_tokens()) for d in documents]
-        matrix, mask = self._pad_id_matrix(id_lists, self.vocabulary.pad_id)
-        states = self.embedding(matrix)  # (B, T, dim)
-        outputs: List[EncoderOutput] = []
-        for row, document in enumerate(documents):
-            token_states = states[row][: len(id_lists[row])]
-            outputs.append(
-                EncoderOutput(
-                    token_states=token_states,
-                    sentence_states=self._mean_sentence_states(token_states, document),
-                    token_sentence_index=self._sentence_index(document),
-                )
-            )
-        return outputs
+    def _views(self, ids, mask, layout):
+        token_states = self.embedding(ids)
+        return token_states, self._sentence_means(token_states, layout)
 
 
 class BertEncoder(DocumentEncoder):
@@ -206,33 +269,9 @@ class BertEncoder(DocumentEncoder):
         self.bert = bert
         self.dim = bert.dim
 
-    def encode(self, document: Document) -> EncoderOutput:
-        ids = self.vocabulary.encode(document.flat_tokens())
-        token_states = self.bert(ids)
-        return EncoderOutput(
-            token_states=token_states,
-            sentence_states=self._mean_sentence_states(token_states, document),
-            token_sentence_index=self._sentence_index(document),
-        )
-
-    def encode_batch(self, documents: Sequence[Document]) -> List[EncoderOutput]:
-        """One masked transformer pass over the padded batch."""
-        if not documents:
-            return []
-        id_lists = [self.vocabulary.encode(d.flat_tokens()) for d in documents]
-        matrix, mask = self._pad_id_matrix(id_lists, self.vocabulary.pad_id)
-        states = self.bert(matrix, mask=mask)  # (B, T, dim)
-        outputs: List[EncoderOutput] = []
-        for row, document in enumerate(documents):
-            token_states = states[row][: len(id_lists[row])]
-            outputs.append(
-                EncoderOutput(
-                    token_states=token_states,
-                    sentence_states=self._mean_sentence_states(token_states, document),
-                    token_sentence_index=self._sentence_index(document),
-                )
-            )
-        return outputs
+    def _views(self, ids, mask, layout):
+        token_states = self.bert(ids, mask=mask)
+        return token_states, self._sentence_means(token_states, layout)
 
 
 class BertSumEncoder(DocumentEncoder):
@@ -249,52 +288,21 @@ class BertSumEncoder(DocumentEncoder):
         self.bert = bert
         self.dim = bert.dim
 
-    @staticmethod
-    def _interleaved_tokens(document: Document) -> Tuple[List[str], List[int]]:
-        """Token stream with a [CLS] before every sentence + [CLS] positions."""
-        tokens: List[str] = []
-        cls_positions: List[int] = []
-        for sentence in document.sentences:
-            cls_positions.append(len(tokens))
-            tokens.append(CLS_TOKEN)
-            tokens.extend(sentence)
-        return tokens, cls_positions
+    def encode_batch(self, documents: Sequence[Document]) -> EncoderOutput:
+        """One masked pass over the [CLS]-interleaved bucket (Joint-WB's
+        serving encoder; defined here so it can be timed on its own)."""
+        return super().encode_batch(documents)
 
-    @staticmethod
-    def _split_views(states, cls_positions: List[int], num_tokens: int) -> Tuple:
-        """Split a full hidden sequence into (token_states, sentence_states)."""
-        cls = np.asarray(cls_positions, dtype=np.int64)
-        word_positions = np.setdiff1d(np.arange(num_tokens), cls)
-        return states[word_positions], states[cls]
+    def _ids(self, documents, layout):
+        """The ``(B, S)`` stream with a [CLS] before every sentence."""
+        stream = [t for d in documents for sentence in d.sentences for t in (CLS_TOKEN, *sentence)]
+        lengths = layout.token_mask.sum(axis=1) + layout.sentence_mask.sum(axis=1)
+        return self._fill(stream, np.arange(lengths.max()) < lengths[:, None])
 
-    def encode(self, document: Document) -> EncoderOutput:
-        tokens, cls_positions = self._interleaved_tokens(document)
-        ids = self.vocabulary.encode(tokens)
-        states = self.bert(ids)
-        token_states, sentence_states = self._split_views(states, cls_positions, len(tokens))
-        return EncoderOutput(
-            token_states=token_states,
-            sentence_states=sentence_states,
-            token_sentence_index=self._sentence_index(document),
-        )
-
-    def encode_batch(self, documents: Sequence[Document]) -> List[EncoderOutput]:
-        """One masked transformer pass over the padded [CLS]-interleaved batch."""
-        if not documents:
-            return []
-        streams = [self._interleaved_tokens(d) for d in documents]
-        id_lists = [self.vocabulary.encode(tokens) for tokens, _ in streams]
-        matrix, mask = self._pad_id_matrix(id_lists, self.vocabulary.pad_id)
-        states = self.bert(matrix, mask=mask)  # (B, T, dim)
-        outputs: List[EncoderOutput] = []
-        for row, (document, (tokens, cls_positions)) in enumerate(zip(documents, streams)):
-            own = states[row][: len(tokens)]
-            token_states, sentence_states = self._split_views(own, cls_positions, len(tokens))
-            outputs.append(
-                EncoderOutput(
-                    token_states=token_states,
-                    sentence_states=sentence_states,
-                    token_sentence_index=self._sentence_index(document),
-                )
-            )
-        return outputs
+    def _views(self, ids, mask, layout):
+        states = self.bert(ids, mask=mask)
+        words, cls = layout.word_positions, layout.cls_positions
+        if states.ndim == 2:  # one page
+            return states[words[0]], states[cls[0]]
+        rows = np.arange(len(states))[:, None]
+        return states[rows, words], states[rows, cls]

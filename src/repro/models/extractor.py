@@ -78,29 +78,28 @@ class AttributeExtractor(nn.Module):
         self.output = nn.Dense(2 * hidden_dim, 3, rng)
 
     # ------------------------------------------------------------------
-    def hidden(self, token_states: nn.Tensor, extra: Optional[nn.Tensor] = None) -> nn.Tensor:
-        """Hidden token representations ``C_E`` of shape ``(L, 2h)``."""
-        return self.dropout(self.encoder(self._inputs(token_states, extra)))
+    def hidden(
+        self,
+        token_states: nn.Tensor,
+        extra: Optional[nn.Tensor] = None,
+        mask: Optional[np.ndarray] = None,
+    ) -> nn.Tensor:
+        """Hidden token representations ``C_E`` of shape ``(L, 2h)``.
+
+        Also takes a padded ``(B, T, d)`` bucket with its ``(B, T)`` mask and
+        returns ``(B, T, 2h)``.
+        """
+        return self.dropout(self.encoder(self._inputs(token_states, extra), mask=mask))
 
     def hidden_batch(
-        self,
-        token_states: Sequence[nn.Tensor],
-        extras: Optional[Sequence[Optional[nn.Tensor]]] = None,
-    ) -> List[nn.Tensor]:
-        """Per-document ``C_E`` from one padded masked BiLSTM pass.
+        self, token_states: nn.Tensor, mask: np.ndarray, extra: Optional[nn.Tensor] = None
+    ) -> nn.Tensor:
+        """``C_E`` of a padded bucket from one masked BiLSTM pass.
 
-        Pads the B variable-length token-state matrices into a ``(B, T, d)``
-        tensor so the recurrence runs one Python loop over T for the whole
-        batch, then un-pads; equivalent to calling :meth:`hidden` per document.
+        The recurrence runs one Python loop over T for the whole bucket;
+        each page's real rows equal :meth:`hidden` of that page.
         """
-        if not token_states:
-            return []
-        if extras is None:
-            extras = [None] * len(token_states)
-        inputs = [self._inputs(t, e) for t, e in zip(token_states, extras)]
-        padded, mask = nn.pad_stack(inputs)
-        hidden = self.dropout(self.encoder(padded, mask=mask))
-        return nn.unpad_stack(hidden, mask)
+        return self.hidden(token_states, extra, mask)
 
     def _inputs(self, token_states: nn.Tensor, extra: Optional[nn.Tensor]) -> nn.Tensor:
         inputs = nn.as_tensor(token_states)

@@ -33,6 +33,9 @@ from ..data.vocab import Vocabulary
 
 __all__ = ["TopicGenerator"]
 
+#: ``(padded, mask, proj_keys, h0, c0)`` from ``_batched_decode_buffers``.
+DecodeBuffers = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 def _beam_margin(hypotheses) -> float:
     """Log-probability gap between the best and runner-up hypotheses.
@@ -76,24 +79,24 @@ class TopicGenerator(nn.Module):
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode(self, sentence_states: nn.Tensor, extra: Optional[nn.Tensor] = None) -> nn.Tensor:
-        """Hidden sentence representations ``C_G`` of shape ``(m, 2h)``."""
-        return self.dropout(self.encoder(self._inputs(sentence_states, extra)))
+    def encode(
+        self,
+        sentence_states: nn.Tensor,
+        extra: Optional[nn.Tensor] = None,
+        mask: Optional[np.ndarray] = None,
+    ) -> nn.Tensor:
+        """Hidden sentence representations ``C_G`` of shape ``(m, 2h)``.
+
+        Also takes a padded ``(B, M, d)`` bucket with its ``(B, M)`` mask and
+        returns ``(B, M, 2h)``.
+        """
+        return self.dropout(self.encoder(self._inputs(sentence_states, extra), mask=mask))
 
     def encode_batch(
-        self,
-        sentence_states: Sequence[nn.Tensor],
-        extras: Optional[Sequence[Optional[nn.Tensor]]] = None,
-    ) -> List[nn.Tensor]:
-        """Per-document ``C_G`` from one padded masked BiLSTM pass."""
-        if not sentence_states:
-            return []
-        if extras is None:
-            extras = [None] * len(sentence_states)
-        inputs = [self._inputs(s, e) for s, e in zip(sentence_states, extras)]
-        padded, mask = nn.pad_stack(inputs)
-        hidden = self.dropout(self.encoder(padded, mask=mask))
-        return nn.unpad_stack(hidden, mask)
+        self, sentence_states: nn.Tensor, mask: np.ndarray, extra: Optional[nn.Tensor] = None
+    ) -> nn.Tensor:
+        """``C_G`` of a padded bucket from one masked BiLSTM pass."""
+        return self.encode(sentence_states, extra, mask)
 
     def _inputs(self, sentence_states: nn.Tensor, extra: Optional[nn.Tensor]) -> nn.Tensor:
         inputs = nn.as_tensor(sentence_states)
@@ -198,33 +201,30 @@ class TopicGenerator(nn.Module):
     # Vectorized decode fast path
     # ------------------------------------------------------------------
     def _batched_decode_buffers(
-        self, memories: Sequence[nn.Tensor]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-batch decode state shared by every step and beam.
+        self, memories: nn.Tensor, mask: Optional[np.ndarray] = None
+    ) -> DecodeBuffers:
+        """Per-bucket decode state shared by every step and beam.
 
-        Pads the per-page memories into one ``(P, M, 2h)`` block with a key
-        mask, projects the attention keys **once** per page (reused by every
-        decoder step of every hypothesis — the per-page key cache), and
-        computes the initial decoder states exactly like
-        :meth:`_initial_state` does per page (mean summary → tanh dense).
-        Returns raw numpy ``(padded, mask, proj_keys, h0, c0)``.
+        Takes the padded ``(P, M, 2h)`` memory block and its ``(P, M)`` mask
+        (None: no padding), zeroes the padded rows, projects the attention
+        keys **once** per page (reused by every decoder step of every
+        hypothesis — the per-page key cache), and computes the initial
+        decoder states exactly like :meth:`_initial_state` does per page
+        (mean summary → tanh dense).  Returns raw numpy
+        ``(padded, mask, proj_keys, h0, c0)``.
         """
-        mems = [nn.as_tensor(memory).data for memory in memories]
-        num_pages = len(mems)
-        width = max(m.shape[0] for m in mems)
-        padded = np.zeros((num_pages, width, mems[0].shape[1]), dtype=mems[0].dtype)
-        mask = np.zeros((num_pages, width), dtype=bool)
-        for i, m in enumerate(mems):
-            padded[i, : m.shape[0]] = m
-            mask[i, : m.shape[0]] = True
+        padded = nn.as_tensor(memories).data
+        if mask is None:
+            mask = np.ones(padded.shape[:2], dtype=bool)
+        elif not mask.all():
+            padded = np.where(mask[..., None], padded, np.zeros((), dtype=padded.dtype))
         proj_keys = self.attention.precompute_keys(padded)
         # Mean over real rows only; padded rows are exact zeros so the sum is
         # bit-identical to the unpadded per-page sum.
         counts = mask.sum(axis=1)
         summaries = padded.sum(axis=1) * (1.0 / counts).astype(padded.dtype)[:, None]
         h0 = self.state_init(nn.Tensor(summaries)).data
-        c0 = np.zeros_like(h0)
-        return padded, mask, proj_keys, h0, c0
+        return padded, mask, proj_keys, h0, np.zeros_like(h0)
 
     def _batched_raw_step(
         self,
@@ -270,19 +270,25 @@ class TopicGenerator(nn.Module):
 
     def generate_batch(
         self,
-        memories: Sequence[nn.Tensor],
+        memories: nn.Tensor,
+        mask: Optional[np.ndarray] = None,
         beam_size: int = 4,
         max_depth: int = 8,
         margins: Optional[List[float]] = None,
+        buffers: Optional[DecodeBuffers] = None,
     ) -> List[List[str]]:
-        """Beam-search topic phrases for many pages with one step per depth.
+        """Beam-search topic phrases for a bucket with one step per depth.
 
-        Equivalent to ``[self.generate(m, beam_size, max_depth) for m in
-        memories]`` — same top hypothesis per page — but every live beam of
-        every page advances in one :meth:`_batched_raw_step` call per depth.
-        Pass a list as ``margins`` to receive one beam-score margin per page
-        (same semantics as :meth:`generate`; the batched search replicates
-        the scalar hypothesis scores bitwise, so the margins agree too).
+        ``memories`` is the padded ``(P, M, 2h)`` block of the pages'
+        ``C_G`` and ``mask`` its real rows (None: no padding); pass
+        ``buffers`` from :meth:`_batched_decode_buffers` to share them with
+        :meth:`greedy_hidden_batch`.  Equivalent to :meth:`generate` on each
+        page's real rows — same top hypothesis per page — but every live
+        beam of every page advances in one :meth:`_batched_raw_step` call
+        per depth.  Pass a list as ``margins`` to receive one beam-score
+        margin per page (same semantics as :meth:`generate`; the batched
+        search replicates the scalar hypothesis scores bitwise, so the
+        margins agree too).
 
         The topic needs the best hypothesis and the margin the runner-up, so
         the search runs with ``n_best=2``: a page stops expanding hypotheses
@@ -290,11 +296,10 @@ class TopicGenerator(nn.Module):
         max-shifted :meth:`_log_softmax_raw` keeps every log-prob ``<= 0``,
         which that pruning needs.
         """
-        memories = list(memories)
-        if not memories:
+        if len(memories) == 0:
             return []
         with nn.no_grad():
-            padded, mask, proj_keys, h0, c0 = self._batched_decode_buffers(memories)
+            padded, mask, proj_keys, h0, c0 = buffers or self._batched_decode_buffers(memories, mask)
 
             def step_fn(token_ids, state):
                 h, c, pages = state
@@ -307,10 +312,10 @@ class TopicGenerator(nn.Module):
             # the package attribute see every decode.
             results = nn.batched_beam_search_many(
                 step_fn,
-                (h0, c0, np.arange(len(memories), dtype=np.intp)),
+                (h0, c0, np.arange(len(padded), dtype=np.intp)),
                 start_id=self.vocabulary.bos_id,
                 end_id=self.vocabulary.eos_id,
-                num_sequences=len(memories),
+                num_sequences=len(padded),
                 beam_size=beam_size,
                 max_depth=max_depth,
                 n_best=2,
@@ -326,32 +331,40 @@ class TopicGenerator(nn.Module):
         return decoded
 
     def greedy_hidden_batch(
-        self, memories: Sequence[nn.Tensor], max_depth: int = 8
-    ) -> List[nn.Tensor]:
+        self,
+        memories: nn.Tensor,
+        mask: Optional[np.ndarray] = None,
+        max_depth: int = 8,
+        buffers: Optional[DecodeBuffers] = None,
+    ) -> Tuple[nn.Tensor, np.ndarray]:
         """Greedy decode collecting decoder hidden states, batched over pages.
 
         Per-page equivalent of ``JointWBModel._greedy_topic_hidden`` (hidden
         states appended each step *including* the EOS-producing one); one
-        batched step per depth drives every still-live page.
+        batched step per depth drives every still-live page.  Takes the same
+        padded memory block, mask and optional ``buffers`` as
+        :meth:`generate_batch`; returns the zero-padded ``(P, N, h)`` block
+        of hidden states and the ``(P, N)`` mask of each page's steps.
         """
-        memories = list(memories)
-        if not memories:
-            return []
+        if len(memories) == 0:
+            return nn.Tensor(np.zeros((0, 0, self.hidden_dim))), np.zeros((0, 0), dtype=bool)
         with nn.no_grad():
-            padded, mask, proj_keys, h, c = self._batched_decode_buffers(memories)
-            num_pages = len(memories)
+            padded, mask, proj_keys, h, c = buffers or self._batched_decode_buffers(memories, mask)
+            num_pages = len(padded)
             pages = np.arange(num_pages, dtype=np.intp)
             tokens = np.full(num_pages, self.vocabulary.bos_id, dtype=np.int64)
-            hiddens: List[List[np.ndarray]] = [[] for _ in range(num_pages)]
-            for _ in range(max_depth):
+            hiddens = np.zeros((num_pages, max_depth, self.hidden_dim), dtype=h.dtype)
+            steps = np.zeros((num_pages, max_depth), dtype=bool)
+            for depth in range(max_depth):
                 logits, h, c = self._batched_raw_step(
                     tokens, h, c, pages, padded, mask, proj_keys
                 )
-                for row, page in enumerate(pages):
-                    hiddens[page].append(h[row])
+                hiddens[pages, depth] = h
+                steps[pages, depth] = True
                 tokens = logits.argmax(axis=-1)
                 live = tokens != self.vocabulary.eos_id
                 if not live.any():
                     break
                 pages, tokens, h, c = pages[live], tokens[live], h[live], c[live]
-            return [nn.Tensor(np.stack(rows, axis=0)) for rows in hiddens]
+            taken = depth + 1
+            return nn.Tensor(hiddens[:, :taken]), steps[:, :taken]

@@ -406,14 +406,16 @@ class JointWBModel(nn.Module):
         Documents are length-bucketed so padded batches waste little compute,
         and — unlike the sequential ``predict_*`` trio, which re-encodes the
         document for every head — each document is encoded exactly once.
-        Every stage runs once per bucket over padded ``(B, T, ·)`` blocks:
-        the encoder and both Bi-LSTM heads (one Python loop over T), the
-        signal exchange (section probabilities, E^b, A_G, Q^b, A_E and both
-        gates, through the same helpers the sequential path calls with one
-        page and no mask), one :meth:`TopicGenerator.generate_batch` beam
-        search, one :meth:`TopicGenerator.greedy_hidden_batch` greedy pass,
-        and the tag layer with its softmax.  Python runs per page only to
-        decode BIO spans and slice out its sections.  Results are returned
+        Every stage runs once per bucket and hands the next one padded
+        ``(B, T, ·)`` blocks with their masks, never per-page pieces: the
+        encoder, both Bi-LSTM heads (one Python loop over T), the signal
+        exchange (section probabilities, E^b, A_G, Q^b, A_E and both gates,
+        through the same helpers the sequential path calls with one page and
+        no mask), one set of decode buffers shared by one
+        :meth:`TopicGenerator.generate_batch` beam search and one
+        :meth:`TopicGenerator.greedy_hidden_batch` greedy pass, and the tag
+        layer with its softmax.  Python runs per page only to decode BIO
+        spans and slice out its sections.  Results are returned
         in input order and are numerically equivalent to the sequential
         path (identical spans / topic tokens / section decisions).
         """
@@ -427,16 +429,14 @@ class JointWBModel(nn.Module):
             ):
                 indices = [index for index, _ in batch]
                 docs = [document for _, document in batch]
-                encs = self.encoder.encode_batch(docs)
-                sentence_states = [enc.sentence_states for enc in encs]
-                c_e, token_mask = nn.pad_stack(
-                    self.extractor.hidden_batch([enc.token_states for enc in encs])
-                )
-                c_g, sentence_mask = nn.pad_stack(self.generator.encode_batch(sentence_states))
+                enc = self.encoder.encode_batch(docs)
+                token_mask, sentence_mask = enc.token_mask, enc.sentence_mask
+                c_e = self.extractor.hidden_batch(enc.token_states, token_mask)
+                c_g = self.generator.encode_batch(enc.sentence_states, sentence_mask)
                 # The helpers take no mask where nothing is padded (always at B = 1).
                 token_pad, sentence_pad = _if_padded(token_mask), _if_padded(sentence_mask)
                 probs = (
-                    self.section.probabilities(nn.pad_stack(sentence_states)[0], sentence_pad)
+                    self.section.probabilities(enc.sentence_states, sentence_pad)
                     if self.section
                     else None
                 )
@@ -446,14 +446,16 @@ class JointWBModel(nn.Module):
                     else None
                 )
                 c_g_dual = self._update_generator_hidden(c_g, e_pool, probs, sentence_pad)
-                memories = nn.unpad_stack(c_g_dual, sentence_mask)
-                topics = self.generator.generate_batch(memories, beam_size=beam_size)
-                topic_hidden, topic_mask = nn.pad_stack(self.generator.greedy_hidden_batch(memories))
-                sentence_index, _ = DocumentEncoder._pad_id_matrix(
-                    [enc.token_sentence_index for enc in encs], 0
+                buffers = self.generator._batched_decode_buffers(c_g_dual, sentence_pad)
+                topics = self.generator.generate_batch(
+                    c_g_dual, sentence_pad, beam_size=beam_size, buffers=buffers
+                )
+                topic_hidden, topic_mask = self.generator.greedy_hidden_batch(
+                    c_g_dual, sentence_pad, buffers=buffers
                 )
                 c_e_dual = self._update_extractor_hidden(
-                    c_e, topic_hidden, probs, sentence_index, token_pad, _if_padded(topic_mask)
+                    c_e, topic_hidden, probs, enc.token_sentence_index, token_pad,
+                    _if_padded(topic_mask),
                 )
                 tags, confidence = self.extractor.tag_confidence(self.extractor.logits(c_e_dual))
                 if probs is None:

@@ -22,7 +22,7 @@ from .. import nn
 from ..data.batching import iterate_batches
 from ..data.corpus import Document
 from ..data.vocab import Vocabulary
-from .encoders import DocumentEncoder
+from .encoders import DocumentEncoder, EncoderOutput
 from .extractor import AttributeExtractor
 from .generator import TopicGenerator
 
@@ -103,18 +103,33 @@ class SingleTaskExtractor(nn.Module):
                 bucket_by=lambda pair: pair[1].num_tokens,
             ):
                 docs = [document for _, document in batch]
-                encs = self.encoder.encode_batch(docs)
-                extras = [
-                    self._extra_features(document, enc.token_sentence_index)
-                    for document, enc in zip(docs, encs)
-                ]
-                hiddens = self.extractor.hidden_batch(
-                    [enc.token_states for enc in encs], extras=extras
+                enc = self.encoder.encode_batch(docs)
+                hidden = self.extractor.hidden_batch(
+                    enc.token_states, enc.token_mask, self._padded_extra_features(docs, enc)
                 )
-                for (index, document), hidden in zip(batch, hiddens):
-                    logits = self.extractor.logits(hidden)
-                    results[index] = self.extractor.predict_attributes(logits, document)
+                tags, confidence = self.extractor.tag_confidence(self.extractor.logits(hidden))
+                for row, ((index, document), length) in enumerate(
+                    zip(batch, enc.token_mask.sum(axis=1))
+                ):
+                    spans = self.extractor.scored_spans(
+                        tags[row, :length], confidence[row, :length], document
+                    )
+                    results[index] = [attribute for attribute, _ in spans]
         return results
+
+    def _padded_extra_features(
+        self, documents: Sequence[Document], enc: EncoderOutput
+    ) -> Optional[nn.Tensor]:
+        """Each page's :meth:`_extra_features` in one ``(B, T, extra)`` block."""
+        if not (self.prior_section or self.prior_topic):
+            return None
+        rows = [
+            self._extra_features(d, enc.token_sentence_index[row, : d.num_tokens]).data
+            for row, d in enumerate(documents)
+        ]
+        block = np.zeros(enc.token_mask.shape + rows[0].shape[-1:], dtype=rows[0].dtype)
+        block[enc.token_mask] = np.concatenate(rows)
+        return nn.Tensor(block)
 
 
 class SingleTaskGenerator(nn.Module):
@@ -177,20 +192,14 @@ class SingleTaskGenerator(nn.Module):
                 bucket_by=lambda pair: pair[1].num_tokens,
             ):
                 docs = [document for _, document in batch]
-                encs = self.encoder.encode_batch(docs)
-                extras: List[Optional[nn.Tensor]] = []
-                for document in docs:
-                    if self.prior_section:
-                        labels = np.asarray(
-                            document.section_labels, dtype=np.float64
-                        ).reshape(-1, 1)
-                        extras.append(nn.Tensor(labels))
-                    else:
-                        extras.append(None)
-                memories = self.generator.encode_batch(
-                    [enc.sentence_states for enc in encs], extras=extras
-                )
-                topics = self.generator.generate_batch(memories, beam_size=beam_size)
+                enc = self.encoder.encode_batch(docs)
+                extra = None
+                if self.prior_section:
+                    labels = np.zeros(enc.sentence_mask.shape + (1,))
+                    labels[enc.sentence_mask] = [[label] for d in docs for label in d.section_labels]
+                    extra = nn.Tensor(labels)
+                memories = self.generator.encode_batch(enc.sentence_states, enc.sentence_mask, extra)
+                topics = self.generator.generate_batch(memories, enc.sentence_mask, beam_size=beam_size)
                 for (index, _), topic in zip(batch, topics):
                     results[index] = topic
         return results

@@ -35,7 +35,6 @@ from .tensor import (
     no_grad,
     pad_stack,
     stack,
-    unpad_stack,
 )
 from .transformer import BertSum, MiniBert, TransformerEncoderLayer
 
@@ -45,7 +44,6 @@ __all__ = [
     "concatenate",
     "stack",
     "pad_stack",
-    "unpad_stack",
     "no_grad",
     "is_grad_enabled",
     "Module",

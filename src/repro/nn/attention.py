@@ -18,7 +18,7 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, as_tensor, concatenate
+from .tensor import Tensor, as_tensor
 
 __all__ = ["BilinearAttention", "MultiHeadSelfAttention", "attend", "masked_softmax"]
 
@@ -34,14 +34,18 @@ def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """
     scores = as_tensor(scores)
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.data.shape)
-    neg_inf = np.array(-np.inf, dtype=scores.data.dtype)
-    shifted_max = np.where(mask, scores.data, neg_inf).max(axis=axis, keepdims=True)
-    # Fully-masked rows have max -inf; substitute 0 to keep exp() finite (the
-    # mask zeroes those rows anyway).
-    safe_max = np.where(np.isfinite(shifted_max), shifted_max, 0.0)
-    exp = np.where(mask, np.exp(scores.data - safe_max), 0.0)
-    total = exp.sum(axis=axis, keepdims=True)
-    out_data = exp / np.where(total == 0.0, 1.0, total)
+    # One temporary; the shift, exp and normalisation run in place on it, so
+    # the caller's ``scores.data`` is never written.
+    out_data = np.where(mask, scores.data, np.array(-np.inf, dtype=scores.data.dtype))
+    row_max = out_data.max(axis=axis, keepdims=True)
+    # Fully-masked rows have max -inf; substitute 0 so they stay -inf and
+    # exp() gives exact zeros.
+    row_max[np.isneginf(row_max)] = 0.0
+    out_data -= row_max
+    np.exp(out_data, out=out_data)
+    total = out_data.sum(axis=axis, keepdims=True)
+    total[total == 0.0] = 1.0
+    out_data /= total
 
     def backward(grad: np.ndarray) -> None:
         if scores.requires_grad:
@@ -162,21 +166,21 @@ class MultiHeadSelfAttention(Module):
                 raise ValueError(
                     f"mask shape {key_mask.shape} does not match input {x.shape[:-1]}"
                 )
-            # Broadcast over the query axis: every query sees the same keys.
-            key_mask = key_mask[..., None, :]
-        q = x @ self.w_q
-        k = x @ self.w_k
-        v = x @ self.w_v
-        head_outputs = []
-        scale = 1.0 / float(np.sqrt(self.head_dim))
-        for h in range(self.num_heads):
-            sl = slice(h * self.head_dim, (h + 1) * self.head_dim)
-            q_h, k_h, v_h = q[..., sl], k[..., sl], v[..., sl]
-            k_t = k_h.transpose() if x.ndim == 2 else k_h.transpose(0, 2, 1)
-            scores = (q_h @ k_t) * scale
-            if key_mask is not None:
-                attn = masked_softmax(scores, key_mask, axis=-1)
-            else:
-                attn = scores.softmax(axis=-1)
-            head_outputs.append(attn @ v_h)
-        return concatenate(head_outputs, axis=-1) @ self.w_o
+            # Broadcast over the head and query axes: every query sees the
+            # same keys.
+            key_mask = key_mask[..., None, None, :]
+        # (..., T, dim) -> (..., H, T, hd): every head in one batched matmul.
+        n = x.ndim
+        split = x.shape[:-1] + (self.num_heads, self.head_dim)
+        lead = tuple(range(n - 2))
+        heads = lead + (n - 1, n - 2, n)  # swaps T and H; its own inverse
+        q = (x @ self.w_q).reshape(split).transpose(*heads)
+        k_t = (x @ self.w_k).reshape(split).transpose(*lead, n - 1, n, n - 2)
+        v = (x @ self.w_v).reshape(split).transpose(*heads)
+        scores = (q @ k_t) * (1.0 / float(np.sqrt(self.head_dim)))
+        if key_mask is not None:
+            attn = masked_softmax(scores, key_mask, axis=-1)
+        else:
+            attn = scores.softmax(axis=-1)
+        merged = (attn @ v).transpose(*heads).reshape(x.shape)
+        return merged @ self.w_o

@@ -34,7 +34,6 @@ __all__ = [
     "concatenate",
     "stack",
     "pad_stack",
-    "unpad_stack",
     "no_grad",
     "is_grad_enabled",
 ]
@@ -645,17 +644,3 @@ def pad_stack(
                 tensor._accumulate(grad[row, :length])
 
     return Tensor._make(data, tuple(tensors), backward), mask
-
-
-def unpad_stack(padded: Tensor, mask: np.ndarray) -> List[Tensor]:
-    """Invert :func:`pad_stack`: recover the list of per-sequence tensors.
-
-    Pad positions must be trailing (the :func:`pad_stack` layout).  Slicing is
-    differentiable, so unpadded views can keep feeding the autograd graph.
-    """
-    padded = as_tensor(padded)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape != padded.data.shape[:2]:
-        raise ValueError(f"mask shape {mask.shape} does not match batch {padded.data.shape[:2]}")
-    lengths = mask.sum(axis=1)
-    return [padded[row][: int(length)] for row, length in enumerate(lengths)]

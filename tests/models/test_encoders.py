@@ -1,6 +1,7 @@
 """Document encoder tests: shapes, alignment, truncation."""
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.models import BertEncoder, GloveEncoder, truncate_document
@@ -79,3 +80,50 @@ def test_gradients_flow_through_bertsum(bertsum_encoder, doc):
     out = bertsum_encoder.encode(doc)
     (out.token_states.sum() + out.sentence_states.sum()).backward()
     assert bertsum_encoder.bert.token_embedding.grad is not None
+
+
+@pytest.fixture()
+def bert_encoder(small_vocab, rng):
+    bert = nn.MiniBert(
+        vocab_size=len(small_vocab), dim=16, num_layers=1, num_heads=2, rng=rng, max_len=256
+    )
+    return BertEncoder(small_vocab, bert)
+
+
+@pytest.mark.parametrize("bucket", ["ragged", "single"])
+@pytest.mark.parametrize("name", ["glove_encoder", "bert_encoder", "bertsum_encoder"])
+def test_encode_batch_padded_blocks_equal_each_pages_encode(request, small_corpus, name, bucket):
+    """A ragged bucket (and a single page) comes back as zero-padded blocks
+    whose real rows are each page's own ``encode``."""
+    encoder = request.getfixturevalue(name)
+    if bucket == "single":
+        documents = [small_corpus[3]]
+    else:
+        documents = [small_corpus[0], truncate_document(small_corpus[5], 30), small_corpus[7],
+                     truncate_document(small_corpus[9], 9)]
+        assert len({(d.num_tokens, d.num_sentences) for d in documents}) == len(documents)
+    with nn.no_grad():
+        batch = encoder.encode_batch(documents)
+        singles = [encoder.encode(d) for d in documents]
+    # The embedding lookup is exact; a padded transformer pass sums over more
+    # (zero-weighted) keys, which may move the last bits.
+    tolerance = 0.0 if name == "glove_encoder" else 1e-12
+    width, count = max(d.num_tokens for d in documents), max(d.num_sentences for d in documents)
+    assert batch.token_states.shape == (len(documents), width, encoder.dim)
+    assert batch.sentence_states.shape == (len(documents), count, encoder.dim)
+    assert batch.token_sentence_index.shape == batch.token_mask.shape == (len(documents), width)
+    assert batch.sentence_mask.shape == (len(documents), count)
+    for row, (document, single) in enumerate(zip(documents, singles)):
+        length, sentences = document.num_tokens, document.num_sentences
+        assert batch.token_mask[row].tolist() == [True] * length + [False] * (width - length)
+        assert batch.sentence_mask[row].tolist() == [True] * sentences + [False] * (count - sentences)
+        np.testing.assert_allclose(
+            batch.token_states.data[row, :length], single.token_states.data, rtol=0, atol=tolerance
+        )
+        np.testing.assert_allclose(
+            batch.sentence_states.data[row, :sentences], single.sentence_states.data, rtol=0, atol=tolerance
+        )
+        np.testing.assert_array_equal(batch.token_sentence_index[row, :length], single.token_sentence_index)
+        assert (batch.token_states.data[row, length:] == 0.0).all()
+        assert (batch.sentence_states.data[row, sentences:] == 0.0).all()
+        assert (batch.token_sentence_index[row, length:] == 0).all()

@@ -30,10 +30,16 @@ def memories(generator, rng):
         ]
 
 
+def _block(memories):
+    """The pages' memories as the padded block and mask the batched path
+    takes; padded rows hold junk, which the mask must keep out."""
+    return nn.pad_stack(memories, pad_value=7.0)
+
+
 @pytest.mark.parametrize("beam_size", [1, 4, 8, 32])
 def test_generate_batch_matches_scalar_generate(generator, memories, beam_size):
     with nn.no_grad():
-        batched = generator.generate_batch(memories, beam_size=beam_size)
+        batched = generator.generate_batch(*_block(memories), beam_size=beam_size)
         for position, memory in enumerate(memories):
             assert batched[position] == generator.generate(memory, beam_size=beam_size)
 
@@ -41,7 +47,7 @@ def test_generate_batch_matches_scalar_generate(generator, memories, beam_size):
 def _assert_batch_matches_scalar(generator, memories, beam_size, margin_tol):
     margins = []
     batched = generator.generate_batch(
-        memories, beam_size=beam_size, max_depth=4, margins=margins
+        *_block(memories), beam_size=beam_size, max_depth=4, margins=margins
     )
     for position, memory in enumerate(memories):
         scalar_margins = []
@@ -73,13 +79,13 @@ def test_float32_generate_batch_matches_scalar_generate(generator, memories, bea
 def test_generate_batch_empty_and_single(generator, memories):
     assert generator.generate_batch([]) == []
     with nn.no_grad():
-        single = generator.generate_batch(memories[:1], beam_size=4)
+        single = generator.generate_batch(memories[0].reshape((1,) + memories[0].shape), beam_size=4)
         assert single == [generator.generate(memories[0], beam_size=4)]
 
 
 def test_generate_batch_respects_max_depth(generator, memories):
     with nn.no_grad():
-        topics = generator.generate_batch(memories, beam_size=4, max_depth=2)
+        topics = generator.generate_batch(*_block(memories), beam_size=4, max_depth=2)
     assert all(len(topic) <= 2 for topic in topics)
 
 
@@ -98,12 +104,16 @@ def test_greedy_hidden_batch_matches_scalar_loop(generator, memories, small_voca
         return nn.stack(hiddens, axis=0)
 
     with nn.no_grad():
-        batched = generator.greedy_hidden_batch(memories)
+        batched, steps = generator.greedy_hidden_batch(*_block(memories))
         for position, memory in enumerate(memories):
             reference = scalar_greedy(memory)
-            assert batched[position].shape == reference.shape
-            assert np.allclose(batched[position].data, reference.data, atol=1e-10)
+            count = steps[position].sum()
+            assert steps[position, :count].all()
+            assert batched.data[position, :count].shape == reference.shape
+            assert np.allclose(batched.data[position, :count], reference.data, atol=1e-10)
+            assert (batched.data[position, count:] == 0.0).all()
 
 
 def test_greedy_hidden_batch_empty(generator):
-    assert generator.greedy_hidden_batch([]) == []
+    hidden, steps = generator.greedy_hidden_batch([])
+    assert hidden.shape == (0, 0, generator.hidden_dim) and steps.shape == (0, 0)

@@ -11,13 +11,17 @@ import copy
 import numpy as np
 import pytest
 
+from repro.core import BatchedBriefingPipeline
 from repro.models import (
     JOINT_BASELINE_CONFIGS,
+    AttributeExtractor,
+    BertSumEncoder,
     BriefPrediction,
     JointWBModel,
     SectionPredictor,
     SingleTaskExtractor,
     SingleTaskGenerator,
+    TopicGenerator,
     make_joint_model,
 )
 
@@ -58,23 +62,43 @@ def test_joint_predict_batch_matches_sequential(
         np.testing.assert_array_equal(prediction.sections, model.predict_sections(document))
 
 
-def test_joint_predict_batch_runs_the_exchange_once_per_bucket(joint_model, docs, monkeypatch):
-    """Six pages in two buckets: the section layer and the extractor's
-    exchange run twice, once per padded bucket, not once per page."""
-    calls = {"probabilities": 0, "_update_extractor_hidden": 0}
-    for owner, name in (
-        (SectionPredictor, "probabilities"),
-        (JointWBModel, "_update_extractor_hidden"),
-    ):
-        original = getattr(owner, name)
+#: The methods the benchmark's layer clock wraps, each through its owner's
+#: own ``__dict__`` (``perfbench/layers.py``).
+_TIMED = (
+    (BatchedBriefingPipeline, "brief_many"),
+    (JointWBModel, "predict_batch"),
+    (BertSumEncoder, "encode_batch"),
+    (AttributeExtractor, "hidden_batch"),
+    (SectionPredictor, "probabilities"),
+    (TopicGenerator, "encode_batch"),
+    (TopicGenerator, "greedy_hidden_batch"),
+    (TopicGenerator, "generate_batch"),
+)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
+
+def test_joint_predict_batch_runs_the_exchange_once_per_bucket(joint_model, docs, monkeypatch):
+    """Six pages in two buckets: the encoder, both Bi-LSTM heads, the section
+    layer, the decode buffers, the beam, the greedy pass and the extractor's
+    exchange each run twice, once per padded bucket, not once per page."""
+    for owner, name in _TIMED:
+        assert name in owner.__dict__, (owner.__name__, name)
+    counted_methods = list(_TIMED[2:]) + [
+        (JointWBModel, "_update_extractor_hidden"),
+        (TopicGenerator, "_batched_decode_buffers"),
+    ]
+    calls = {}
+    for owner, name in counted_methods:
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+        original = owner.__dict__[name]
+
+        def counted(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     joint_model.predict_batch(docs, beam_size=2, batch_size=3)
-    assert calls == {"probabilities": 2, "_update_extractor_hidden": 2}
+    assert calls == {key: 2 for key in calls}
 
 
 def test_joint_predict_batch_odd_batch_sizes(joint_model, docs):

@@ -95,3 +95,59 @@ def test_precompute_keys_accepts_tensor_input(rng):
     assert np.array_equal(
         attn.precompute_keys(nn.Tensor(keys)), attn.precompute_keys(keys)
     )
+
+
+def _per_head_oracle(mha, x, mask):
+    """Self-attention one head at a time: slice, softmax, concatenate."""
+    q, k, v = x @ mha.w_q, x @ mha.w_k, x @ mha.w_v
+    outputs = []
+    for h in range(mha.num_heads):
+        sl = slice(h * mha.head_dim, (h + 1) * mha.head_dim)
+        k_t = k[..., sl].transpose() if x.ndim == 2 else k[..., sl].transpose(0, 2, 1)
+        scores = (q[..., sl] @ k_t) * (1.0 / float(np.sqrt(mha.head_dim)))
+        if mask is None:
+            weights = scores.softmax(axis=-1)
+        else:
+            weights = nn.masked_softmax(scores, mask[..., None, :], axis=-1)
+        outputs.append(weights @ v[..., sl])
+    return nn.concatenate(outputs, axis=-1) @ mha.w_o
+
+
+_RAGGED = {
+    2: np.array([True] * 5 + [False] * 2),
+    3: np.array([[True] * 7, [True] * 4 + [False] * 3, [True] + [False] * 6]),
+}
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(7, 12), (3, 7, 12)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multihead_all_heads_equal_per_head_oracle(dtype, shape, masked):
+    """All heads in one batched matmul give the per-head loop's floats."""
+    rng = np.random.default_rng(11)
+    mha = nn.MultiHeadSelfAttention(12, 3, rng).astype(dtype)
+    data = rng.normal(size=shape).astype(dtype)
+    mask = _RAGGED[len(shape)] if masked else None
+    fast = mha(nn.Tensor(data), mask=mask)
+    oracle = _per_head_oracle(mha, nn.Tensor(data), mask)
+    assert fast.dtype == dtype
+    np.testing.assert_array_equal(fast.data, oracle.data)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(7, 12), (3, 7, 12)])
+def test_multihead_all_heads_gradients_equal_per_head_oracle(shape, masked):
+    rng = np.random.default_rng(12)
+    mha = nn.MultiHeadSelfAttention(12, 3, rng)
+    data = rng.normal(size=shape)
+    upstream = rng.normal(size=shape)
+    mask = _RAGGED[len(shape)] if masked else None
+    grads = []
+    for run in (mha, lambda x, mask: _per_head_oracle(mha, x, mask)):
+        for parameter in mha.parameters():
+            parameter.grad = None
+        x = nn.Tensor(data, requires_grad=True)
+        (run(x, mask=mask) * upstream).sum().backward()
+        grads.append([x.grad] + [w.grad for w in (mha.w_q, mha.w_k, mha.w_v, mha.w_o)])
+    for fast, oracle in zip(*grads):
+        np.testing.assert_allclose(fast, oracle, rtol=0, atol=1e-12)

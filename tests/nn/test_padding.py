@@ -16,7 +16,7 @@ def _random_sequences(rng, lengths, dim):
 
 
 # ----------------------------------------------------------------------
-# pad_stack / unpad_stack
+# pad_stack
 # ----------------------------------------------------------------------
 def test_pad_stack_shapes_and_mask():
     rng = np.random.default_rng(0)
@@ -44,22 +44,11 @@ def test_pad_stack_rejects_bad_input():
         nn.pad_stack([nn.Tensor(np.ones((2, 3))), nn.Tensor(np.ones((2, 4)))])
 
 
-def test_unpad_stack_roundtrip():
-    rng = np.random.default_rng(1)
-    sequences = _random_sequences(rng, [4, 2, 6, 1], 3)
-    padded, mask = nn.pad_stack(sequences)
-    recovered = nn.unpad_stack(padded, mask)
-    assert len(recovered) == len(sequences)
-    for original, back in zip(sequences, recovered):
-        np.testing.assert_array_equal(original.data, back.data)
-
-
-def test_pad_unpad_backward_routes_gradients():
+def test_pad_stack_backward_routes_gradients():
     rng = np.random.default_rng(2)
     sequences = _random_sequences(rng, [2, 3], 3)
-    padded, mask = nn.pad_stack(sequences)
-    rows = nn.unpad_stack(padded, mask)
-    loss = (rows[0].sum() * 2.0) + rows[1].sum()
+    padded, _ = nn.pad_stack(sequences)
+    loss = (padded[0][:2].sum() * 2.0) + padded[1][:3].sum() + padded[0][2:].sum() * 5.0
     loss.backward()
     np.testing.assert_allclose(sequences[0].grad, np.full((2, 3), 2.0))
     np.testing.assert_allclose(sequences[1].grad, np.full((3, 3), 1.0))
@@ -79,10 +68,26 @@ def test_masked_softmax_zeroes_padding_exactly():
 
 def test_masked_softmax_matches_softmax_when_unmasked():
     rng = np.random.default_rng(4)
-    scores = nn.Tensor(rng.standard_normal((3, 7)))
-    masked = nn.masked_softmax(scores, np.ones((3, 7), dtype=bool))
-    plain = scores.softmax(axis=-1)
-    np.testing.assert_array_equal(masked.data, plain.data)
+    for dtype in (np.float64, np.float32):
+        scores = nn.Tensor(rng.standard_normal((3, 7)).astype(dtype))
+        masked = nn.masked_softmax(scores, np.ones((3, 7), dtype=bool))
+        plain = scores.softmax(axis=-1)
+        assert masked.dtype == dtype
+        np.testing.assert_array_equal(masked.data, plain.data)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_never_writes_the_callers_scores(dtype):
+    """The in-place exp and divide run on a temporary, not on ``scores``."""
+    rng = np.random.default_rng(14)
+    data = rng.standard_normal((2, 3, 5)).astype(dtype)
+    scores = nn.Tensor(data.copy())
+    mask = np.array([[True] * 5, [True, True, False, False, False], [False] * 5])
+    out = nn.masked_softmax(scores, mask)
+    np.testing.assert_array_equal(scores.data, data)
+    assert (out.data[:, 1, 2:] == 0.0).all()
+    assert (out.data[:, 2] == 0.0).all()  # fully masked rows stay all zero
+    np.testing.assert_allclose(out.data[:, :2].sum(axis=-1), 1.0, rtol=1e-6)
 
 
 def test_masked_softmax_fully_masked_row_is_zero():
@@ -118,10 +123,9 @@ def test_masked_lstm_batch_matches_per_sequence():
     padded, mask = nn.pad_stack(sequences)
     with nn.no_grad():
         batched, _ = lstm(padded, mask=mask)
-        rows = nn.unpad_stack(batched, mask)
-        for sequence, row in zip(sequences, rows):
+        for row, sequence in enumerate(sequences):
             single, _ = lstm(sequence)
-            np.testing.assert_allclose(row.data, single.data, atol=1e-10)
+            np.testing.assert_allclose(batched.data[row, : len(sequence)], single.data, atol=1e-10)
 
 
 def test_masked_bilstm_batch_matches_per_sequence():
@@ -130,9 +134,11 @@ def test_masked_bilstm_batch_matches_per_sequence():
     sequences = _random_sequences(np.random.default_rng(9), [5, 2, 7], 4)
     padded, mask = nn.pad_stack(sequences)
     with nn.no_grad():
-        rows = nn.unpad_stack(bilstm(padded, mask=mask), mask)
-        for sequence, row in zip(sequences, rows):
-            np.testing.assert_allclose(row.data, bilstm(sequence).data, atol=1e-10)
+        batched = bilstm(padded, mask=mask)
+        for row, sequence in enumerate(sequences):
+            np.testing.assert_allclose(
+                batched.data[row, : len(sequence)], bilstm(sequence).data, atol=1e-10
+            )
 
 
 def test_lstm_no_grad_fast_path_matches_graph_path():
