@@ -7,7 +7,7 @@ topic phrase on top, extracted key attributes below.  This package provides:
 * :mod:`repro.html` — HTML parser, visible-text renderer, structure-driven
   crawler (the Selenium/crawler substitute);
 * :mod:`repro.data` — synthetic corpus construction (the dataset substitute),
-  WordPiece tokenizer, GloVe trainer, preprocessing;
+  word tokenization, vocabulary, GloVe trainer;
 * :mod:`repro.models` — Joint-WB and all single-task/joint baselines;
 * :mod:`repro.distill` — Dual-Distill, Tri-Distill, Pip-Distill;
 * :mod:`repro.core` — task API (briefing pipeline), metrics, statistics;

@@ -2,8 +2,9 @@
 
 Serving briefs in float32 while training, the scalar ``beam_search`` and the
 sequential :class:`~repro.core.pipeline.BriefingPipeline` stay float64, the
-executable spec.  :func:`serving_copy` makes the float32 copy once; its
-weights carry the precision, so no dtype switch is needed anywhere else.
+executable spec.  :func:`serving_copy` makes the float32, eval-mode copy
+once; its weights carry the precision, so no dtype switch is needed anywhere
+else.
 
 :class:`~repro.core.serving.WorkerPool` serves over threads or over worker
 processes from one admission queue; the process transport needs one piece
@@ -26,21 +27,23 @@ __all__ = ["ModelSnapshot", "serving_copy"]
 
 
 def serving_copy(model):
-    """The model serving briefs with: a float32 copy of an ``nn.Module``.
+    """The model serving briefs with: a float32, eval-mode ``nn.Module``.
 
     Every parameter is cast into a fresh, gradient-free ``Parameter``; the
-    rest of the model (vocabulary, config, RNG) is deep-copied, so the
-    caller's float64 model is left as it was.  A model whose parameters are
-    float32 already is served as given, and so is anything that is not a
-    ``Module`` (a wrapper that delegates to one).
+    rest of the model (vocabulary, config, RNG) is deep-copied and the copy
+    is put in eval mode, so dropout never fires while serving and the
+    caller's model is left as it was, ``training`` flag included.  A float32
+    model already in eval mode is served as given, and so is anything that
+    is not a ``Module`` (a wrapper that delegates to one).
     """
     if not isinstance(model, Module):
         return model
     parameters = model.parameters()
-    if all(param.data.dtype == np.float32 for param in parameters):
+    training = any(module.training for module in model.modules())
+    if not training and all(param.data.dtype == np.float32 for param in parameters):
         return model
     memo = {id(param): Parameter(param.data.astype(np.float32), name=param.name) for param in parameters}
-    return copy.deepcopy(model, memo)
+    return copy.deepcopy(model, memo).eval()
 
 
 class ModelSnapshot:

@@ -1,8 +1,7 @@
 """Corpus analysis utilities.
 
-Deeper views than :meth:`Corpus.statistics` — used by the CLI's
-``corpus-stats`` command and handy when swapping in real data through
-:mod:`repro.data.io`:
+Deeper views than :meth:`Corpus.statistics`, used by the CLI's
+``corpus-stats`` command:
 
 * token frequency spectrum and type/token ratio;
 * attribute-type distribution (the topic ↔ attribute correlation the models

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
-import numpy as np
-
-__all__ = ["iterate_batches", "shuffled_epochs"]
+__all__ = ["iterate_batches"]
 
 T = TypeVar("T")
 
@@ -38,17 +36,3 @@ def iterate_batches(
         items = sorted(items, key=bucket_by)
     for start in range(0, len(items), batch_size):
         yield list(items[start : start + batch_size])
-
-
-def shuffled_epochs(
-    items: Sequence[T],
-    batch_size: int,
-    epochs: int,
-    rng: np.random.Generator,
-) -> Iterator[List[T]]:
-    """Yield shuffled batches for ``epochs`` passes over ``items``."""
-    items = list(items)
-    for _ in range(epochs):
-        order = rng.permutation(len(items))
-        shuffled = [items[i] for i in order]
-        yield from iterate_batches(shuffled, batch_size)

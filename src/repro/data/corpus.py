@@ -171,29 +171,6 @@ class Corpus:
         test_docs = [self.documents[i] for i in order[n_train + n_dev :]]
         return SplitBundle(train=train_docs, develop=dev_docs, test=test_docs)
 
-    def seen_unseen_split(
-        self,
-        rng: np.random.Generator,
-        num_seen_topics: int,
-        num_unseen_topics: int,
-    ) -> Tuple["Corpus", "Corpus"]:
-        """Split by topic: ``r`` seen topics vs ``k`` previously unseen topics.
-
-        Mirrors §IV-B: the teacher is pre-trained on webpages from ``r``
-        topics; distillation uses webpages covering ``r + k`` topics.
-        Returns ``(seen_corpus, unseen_corpus)``.
-        """
-        topics = self.topic_ids
-        if num_seen_topics + num_unseen_topics > len(topics):
-            raise ValueError(
-                f"requested {num_seen_topics}+{num_unseen_topics} topics, "
-                f"corpus has only {len(topics)}"
-            )
-        order = rng.permutation(len(topics))
-        seen = {topics[i] for i in order[:num_seen_topics]}
-        unseen = {topics[i] for i in order[num_seen_topics : num_seen_topics + num_unseen_topics]}
-        return self.filter_topics(seen), self.filter_topics(unseen)
-
     def statistics(self) -> Dict[str, float]:
         """Corpus statistics in the shape of the paper's §IV-A1 summary."""
         lengths = [d.num_tokens for d in self.documents]

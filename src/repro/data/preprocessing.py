@@ -1,37 +1,20 @@
-"""Text preprocessing (paper §IV-A3).
+"""Word tokenization and the special tokens (paper §IV-A3, adapted).
 
-Implements the paper's pipeline exactly:
-
-* lowercase everything;
-* replace digit runs with the ``<digit>`` token;
-* keep each punctuation mark as its own token;
-* insert a ``[CLS]`` token at the start of every sentence (BERTSUM document
-  representation) — :func:`insert_cls_tokens`;
-* zero-pad documents to a fixed length and split them into fixed-size
-  sub-documents because of BERT's input-length limit —
-  :func:`pad_and_split`.
-
-The paper pads to 2,048 and splits into four 512-token sub-documents; the
-functions take those sizes as parameters so the scaled-down configs can use
-smaller windows while exercising the same code path.
+:func:`word_tokenize` lowercases text, replaces digit runs with the
+``<digit>`` token and keeps each punctuation mark as its own token.  The
+paper tokenises with BERT's WordPiece instead; here every encoder embeds
+these whole-word tokens through :class:`~repro.data.Vocabulary`, and the
+BERTSUM encoder puts a ``[CLS]`` before each sentence
+(:class:`~repro.models.BertSumEncoder`).  Pages are not split into
+sub-documents; DESIGN.md §2 records the deviation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
-__all__ = [
-    "DIGIT_TOKEN",
-    "CLS_TOKEN",
-    "PAD_TOKEN",
-    "word_tokenize",
-    "insert_cls_tokens",
-    "pad_and_split",
-    "EncodedDocument",
-    "encode_document",
-]
+__all__ = ["DIGIT_TOKEN", "CLS_TOKEN", "PAD_TOKEN", "word_tokenize"]
 
 DIGIT_TOKEN = "<digit>"
 CLS_TOKEN = "[CLS]"
@@ -50,87 +33,3 @@ def word_tokenize(text: str) -> List[str]:
         else:
             tokens.append(piece)
     return tokens
-
-
-def insert_cls_tokens(sentences: Sequence[Sequence[str]]) -> Tuple[List[str], List[int]]:
-    """Prefix each sentence with ``[CLS]`` and flatten.
-
-    Returns ``(tokens, cls_positions)`` where ``cls_positions[j]`` is the flat
-    index of the ``[CLS]`` marking the start of sentence ``j`` (the BERTSUM
-    sentence-representation positions consumed by Joint-WB).
-    """
-    tokens: List[str] = []
-    cls_positions: List[int] = []
-    for sentence in sentences:
-        cls_positions.append(len(tokens))
-        tokens.append(CLS_TOKEN)
-        tokens.extend(sentence)
-    return tokens, cls_positions
-
-
-def pad_and_split(
-    tokens: Sequence[str],
-    total_length: int = 2048,
-    window: int = 512,
-) -> List[List[str]]:
-    """Zero-pad to ``total_length`` then split into ``total_length/window`` windows.
-
-    Raises if the document does not fit (callers should truncate first — the
-    synthetic corpus documents are sized to fit their configuration).
-    """
-    if total_length % window != 0:
-        raise ValueError(f"total_length {total_length} not a multiple of window {window}")
-    if len(tokens) > total_length:
-        raise ValueError(f"document of {len(tokens)} tokens exceeds total_length {total_length}")
-    padded = list(tokens) + [PAD_TOKEN] * (total_length - len(tokens))
-    return [padded[i : i + window] for i in range(0, total_length, window)]
-
-
-@dataclass
-class EncodedDocument:
-    """A document converted to model-ready ids.
-
-    Attributes
-    ----------
-    token_ids:
-        Flat token ids including per-sentence [CLS] markers.
-    cls_positions:
-        Flat positions of the [CLS] markers (one per sentence).
-    token_sentence_index:
-        For every flat position, the index of the sentence it belongs to.
-    word_positions:
-        Flat positions holding real words (excludes [CLS]); in the same order
-        as the document's own flat tokens, so labels align 1:1.
-    """
-
-    token_ids: List[int]
-    cls_positions: List[int]
-    token_sentence_index: List[int]
-    word_positions: List[int]
-
-
-def encode_document(
-    sentences: Sequence[Sequence[str]],
-    vocabulary: Dict[str, int],
-    unk_id: int,
-) -> EncodedDocument:
-    """Insert [CLS] markers and convert a sentence list to id sequences."""
-    tokens, cls_positions = insert_cls_tokens(sentences)
-    cls_set = set(cls_positions)
-    token_ids: List[int] = []
-    token_sentence_index: List[int] = []
-    word_positions: List[int] = []
-    sentence = -1
-    for position, token in enumerate(tokens):
-        if position in cls_set:
-            sentence += 1
-        token_ids.append(vocabulary.get(token, unk_id))
-        token_sentence_index.append(sentence)
-        if position not in cls_set:
-            word_positions.append(position)
-    return EncodedDocument(
-        token_ids=token_ids,
-        cls_positions=cls_positions,
-        token_sentence_index=token_sentence_index,
-        word_positions=word_positions,
-    )

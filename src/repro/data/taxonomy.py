@@ -67,10 +67,6 @@ class Topic:
     attributes: Tuple[AttributeType, ...]
     content_pool: Tuple[str, ...]
 
-    @property
-    def phrase_text(self) -> str:
-        return " ".join(self.phrase)
-
 
 @dataclass(frozen=True)
 class DomainFamily:

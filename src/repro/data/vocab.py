@@ -52,23 +52,12 @@ class Vocabulary:
         return self._token_to_id[UNK_TOKEN]
 
     @property
-    def cls_id(self) -> int:
-        return self._token_to_id[CLS_TOKEN]
-
-    @property
     def bos_id(self) -> int:
         return self._token_to_id[BOS_TOKEN]
 
     @property
     def eos_id(self) -> int:
         return self._token_to_id[EOS_TOKEN]
-
-    def id_of(self, token: str) -> int:
-        """Id of ``token`` (UNK id when unknown)."""
-        return self._token_to_id.get(token, self.unk_id)
-
-    def token_of(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
 
     def encode(self, tokens: Sequence[str]) -> List[int]:
         get, unk = self._token_to_id.get, self.unk_id

@@ -1,13 +1,11 @@
 """``repro.distill`` — Dual-Distill, Tri-Distill, Pip-Distill and ablations."""
 
-from .checkpoint import StudentCheckpoint
 from .dual import DistillConfig, DualDistiller
 from .identification import IdentificationDistiller
 from .interfaces import (
     ExtractionView,
     GenerationView,
     encoder_dim,
-    encoder_token_states,
     extraction_hidden_dim,
     extraction_view,
     generation_hidden_dim,
@@ -26,7 +24,6 @@ __all__ = [
     "TriDistiller",
     "PipelineDistiller",
     "IdentificationDistiller",
-    "StudentCheckpoint",
     "TopicPhraseBank",
     "understanding_loss",
     "soften",
@@ -34,7 +31,6 @@ __all__ = [
     "GenerationView",
     "extraction_view",
     "generation_view",
-    "encoder_token_states",
     "extraction_hidden_dim",
     "generation_hidden_dim",
     "encoder_dim",

@@ -6,8 +6,8 @@ is a single-task baseline or a joint model:
 * the **extraction view** — hidden token representations + BIO tag logits;
 * the **generation view** — hidden sentence representations + per-step
   vocabulary logits under teacher forcing on the document's gold topic;
-* the **shared encoder view** — contextual token states (Tri-Distill's shared
-  identification distillation runs on these).
+* the **shared encoder width** — Tri-Distill's shared identification
+  distillation runs on ``model.encoder``'s contextual token states.
 
 The adapters below dispatch on the model type so a Dual/Tri-Distiller can
 pair any teacher with any student (§IV-A7-ii evaluates BERT-Single,
@@ -30,7 +30,6 @@ __all__ = [
     "GenerationView",
     "extraction_view",
     "generation_view",
-    "encoder_token_states",
     "extraction_hidden_dim",
     "generation_hidden_dim",
     "encoder_dim",
@@ -73,14 +72,6 @@ def generation_view(model: nn.Module, document: Document) -> GenerationView:
         forward = model.forward(document)
         return GenerationView(memory=forward.generator_hidden, step_logits=forward.generation_logits)
     raise TypeError(f"no generation view for {type(model).__name__}")
-
-
-def encoder_token_states(model: nn.Module, document: Document) -> nn.Tensor:
-    """Shared-encoder contextual token states (Tri-Distill's shared ID)."""
-    encoder = getattr(model, "encoder", None)
-    if encoder is None:
-        raise TypeError(f"{type(model).__name__} has no document encoder")
-    return encoder.encode(document).token_states
 
 
 def extraction_hidden_dim(model: nn.Module) -> int:

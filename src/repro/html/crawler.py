@@ -57,10 +57,6 @@ class CrawledPage:
     signature: Tuple[Tuple[str, int], ...]
     visible_text: str
 
-    @property
-    def text_length(self) -> int:
-        return len(self.visible_text)
-
 
 @dataclass
 class CrawlResult:

@@ -1,4 +1,4 @@
-"""Document encoders: GloVe (context-independent), MiniBert and BertSum.
+"""Document encoders: GloVe (context-independent), BERT and BERTSUM.
 
 Every encoder maps a :class:`~repro.data.corpus.Document` to an
 :class:`EncoderOutput` with two aligned views:
@@ -6,14 +6,14 @@ Every encoder maps a :class:`~repro.data.corpus.Document` to an
 * ``token_states`` — one row per word token of the document (flat reading
   order, aligned 1:1 with ``document.flat_tokens()`` / BIO tags);
 * ``sentence_states`` — one row per sentence (the ``C^0`` view of the paper;
-  for BertSum these are the hidden states at the per-sentence [CLS]
+  for BERTSUM these are the hidden states at the per-sentence [CLS]
   positions, for the others a mean over the sentence's token states).
 
 :meth:`DocumentEncoder.encode_batch` returns the same views for a bucket of
 pages as one :class:`EncoderOutput` of zero-padded blocks — ``(B, T, dim)``
 tokens, ``(B, M, dim)`` sentences, a ``(B, T)`` token → sentence index —
 with the masks of each page's real rows.  Both entry points place tokens
-through one index computation (:func:`_layout`): BertSum gathers the word
+through one index computation (:func:`_layout`): BERTSUM gathers the word
 view and the [CLS] view of the whole bucket with one fancy index each.
 
 This is the interface every extractor/generator/section-predictor consumes,

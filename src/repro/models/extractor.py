@@ -91,15 +91,13 @@ class AttributeExtractor(nn.Module):
         """
         return self.dropout(self.encoder(self._inputs(token_states, extra), mask=mask))
 
-    def hidden_batch(
-        self, token_states: nn.Tensor, mask: np.ndarray, extra: Optional[nn.Tensor] = None
-    ) -> nn.Tensor:
+    def hidden_batch(self, token_states: nn.Tensor, mask: np.ndarray) -> nn.Tensor:
         """``C_E`` of a padded bucket from one masked BiLSTM pass.
 
         The recurrence runs one Python loop over T for the whole bucket;
         each page's real rows equal :meth:`hidden` of that page.
         """
-        return self.hidden(token_states, extra, mask)
+        return self.hidden(token_states, mask=mask)
 
     def _inputs(self, token_states: nn.Tensor, extra: Optional[nn.Tensor]) -> nn.Tensor:
         inputs = nn.as_tensor(token_states)

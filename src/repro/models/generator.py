@@ -92,11 +92,9 @@ class TopicGenerator(nn.Module):
         """
         return self.dropout(self.encoder(self._inputs(sentence_states, extra), mask=mask))
 
-    def encode_batch(
-        self, sentence_states: nn.Tensor, mask: np.ndarray, extra: Optional[nn.Tensor] = None
-    ) -> nn.Tensor:
+    def encode_batch(self, sentence_states: nn.Tensor, mask: np.ndarray) -> nn.Tensor:
         """``C_G`` of a padded bucket from one masked BiLSTM pass."""
-        return self.encode(sentence_states, extra, mask)
+        return self.encode(sentence_states, mask=mask)
 
     def _inputs(self, sentence_states: nn.Tensor, extra: Optional[nn.Tensor]) -> nn.Tensor:
         inputs = nn.as_tensor(sentence_states)

@@ -14,15 +14,14 @@ following ATAE-LSTM's concatenation procedure:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .. import nn
-from ..data.batching import iterate_batches
 from ..data.corpus import Document
 from ..data.vocab import Vocabulary
-from .encoders import DocumentEncoder, EncoderOutput
+from .encoders import DocumentEncoder
 from .extractor import AttributeExtractor
 from .generator import TopicGenerator
 
@@ -85,52 +84,6 @@ class SingleTaskExtractor(nn.Module):
             logits = self._logits(document)
             return self.extractor.predict_attributes(logits, document)
 
-    def predict_batch(
-        self, documents: Sequence[Document], batch_size: int = 8
-    ) -> List[List[str]]:
-        """Extract attributes for many documents via padded batched passes.
-
-        Length-buckets, encodes each bucket with one padded encoder pass and
-        one masked Bi-LSTM pass, then decodes spans per document; equivalent
-        to :meth:`predict_attributes` in input order.
-        """
-        documents = list(documents)
-        results: List[Optional[List[str]]] = [None] * len(documents)
-        with nn.no_grad():
-            for batch in iterate_batches(
-                list(enumerate(documents)),
-                batch_size,
-                bucket_by=lambda pair: pair[1].num_tokens,
-            ):
-                docs = [document for _, document in batch]
-                enc = self.encoder.encode_batch(docs)
-                hidden = self.extractor.hidden_batch(
-                    enc.token_states, enc.token_mask, self._padded_extra_features(docs, enc)
-                )
-                tags, confidence = self.extractor.tag_confidence(self.extractor.logits(hidden))
-                for row, ((index, document), length) in enumerate(
-                    zip(batch, enc.token_mask.sum(axis=1))
-                ):
-                    spans = self.extractor.scored_spans(
-                        tags[row, :length], confidence[row, :length], document
-                    )
-                    results[index] = [attribute for attribute, _ in spans]
-        return results
-
-    def _padded_extra_features(
-        self, documents: Sequence[Document], enc: EncoderOutput
-    ) -> Optional[nn.Tensor]:
-        """Each page's :meth:`_extra_features` in one ``(B, T, extra)`` block."""
-        if not (self.prior_section or self.prior_topic):
-            return None
-        rows = [
-            self._extra_features(d, enc.token_sentence_index[row, : d.num_tokens]).data
-            for row, d in enumerate(documents)
-        ]
-        block = np.zeros(enc.token_mask.shape + rows[0].shape[-1:], dtype=rows[0].dtype)
-        block[enc.token_mask] = np.concatenate(rows)
-        return nn.Tensor(block)
-
 
 class SingleTaskGenerator(nn.Module):
     """``*→[Bi-LSTM, LSTM]`` topic generator with optional section prior."""
@@ -174,32 +127,3 @@ class SingleTaskGenerator(nn.Module):
         with nn.no_grad():
             memory = self._memory(document)
             return self.generator.generate(memory, beam_size=beam_size)
-
-    def predict_batch(
-        self, documents: Sequence[Document], beam_size: int = 4, batch_size: int = 8
-    ) -> List[List[str]]:
-        """Generate topics for many documents via padded batched encoding.
-
-        Decoding also batches: one :meth:`TopicGenerator.generate_batch` beam
-        search per bucket drives every document's hypotheses together.
-        """
-        documents = list(documents)
-        results: List[Optional[List[str]]] = [None] * len(documents)
-        with nn.no_grad():
-            for batch in iterate_batches(
-                list(enumerate(documents)),
-                batch_size,
-                bucket_by=lambda pair: pair[1].num_tokens,
-            ):
-                docs = [document for _, document in batch]
-                enc = self.encoder.encode_batch(docs)
-                extra = None
-                if self.prior_section:
-                    labels = np.zeros(enc.sentence_mask.shape + (1,))
-                    labels[enc.sentence_mask] = [[label] for d in docs for label in d.section_labels]
-                    extra = nn.Tensor(labels)
-                memories = self.generator.encode_batch(enc.sentence_states, enc.sentence_mask, extra)
-                topics = self.generator.generate_batch(memories, enc.sentence_mask, beam_size=beam_size)
-                for (index, _), topic in zip(batch, topics):
-                    results[index] = topic
-        return results

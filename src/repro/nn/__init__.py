@@ -33,17 +33,15 @@ from .tensor import (
     concatenate,
     is_grad_enabled,
     no_grad,
-    pad_stack,
     stack,
 )
-from .transformer import BertSum, MiniBert, TransformerEncoderLayer
+from .transformer import MiniBert, TransformerEncoderLayer
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "concatenate",
     "stack",
-    "pad_stack",
     "no_grad",
     "is_grad_enabled",
     "Module",
@@ -64,7 +62,6 @@ __all__ = [
     "masked_softmax",
     "TransformerEncoderLayer",
     "MiniBert",
-    "BertSum",
     "cross_entropy",
     "binary_cross_entropy",
     "kl_divergence",

@@ -7,7 +7,7 @@ Two families are needed by the paper:
   seen-topic matrix ``R``, paper Eq. for ``A_T``/``A_S``) and by the
   dual-aware signal-exchange mechanisms of Joint-WB.
 * :class:`MultiHeadSelfAttention` — standard scaled dot-product self
-  attention, the building block of the MiniBert/BertSum encoders.
+  attention, the building block of the MiniBert encoder.
 """
 
 from __future__ import annotations

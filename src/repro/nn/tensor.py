@@ -33,7 +33,6 @@ __all__ = [
     "as_tensor",
     "concatenate",
     "stack",
-    "pad_stack",
     "no_grad",
     "is_grad_enabled",
 ]
@@ -609,38 +608,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 tensor._accumulate(np.squeeze(piece, axis=axis))
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def pad_stack(
-    tensors: Sequence[Tensor], pad_value: float = 0.0
-) -> Tuple[Tensor, np.ndarray]:
-    """Pad variable-length sequences into one batch tensor plus a mask.
-
-    Each input has shape ``(T_i, *rest)`` with identical trailing dims; the
-    result is a ``(B, T_max, *rest)`` tensor padded with ``pad_value`` and a
-    boolean ``(B, T_max)`` mask that is ``True`` at real (non-pad) positions.
-    Differentiable: gradients of the padded region are discarded, gradients of
-    the valid region flow back to the corresponding input sequence.
-    """
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("pad_stack needs at least one sequence")
-    trailing = tensors[0].data.shape[1:]
-    for t in tensors:
-        if t.data.ndim < 1 or t.data.shape[1:] != trailing:
-            raise ValueError("pad_stack sequences must share trailing dimensions")
-    lengths = [t.data.shape[0] for t in tensors]
-    batch, t_max = len(tensors), max(lengths)
-    dtype = np.result_type(*[t.data.dtype for t in tensors])
-    data = np.full((batch, t_max) + trailing, pad_value, dtype=dtype)
-    mask = np.zeros((batch, t_max), dtype=bool)
-    for row, (tensor, length) in enumerate(zip(tensors, lengths)):
-        data[row, :length] = tensor.data
-        mask[row, :length] = True
-
-    def backward(grad: np.ndarray) -> None:
-        for row, (tensor, length) in enumerate(zip(tensors, lengths)):
-            if tensor.requires_grad:
-                tensor._accumulate(grad[row, :length])
-
-    return Tensor._make(data, tuple(tensors), backward), mask

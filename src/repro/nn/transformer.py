@@ -1,15 +1,12 @@
-"""Transformer encoders: MiniBert and BertSum.
+"""Transformer encoder: MiniBert.
 
 The paper fine-tunes BERT_base and BERTSUM (Liu & Lapata, 2019) as contextual
-encoders.  We reproduce both architectures at laptop scale:
-
-* :class:`MiniBert` — token + position embeddings followed by ``N``
-  pre-norm transformer encoder layers.  Produces contextual token
-  representations; position 0 of each input acts as a [CLS] summary.
-* :class:`BertSum` — the document variant: a ``[CLS]`` token is inserted at
-  the start of every *sentence* (done by the preprocessing pipeline), and the
-  encoder additionally exposes the hidden states at those [CLS] positions as
-  *sentence* representations, exactly the interface Joint-WB consumes.
+encoders.  :class:`MiniBert` reproduces the architecture at laptop scale:
+token + position embeddings followed by ``N`` pre-norm transformer encoder
+layers, producing contextual token representations.  The BERTSUM document
+view (a ``[CLS]`` before every sentence, whose hidden states become the
+sentence representations) is built on top of it by
+:class:`repro.models.BertSumEncoder`.
 
 The scale-down (2 layers, small hidden dim) is the documented substitution
 for the paper's GPU-trained BERT_base; see DESIGN.md §2.
@@ -17,7 +14,7 @@ for the paper's GPU-trained BERT_base; see DESIGN.md §2.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +22,9 @@ from . import init
 from .attention import MultiHeadSelfAttention
 from .layers import Dense, Dropout, LayerNorm
 from .module import Module, ModuleList, Parameter
-from .tensor import Tensor, concatenate
+from .tensor import Tensor
 
-__all__ = ["TransformerEncoderLayer", "MiniBert", "BertSum"]
+__all__ = ["TransformerEncoderLayer", "MiniBert"]
 
 
 class TransformerEncoderLayer(Module):
@@ -61,13 +58,14 @@ class MiniBert(Module):
     Parameters
     ----------
     vocab_size:
-        Size of the WordPiece vocabulary.
+        Size of the token vocabulary (:class:`repro.data.Vocabulary`).
     dim:
         Hidden dimensionality.
     num_layers, num_heads, ffn_dim:
         Transformer stack hyperparameters.
     max_len:
-        Maximum supported sequence length (positional table size).
+        Maximum supported sequence length (positional table size); a longer
+        input raises, as pages are not split into sub-documents.
     """
 
     def __init__(
@@ -114,60 +112,3 @@ class MiniBert(Module):
         for layer in self.layers:
             x = layer(x, mask=mask)
         return self.final_norm(x)
-
-    def encode_subdocuments(
-        self, subdocuments: Sequence[Sequence[int]], masks: Optional[Sequence[np.ndarray]] = None
-    ) -> Tensor:
-        """Encode each sub-document independently and concatenate.
-
-        Mirrors the paper's preprocessing: long pages are split into 512-token
-        sub-documents because of BERT's input length limit; the contextual
-        embeddings are then concatenated back into the full document.
-        """
-        pieces: List[Tensor] = []
-        for index, sub in enumerate(subdocuments):
-            mask = None if masks is None else masks[index]
-            pieces.append(self.forward(sub, mask=mask))
-        return concatenate(pieces, axis=0)
-
-
-class BertSum(Module):
-    """BERTSUM-style document encoder.
-
-    Wraps :class:`MiniBert` and, given the positions of per-sentence [CLS]
-    markers, returns both token-level representations ``C`` and sentence-level
-    representations ``C^0`` (the hidden states at the [CLS] positions), the
-    two views consumed by the Joint-WB extractor/generator/section-predictor.
-    """
-
-    def __init__(self, bert: MiniBert) -> None:
-        super().__init__()
-        self.bert = bert
-
-    @property
-    def dim(self) -> int:
-        return self.bert.dim
-
-    def forward(
-        self, token_ids: Sequence[int], cls_positions: Sequence[int]
-    ) -> Tuple[Tensor, Tensor]:
-        """Return ``(token_states, sentence_states)``.
-
-        ``token_states`` has shape ``(T, dim)``; ``sentence_states`` has shape
-        ``(num_sentences, dim)`` — one row per [CLS] position.
-        """
-        states = self.bert(token_ids)
-        cls = np.asarray(cls_positions, dtype=np.int64)
-        if cls.size == 0:
-            raise ValueError("BertSum requires at least one [CLS] position")
-        return states, states[cls]
-
-    def encode_document(
-        self,
-        subdocuments: Sequence[Sequence[int]],
-        cls_positions: Sequence[int],
-    ) -> Tuple[Tensor, Tensor]:
-        """Encode a multi-sub-document page; cls positions index the full page."""
-        states = self.bert.encode_subdocuments(subdocuments)
-        cls = np.asarray(cls_positions, dtype=np.int64)
-        return states, states[cls]

@@ -68,21 +68,6 @@ def test_random_split_validation():
         corpus.random_split(np.random.default_rng(0), train=0.9, develop=0.2)
 
 
-def test_seen_unseen_split_by_topic():
-    docs = [make_doc(doc_id=f"d{i}", topic_id=i % 4) for i in range(40)]
-    corpus = Corpus(docs, {i: (f"t{i}",) for i in range(4)})
-    seen, unseen = corpus.seen_unseen_split(np.random.default_rng(1), 3, 1)
-    assert len(seen.topic_ids) == 3
-    assert len(unseen.topic_ids) == 1
-    assert set(seen.topic_ids).isdisjoint(unseen.topic_ids)
-
-
-def test_seen_unseen_split_validation():
-    corpus = Corpus([make_doc()], {0: ("a",)})
-    with pytest.raises(ValueError):
-        corpus.seen_unseen_split(np.random.default_rng(0), 3, 3)
-
-
 def test_filter_topics():
     docs = [make_doc(doc_id=f"d{i}", topic_id=i % 2) for i in range(10)]
     corpus = Corpus(docs, {0: ("a",), 1: ("b",)})

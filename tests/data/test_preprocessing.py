@@ -1,17 +1,6 @@
-"""Preprocessing tests: tokenizer rules of §IV-A3, [CLS] insertion, padding."""
+"""Preprocessing tests: the word tokenizer rules of §IV-A3."""
 
-import pytest
-
-from repro.data import (
-    CLS_TOKEN,
-    DIGIT_TOKEN,
-    PAD_TOKEN,
-    encode_document,
-    insert_cls_tokens,
-    pad_and_split,
-    word_tokenize,
-)
-from repro.data.vocab import Vocabulary
+from repro.data import DIGIT_TOKEN, word_tokenize
 
 
 def test_lowercase():
@@ -35,36 +24,3 @@ def test_mixed_alphanumeric_splits():
 def test_empty_and_whitespace():
     assert word_tokenize("") == []
     assert word_tokenize("   \n\t ") == []
-
-
-def test_insert_cls_tokens_positions():
-    tokens, cls = insert_cls_tokens([["a", "b"], ["c"]])
-    assert tokens == [CLS_TOKEN, "a", "b", CLS_TOKEN, "c"]
-    assert cls == [0, 3]
-
-
-def test_pad_and_split_shapes():
-    subs = pad_and_split(["a"] * 100, total_length=256, window=64)
-    assert len(subs) == 4
-    assert all(len(s) == 64 for s in subs)
-    flat = [t for s in subs for t in s]
-    assert flat[:100] == ["a"] * 100
-    assert flat[100] == PAD_TOKEN
-
-
-def test_pad_and_split_validation():
-    with pytest.raises(ValueError):
-        pad_and_split(["a"], total_length=100, window=64)
-    with pytest.raises(ValueError):
-        pad_and_split(["a"] * 300, total_length=256, window=64)
-
-
-def test_encode_document_alignment():
-    vocab = Vocabulary(["a", "b", "c"])
-    enc = encode_document([["a", "b"], ["c", "zzz"]], vocab.as_dict(), vocab.unk_id)
-    assert len(enc.token_ids) == 6  # 4 words + 2 CLS
-    assert enc.cls_positions == [0, 3]
-    assert enc.token_sentence_index == [0, 0, 0, 1, 1, 1]
-    assert enc.word_positions == [1, 2, 4, 5]
-    assert enc.token_ids[5] == vocab.unk_id
-    assert enc.token_ids[0] == vocab.cls_id

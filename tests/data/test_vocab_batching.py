@@ -1,17 +1,16 @@
 """Vocabulary and batching tests."""
 
-import numpy as np
 import pytest
 
-from repro.data import Vocabulary
-from repro.data.batching import iterate_batches, shuffled_epochs
+from repro.data import CLS_TOKEN, Vocabulary
+from repro.data.batching import iterate_batches
 
 
 def test_specials_have_fixed_ids():
     vocab = Vocabulary(["z", "a"])
     assert vocab.pad_id == 0
     assert vocab.unk_id == 1
-    assert vocab.cls_id == 2
+    assert vocab.encode([CLS_TOKEN]) == [2]
     assert vocab.bos_id == 3
     assert vocab.eos_id == 4
 
@@ -25,7 +24,7 @@ def test_encode_decode_roundtrip():
 
 def test_decode_skips_specials_by_default():
     vocab = Vocabulary(["x"])
-    ids = [vocab.bos_id, vocab.id_of("x"), vocab.eos_id, vocab.pad_id]
+    ids = [vocab.bos_id, *vocab.encode(["x"]), vocab.eos_id, vocab.pad_id]
     assert vocab.decode(ids) == ["x"]
     assert len(vocab.decode(ids, skip_special=False)) == 4
 
@@ -40,8 +39,7 @@ def test_from_corpus_covers_everything(small_corpus):
     vocab = Vocabulary.from_corpus(small_corpus)
     for doc in small_corpus:
         for sentence in doc.sentences:
-            for token in sentence:
-                assert vocab.id_of(token) != vocab.unk_id
+            assert vocab.unk_id not in vocab.encode(sentence)
 
 
 def test_iterate_batches_sizes():
@@ -63,14 +61,3 @@ def test_iterate_batches_bucket_by_sorts_stably():
     # Stable: ties keep their input order ("bb" before "dd").
     flat = [item for batch in batches for item in batch]
     assert sorted(flat) == sorted(items)
-
-
-def test_shuffled_epochs_covers_all_items():
-    items = list(range(12))
-    batches = list(shuffled_epochs(items, 5, epochs=2, rng=np.random.default_rng(0)))
-    flat = [x for b in batches for x in b]
-    assert len(flat) == 24
-    assert sorted(flat[:12]) == items
-    assert sorted(flat[12:]) == items
-    # At least one epoch should not be in sorted order.
-    assert flat[:12] != items or flat[12:] != items

@@ -33,7 +33,11 @@ def memories(generator, rng):
 def _block(memories):
     """The pages' memories as the padded block and mask the batched path
     takes; padded rows hold junk, which the mask must keep out."""
-    return nn.pad_stack(memories, pad_value=7.0)
+    lengths = [len(memory) for memory in memories]
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    block = np.full(mask.shape + memories[0].shape[1:], 7.0, dtype=memories[0].data.dtype)
+    block[mask] = np.concatenate([memory.data for memory in memories])
+    return nn.Tensor(block), mask
 
 
 @pytest.mark.parametrize("beam_size", [1, 4, 8, 32])

@@ -19,8 +19,6 @@ from repro.models import (
     BriefPrediction,
     JointWBModel,
     SectionPredictor,
-    SingleTaskExtractor,
-    SingleTaskGenerator,
     TopicGenerator,
     make_joint_model,
 )
@@ -114,26 +112,6 @@ def test_joint_predict_batch_odd_batch_sizes(joint_model, docs):
 
 def test_joint_predict_batch_empty(joint_model):
     assert joint_model.predict_batch([]) == []
-
-
-def test_single_task_extractor_batch_matches_sequential(glove_encoder, small_vocab, rng, docs):
-    model = SingleTaskExtractor(glove_encoder, small_vocab, hidden_dim=10, rng=rng)
-    batched = model.predict_batch(docs, batch_size=4)
-    assert batched == [model.predict_attributes(document) for document in docs]
-
-
-def test_single_task_extractor_batch_with_priors(glove_encoder, small_vocab, rng, docs):
-    model = SingleTaskExtractor(
-        glove_encoder, small_vocab, hidden_dim=10, rng=rng, prior_section=True, prior_topic=True
-    )
-    batched = model.predict_batch(docs, batch_size=3)
-    assert batched == [model.predict_attributes(document) for document in docs]
-
-
-def test_single_task_generator_batch_matches_sequential(glove_encoder, small_vocab, rng, docs):
-    model = SingleTaskGenerator(glove_encoder, small_vocab, hidden_dim=10, rng=rng, prior_section=True)
-    batched = model.predict_batch(docs, beam_size=2, batch_size=4)
-    assert batched == [model.predict_topic(document, beam_size=2) for document in docs]
 
 
 @pytest.mark.parametrize("name", ["Joint-WB", "Pip-Extractor+Pip-Generator"])

@@ -1,5 +1,7 @@
 """Tests for Dense/Embedding/Dropout/LayerNorm/Sequential and Module mechanics."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,18 @@ def test_module_state_dict_roundtrip(rng, tmp_path):
     model3.load(str(path))
     assert np.allclose(model3.weight.data, model.weight.data)
 
+
+
+def test_gradients_never_reach_the_blob(rng):
+    """A Parameter pickles without its gradient: a model holding the last
+    backward pass's gradients pickles to the same bytes as without them."""
+    model = nn.Sequential(nn.Dense(4, 8, rng, activation="tanh"), nn.Dense(8, 2, rng))
+    model(nn.Tensor(rng.normal(size=(3, 4)))).sum().backward()
+    assert all(p.grad is not None for p in model.parameters())
+    with_grads = pickle.dumps(model)
+    model.zero_grad()
+    assert pickle.dumps(model) == with_grads
+    assert all(p.grad is None for p in pickle.loads(with_grads).parameters())
 
 def test_load_state_dict_validates_keys_and_shapes(rng):
     model = nn.Dense(4, 3, rng)

@@ -1,4 +1,4 @@
-"""Padded batching primitives: pad_stack, masked softmax, masked recurrence.
+"""Padded batching primitives: masked softmax, masked recurrence.
 
 The batched inference engine requires that padded ``(B, T, d)`` passes agree
 with the per-document loops they replace — these tests pin that equivalence
@@ -15,43 +15,14 @@ def _random_sequences(rng, lengths, dim):
     return [nn.Tensor(rng.standard_normal((length, dim)), requires_grad=True) for length in lengths]
 
 
-# ----------------------------------------------------------------------
-# pad_stack
-# ----------------------------------------------------------------------
-def test_pad_stack_shapes_and_mask():
-    rng = np.random.default_rng(0)
-    sequences = _random_sequences(rng, [3, 1, 5], 4)
-    padded, mask = nn.pad_stack(sequences)
-    assert padded.shape == (3, 5, 4)
-    assert mask.shape == (3, 5)
-    assert mask.dtype == np.bool_
-    assert mask.sum(axis=1).tolist() == [3, 1, 5]
-    for row, sequence in enumerate(sequences):
-        length = sequence.shape[0]
-        np.testing.assert_array_equal(padded.data[row, :length], sequence.data)
-        assert not padded.data[row, length:].any()
-
-
-def test_pad_stack_custom_pad_value():
-    padded, _ = nn.pad_stack([nn.Tensor(np.ones((1, 2))), nn.Tensor(np.ones((3, 2)))], pad_value=-7.0)
-    np.testing.assert_array_equal(padded.data[0, 1:], np.full((2, 2), -7.0))
-
-
-def test_pad_stack_rejects_bad_input():
-    with pytest.raises(ValueError):
-        nn.pad_stack([])
-    with pytest.raises(ValueError):
-        nn.pad_stack([nn.Tensor(np.ones((2, 3))), nn.Tensor(np.ones((2, 4)))])
-
-
-def test_pad_stack_backward_routes_gradients():
-    rng = np.random.default_rng(2)
-    sequences = _random_sequences(rng, [2, 3], 3)
-    padded, _ = nn.pad_stack(sequences)
-    loss = (padded[0][:2].sum() * 2.0) + padded[1][:3].sum() + padded[0][2:].sum() * 5.0
-    loss.backward()
-    np.testing.assert_allclose(sequences[0].grad, np.full((2, 3), 2.0))
-    np.testing.assert_allclose(sequences[1].grad, np.full((3, 3), 1.0))
+def _padded(sequences):
+    """The sequences zero-padded into one ``(B, T_max, d)`` block, with the
+    ``(B, T_max)`` mask of their real rows."""
+    lengths = [len(sequence) for sequence in sequences]
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    block = np.zeros(mask.shape + sequences[0].shape[1:])
+    block[mask] = np.concatenate([sequence.data for sequence in sequences])
+    return nn.Tensor(block), mask
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +91,7 @@ def test_masked_lstm_batch_matches_per_sequence():
     rng = np.random.default_rng(6)
     lstm = nn.LSTM(4, 5, rng)
     sequences = _random_sequences(np.random.default_rng(7), [3, 6, 1, 4], 4)
-    padded, mask = nn.pad_stack(sequences)
+    padded, mask = _padded(sequences)
     with nn.no_grad():
         batched, _ = lstm(padded, mask=mask)
         for row, sequence in enumerate(sequences):
@@ -132,7 +103,7 @@ def test_masked_bilstm_batch_matches_per_sequence():
     rng = np.random.default_rng(8)
     bilstm = nn.BiLSTM(4, 3, rng)
     sequences = _random_sequences(np.random.default_rng(9), [5, 2, 7], 4)
-    padded, mask = nn.pad_stack(sequences)
+    padded, mask = _padded(sequences)
     with nn.no_grad():
         batched = bilstm(padded, mask=mask)
         for row, sequence in enumerate(sequences):

@@ -1,4 +1,4 @@
-"""MiniBert / BertSum encoder tests."""
+"""MiniBert encoder tests."""
 
 import numpy as np
 import pytest
@@ -45,25 +45,6 @@ def test_minibert_gradients_reach_embeddings(bert):
     assert bert.token_embedding.grad is not None
     assert np.abs(bert.token_embedding.grad[1]).sum() > 0
     assert np.abs(bert.token_embedding.grad[20]).sum() == 0
-
-
-def test_encode_subdocuments_concatenates(bert):
-    out = bert.encode_subdocuments([[1, 2], [3, 4, 5]])
-    assert out.shape == (5, 8)
-
-
-def test_bertsum_token_and_sentence_views(bert):
-    bs = nn.BertSum(bert)
-    tokens, sentences = bs([2, 5, 6, 2, 7], cls_positions=[0, 3])
-    assert tokens.shape == (5, 8)
-    assert sentences.shape == (2, 8)
-    assert np.allclose(sentences.data[0], tokens.data[0])
-
-
-def test_bertsum_requires_cls(bert):
-    bs = nn.BertSum(bert)
-    with pytest.raises(ValueError):
-        bs([1, 2, 3], cls_positions=[])
 
 
 def test_transformer_layer_residual_path(rng):

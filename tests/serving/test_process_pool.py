@@ -5,8 +5,15 @@ import pickle
 
 import numpy as np
 
-from repro.core import BriefingPipeline, ConcurrentBriefingPipeline, ModelSnapshot
+from repro import nn
+from repro.core import (
+    BatchedBriefingPipeline,
+    BriefingPipeline,
+    ConcurrentBriefingPipeline,
+    ModelSnapshot,
+)
 from repro.core.transport import serving_copy
+from repro.models import BertSumEncoder, make_joint_model
 
 from .test_deadlines import PAGE_A, PAGE_B
 
@@ -66,6 +73,37 @@ def test_snapshot_ships_float32_weights(serving_model):
     float64_bytes = len(pickle.dumps(serving_model, protocol=pickle.HIGHEST_PROTOCOL))
     assert snapshot.num_bytes <= 0.55 * float64_bytes
 
+
+
+def test_a_train_mode_model_is_served_in_eval_mode(small_vocab, page_stream):
+    """Dropout never fires while serving: a model left in ``train()`` mode
+    briefs like its eval-mode twin, its snapshot arrives in eval mode with no
+    gradients, and the caller's model keeps its mode and gradients."""
+    rng = np.random.default_rng(3)
+    bert = nn.MiniBert(
+        vocab_size=len(small_vocab), dim=12, num_layers=1, num_heads=2, rng=rng,
+        max_len=256, dropout=0.5,
+    )
+    model = make_joint_model(
+        "Joint-WB", BertSumEncoder(small_vocab, bert), small_vocab, 6, rng, dropout=0.5
+    )
+    for param in model.parameters():
+        param.grad = np.ones_like(param.data)
+    twin = copy.deepcopy(model).eval()
+    pages = page_stream[:16]
+
+    def briefs(served):
+        return [
+            (brief.topic, brief.attributes, brief.informative_sentences)
+            for brief in BatchedBriefingPipeline(served, beam_size=2).brief_many(pages)
+        ]
+
+    assert briefs(model) == briefs(twin)
+    restored = ModelSnapshot(model).restore()
+    assert not any(module.training for module in restored.modules())
+    assert all(param.grad is None for param in restored.parameters())
+    assert all(module.training for module in model.modules())
+    assert all(param.grad is not None for param in model.parameters())
 
 # ----------------------------------------------------------------------
 # The process transport through the pipeline front door
