@@ -47,7 +47,7 @@ from ..obs import NOOP_REGISTRY, NOOP_TRACER, MetricsSnapshot, snapshot_delta
 from ..runtime.errors import BriefingError, DeadlineExceeded
 from ..runtime.stats import RuntimeStats
 from .briefing import Degradation, PartialBrief
-from .pipeline import BriefingPipeline, _reason, document_from_raw_html
+from .pipeline import BriefingPipeline, _fit_encoder, _reason, document_from_raw_html
 from .transport import serving_copy
 
 __all__ = ["BriefCache", "BatchedBriefingPipeline", "content_hash"]
@@ -357,8 +357,11 @@ class BatchedBriefingPipeline:
                 document = self.render_cache.get(html)
                 if document is None:
                     try:
-                        document = document_from_raw_html(
-                            html, doc_id=doc_id, tracer=self.tracer, registry=self.registry
+                        document = _fit_encoder(
+                            document_from_raw_html(
+                                html, doc_id=doc_id, tracer=self.tracer, registry=self.registry
+                            ),
+                            self.model,
                         )
                     except BriefingError as exc:
                         briefs[index] = self._empty_brief(exc.stage, exc)

@@ -30,6 +30,7 @@ from ..data.corpus import Document
 from ..data.preprocessing import word_tokenize
 from ..html.parser import HtmlParseError, parse_html
 from ..html.render import render_page
+from ..models.encoders import BertSumEncoder, truncate_document
 from ..models.joint_wb import JointWBModel
 from ..obs import NOOP_REGISTRY, NOOP_TRACER
 from ..runtime.errors import BriefingError, ParseError, RenderError
@@ -93,6 +94,22 @@ def document_from_raw_html(
         sentences=sentences,
         section_labels=[0] * len(sentences),
     )
+
+
+def _fit_encoder(document: Document, model) -> Document:
+    """Clip ``document`` to the whole sentences ``model``'s encoder can take.
+
+    A stream longer than the encoder's ``max_len`` (word tokens, plus one
+    [CLS] per sentence for a BERTSUM encoder) would fail every head.  The
+    experiments clip with :func:`~repro.models.truncate_document`; serving
+    clips by the same rule instead of degrading the page.
+    """
+    encoder = getattr(model, "encoder", None)
+    bert = getattr(encoder, "bert", None)
+    if bert is None:
+        return document
+    overhead = 1 if isinstance(encoder, BertSumEncoder) else 0
+    return truncate_document(document, bert.max_len, sentence_overhead=overhead)
 
 
 def _reason(exc: BaseException) -> str:
@@ -254,8 +271,11 @@ class BriefingPipeline:
         with self.tracer.span("brief", doc_id=doc_id):
             with self._stage("prepare", doc_id=doc_id) as span:
                 try:
-                    document = document_from_raw_html(
-                        html, doc_id=doc_id, tracer=self.tracer, registry=self.registry
+                    document = _fit_encoder(
+                        document_from_raw_html(
+                            html, doc_id=doc_id, tracer=self.tracer, registry=self.registry
+                        ),
+                        self.model,
                     )
                 except BriefingError as exc:
                     degradations: List[Degradation] = []

@@ -12,6 +12,7 @@ sub-documents; DESIGN.md §2 records the deviation.
 from __future__ import annotations
 
 import re
+from sys import intern
 from typing import List
 
 __all__ = ["DIGIT_TOKEN", "CLS_TOKEN", "PAD_TOKEN", "word_tokenize"]
@@ -24,12 +25,12 @@ _TOKEN_PATTERN = re.compile(r"[a-z]+|[0-9]+(?:\.[0-9]+)?|[^\sa-z0-9]")
 
 
 def word_tokenize(text: str) -> List[str]:
-    """Lowercase + digit-replace + punctuation-splitting word tokenizer."""
-    tokens: List[str] = []
-    for match in _TOKEN_PATTERN.finditer(text.lower()):
-        piece = match.group(0)
-        if piece[0].isdigit():
-            tokens.append(DIGIT_TOKEN)
-        else:
-            tokens.append(piece)
-    return tokens
+    """Lowercase + digit-replace + punctuation-splitting word tokenizer.
+
+    Word tokens are interned, so every cached document and retained brief
+    shares one string per distinct word.
+    """
+    return [
+        DIGIT_TOKEN if piece[0].isdigit() else intern(piece)
+        for piece in _TOKEN_PATTERN.findall(text.lower())
+    ]

@@ -3,6 +3,12 @@
 The paper renders webpages with Selenium and collects visible text; this repo
 replaces that with a from-scratch HTML parser (:mod:`repro.html.parser`) and a
 visible-text renderer (:mod:`repro.html.render`) operating on this DOM.
+
+Nodes have no back-pointer to their parent: a tree links only downwards
+through ``children``, so it holds no reference cycle and reference counting
+frees a page's whole tree as soon as the caller drops its root.  A
+child → parent link would make every parsed page garbage that only the
+cyclic collector can reclaim.
 """
 
 from __future__ import annotations
@@ -34,8 +40,6 @@ BLOCK_ELEMENTS = frozenset(
 class Node:
     """Base class for DOM nodes."""
 
-    parent: Optional["ElementNode"] = None
-
 
 @dataclass
 class TextNode(Node):
@@ -57,7 +61,6 @@ class ElementNode(Node):
     children: List[Node] = field(default_factory=list)
 
     def append(self, child: Node) -> Node:
-        child.parent = self
         self.children.append(child)
         return child
 

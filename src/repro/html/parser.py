@@ -16,13 +16,21 @@ from .dom import ElementNode, TextNode, VOID_ELEMENTS
 
 __all__ = ["parse_html", "HtmlParseError"]
 
-_TAG_OPEN = re.compile(r"<\s*([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^<>]*?)?)\s*(/?)\s*>")
-_TAG_CLOSE = re.compile(r"<\s*/\s*([a-zA-Z][a-zA-Z0-9-]*)\s*>")
+#: One pattern per tag: a close tag (group 1), else an open tag (name, raw
+#: attributes, self-closing slash), tried in that order.
+_TAG = re.compile(
+    r"<\s*(?:/\s*([a-zA-Z][a-zA-Z0-9-]*)\s*>"
+    r"|([a-zA-Z][a-zA-Z0-9-]*)((?:\s+[^<>]*?)?)\s*(/?)\s*>)"
+)
 _COMMENT = re.compile(r"<!--.*?-->", re.DOTALL)
 _DOCTYPE = re.compile(r"<!DOCTYPE[^>]*>", re.IGNORECASE)
 _ATTRIBUTE = re.compile(
     r"""([a-zA-Z_:][a-zA-Z0-9_:.-]*)\s*(?:=\s*("[^"]*"|'[^']*'|[^\s"'>]+))?"""
 )
+#: Raw-text elements: their content runs to the matching close tag unparsed.
+_RAW_TEXT_END = {
+    tag: re.compile(rf"<\s*/\s*{tag}\s*>", re.IGNORECASE) for tag in ("script", "style")
+}
 
 _ENTITIES = {
     "&amp;": "&",
@@ -43,6 +51,8 @@ class HtmlParseError(ValueError):
 
 
 def _decode_entities(text: str) -> str:
+    if "&" not in text:
+        return text
     for entity, char in _ENTITIES.items():
         if entity in text:
             text = text.replace(entity, char)
@@ -71,65 +81,65 @@ def parse_html(html: str) -> ElementNode:
     """
     if not isinstance(html, str):
         raise HtmlParseError("expected a string of HTML")
-    html = _COMMENT.sub("", html)
-    html = _DOCTYPE.sub("", html)
+    if "<!" in html:
+        html = _COMMENT.sub("", html)
+        html = _DOCTYPE.sub("", html)
 
     root = ElementNode("document")
+    html_node = None
     stack: List[ElementNode] = [root]
+    top = root
     position = 0
     length = len(html)
-
-    # Raw-text elements: consume until the matching close tag without parsing.
-    raw_text_tags = ("script", "style")
 
     while position < length:
         lt = html.find("<", position)
         if lt == -1:
-            _append_text(stack[-1], html[position:])
+            top.children.append(TextNode(_decode_entities(html[position:])))
             break
         if lt > position:
-            _append_text(stack[-1], html[position:lt])
+            top.children.append(TextNode(_decode_entities(html[position:lt])))
 
-        close = _TAG_CLOSE.match(html, lt)
-        if close:
-            tag = close.group(1).lower()
-            _close_tag(stack, tag)
-            position = close.end()
+        match = _TAG.match(html, lt)
+        if match is None:
+            # A stray '<' that is not a tag: a text node of its own.
+            top.children.append(TextNode("<"))
+            position = lt + 1
+            continue
+        position = match.end()
+        close, tag, raw_attributes, slash = match.groups()
+        if close is not None:
+            close = close.lower()
+            if close == top.tag and len(stack) > 1:
+                stack.pop()
+            else:
+                _close_tag(stack, close)
+            top = stack[-1]
             continue
 
-        open_match = _TAG_OPEN.match(html, lt)
-        if open_match:
-            tag = open_match.group(1).lower()
-            attributes = _parse_attributes(open_match.group(2) or "")
-            self_closing = open_match.group(3) == "/" or tag in VOID_ELEMENTS
-            element = ElementNode(tag, attributes)
-            stack[-1].append(element)
-            position = open_match.end()
-            if self_closing:
-                continue
-            if tag in raw_text_tags:
-                end = re.search(rf"<\s*/\s*{tag}\s*>", html[position:], re.IGNORECASE)
-                if end:
-                    element.append(TextNode(html[position : position + end.start()]))
-                    position += end.end()
-                else:
-                    element.append(TextNode(html[position:]))
-                    position = length
-                continue
-            stack.append(element)
+        tag = tag.lower()
+        element = ElementNode(tag, _parse_attributes(raw_attributes) if raw_attributes else {})
+        top.children.append(element)
+        if tag == "html" and html_node is None:
+            html_node = element
+        if slash or tag in VOID_ELEMENTS:
             continue
+        raw_text_end = _RAW_TEXT_END.get(tag)
+        if raw_text_end is not None:
+            end = raw_text_end.search(html, position)
+            if end:
+                element.children.append(TextNode(html[position : end.start()]))
+                position = end.end()
+            else:
+                element.children.append(TextNode(html[position:]))
+                position = length
+            continue
+        stack.append(element)
+        top = element
 
-        # A stray '<' that is not a tag: treat as text.
-        _append_text(stack[-1], html[lt])
-        position = lt + 1
-
-    html_node = root.find("html")
+    # Elements are created in pre-order, so the first <html> opened is the
+    # one a depth-first search from the root would find.
     return html_node if html_node is not None else root
-
-
-def _append_text(parent: ElementNode, raw: str) -> None:
-    if raw:
-        parent.append(TextNode(_decode_entities(raw)))
 
 
 def _close_tag(stack: List[ElementNode], tag: str) -> None:

@@ -30,7 +30,6 @@ from .parser import parse_html
 
 __all__ = ["RenderedSegment", "RenderedPage", "render_visible_text", "render_page"]
 
-_WHITESPACE = re.compile(r"\s+")
 _HIDDEN_STYLE = re.compile(r"display\s*:\s*none|visibility\s*:\s*hidden")
 
 
@@ -91,42 +90,53 @@ class _LineTracker:
             self.line += 1
             self.line_has_content = False
 
-    def mark_content(self) -> None:
-        self.line_has_content = True
+
+def _walk(
+    element: ElementNode,
+    inherited_markers: List[str],
+    segments: List[RenderedSegment],
+    tracker: _LineTracker,
+) -> None:
+    """Append ``element``'s visible text runs to ``segments``, depth first.
+
+    A module-level function rather than a closure over the segment list: a
+    closure that recurses through itself is a reference cycle, which would
+    keep each rendered page alive until the cyclic collector ran.
+    """
+    if _is_hidden(element):
+        return
+    markers = inherited_markers
+    classes = element.attributes.get("class")
+    if classes and "wb-" in classes:
+        markers = inherited_markers + [c for c in classes.split() if c.startswith("wb-")]
+    is_block = element.tag in BLOCK_ELEMENTS
+    if is_block:
+        tracker.break_line()
+    for child in element.children:
+        if isinstance(child, TextNode):
+            # str.split() splits on the same Unicode whitespace as regex \s.
+            text = " ".join(child.text.split())
+            if text:
+                segments.append(
+                    RenderedSegment(
+                        text=text,
+                        element=element,
+                        line_index=tracker.line,
+                        marker_classes=list(markers),
+                    )
+                )
+                tracker.line_has_content = True
+        elif isinstance(child, ElementNode):
+            _walk(child, markers, segments, tracker)
+    if is_block:
+        tracker.break_line()
 
 
 def render_page(html_or_root) -> RenderedPage:
     """Render HTML (string or parsed root) to visible text with segments."""
     root = parse_html(html_or_root) if isinstance(html_or_root, str) else html_or_root
     segments: List[RenderedSegment] = []
-    tracker = _LineTracker()
-
-    def walk(element: ElementNode, inherited_markers: List[str]) -> None:
-        if _is_hidden(element):
-            return
-        markers = inherited_markers + [c for c in element.classes if c.startswith("wb-")]
-        is_block = element.tag in BLOCK_ELEMENTS
-        if is_block:
-            tracker.break_line()
-        for child in element.children:
-            if isinstance(child, TextNode):
-                text = _WHITESPACE.sub(" ", child.text).strip()
-                if text:
-                    segments.append(
-                        RenderedSegment(
-                            text=text,
-                            element=element,
-                            line_index=tracker.line,
-                            marker_classes=list(markers),
-                        )
-                    )
-                    tracker.mark_content()
-            elif isinstance(child, ElementNode):
-                walk(child, markers)
-        if is_block:
-            tracker.break_line()
-
-    walk(root, [])
+    _walk(root, [], segments, _LineTracker())
     # Reconstruct text from segments so lines[i] corresponds exactly to
     # segments_by_line()[i].
     grouped: Dict[int, List[str]] = {}

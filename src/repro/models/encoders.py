@@ -109,25 +109,30 @@ def _zero_padding(block: nn.Tensor, mask: np.ndarray) -> nn.Tensor:
     return block * mask[..., None].astype(block.dtype)
 
 
-def truncate_document(document: Document, max_tokens: int) -> Document:
-    """Clip a document to at most ``max_tokens`` word tokens (whole sentences).
+def truncate_document(
+    document: Document, max_tokens: int, sentence_overhead: int = 0
+) -> Document:
+    """Clip a document to at most ``max_tokens`` positions (whole sentences).
 
-    Mirrors the paper's fixed input budget (2,048 tokens) at configurable
-    scale.  Attribute spans in dropped sentences are dropped with them.
+    Each sentence costs its word tokens plus ``sentence_overhead`` positions
+    (1 for the [CLS] a BERTSUM stream puts before it).  Mirrors the paper's
+    fixed input budget (2,048 tokens) at configurable scale.  Attribute
+    spans in dropped sentences are dropped with them.
     """
-    if document.num_tokens <= max_tokens:
+    if document.num_tokens + sentence_overhead * document.num_sentences <= max_tokens:
         return document
     kept: List[List[str]] = []
     labels: List[int] = []
     total = 0
     for sentence, label in zip(document.sentences, document.section_labels):
-        if total + len(sentence) > max_tokens:
+        cost = len(sentence) + sentence_overhead
+        if total + cost > max_tokens:
             break
         kept.append(sentence)
         labels.append(label)
-        total += len(sentence)
+        total += cost
     if not kept:  # first sentence alone exceeds the budget: hard clip
-        kept = [document.sentences[0][:max_tokens]]
+        kept = [document.sentences[0][: max_tokens - sentence_overhead]]
         labels = [document.section_labels[0]]
     attributes = [
         span

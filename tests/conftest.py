@@ -11,7 +11,7 @@ def pytest_addoption(parser):
         "--regen-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden fixtures under tests/serving/golden/ from current outputs",
+        help="rewrite the golden fixtures (tests/*/golden/) from current outputs",
     )
 
 
@@ -24,6 +24,11 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_vocab(small_corpus):
     return Vocabulary.from_corpus(small_corpus)
+
+
+@pytest.fixture()
+def regen_golden(request):
+    return request.config.getoption("--regen-golden")
 
 
 @pytest.fixture()

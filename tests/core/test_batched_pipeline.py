@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import BatchedBriefingPipeline, BriefCache, BriefingPipeline
-from repro.models import BertSumEncoder, make_joint_model
+from repro.core import BatchedBriefingPipeline, BriefCache, BriefingPipeline, document_from_raw_html
+from repro.data import synthesize_serving_corpus
+from repro.models import BertSumEncoder, make_joint_model, truncate_document
 from repro.runtime import RuntimeStats
 
 
@@ -92,6 +93,34 @@ def test_brief_many_matches_sequential(model):
         assert left.attributes == right.attributes
         assert left.informative_sentences == right.informative_sentences
         assert left.degradations == right.degradations
+
+
+def test_over_long_pages_are_clipped_like_the_experiments(small_vocab):
+    """A page longer than the encoder's ``max_len`` is briefed on its clipped
+    document (whole sentences, one [CLS] each), not degraded to an empty brief."""
+    rng = np.random.default_rng(0)
+    bert = nn.MiniBert(
+        vocab_size=len(small_vocab), dim=12, num_layers=1, num_heads=2, rng=rng, max_len=64
+    )
+    short = make_joint_model("Joint-WB", BertSumEncoder(small_vocab, bert), small_vocab, 6, rng)
+    pages = synthesize_serving_corpus(8, seed=7, duplicate_fraction=0.0)
+    documents = [document_from_raw_html(html, doc_id) for doc_id, html in pages]
+    assert sum(d.num_tokens + d.num_sentences > 64 for d in documents) >= 6
+    clipped = [truncate_document(d, 64, sentence_overhead=1) for d in documents]
+    assert all(d.num_tokens + d.num_sentences <= 64 for d in clipped)
+
+    sequential = BriefingPipeline(short, beam_size=2)
+    expected = [sequential.brief_document(document) for document in clipped]
+    served = {
+        "sequential": [sequential.brief_html(html, doc_id=doc_id) for doc_id, html in pages],
+        "batched": BatchedBriefingPipeline(short, beam_size=2).brief_many(pages),
+    }
+    for label, briefs in served.items():
+        for want, got in zip(expected, briefs):
+            assert got.degradations == [], label
+            assert got.topic == want.topic, label
+            assert got.attributes == want.attributes, label
+            assert got.informative_sentences == want.informative_sentences, label
 
 
 def test_brief_many_counters_in_runtime_stats(model):

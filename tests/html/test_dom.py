@@ -6,9 +6,12 @@ from repro.html import ElementNode, TextNode
 def test_append_sets_parent():
     parent = ElementNode("div")
     child = ElementNode("p")
-    parent.append(child)
-    assert child.parent is parent
+    assert parent.append(child) is child
     assert parent.children == [child]
+    text = parent.append(TextNode("x"))
+    assert parent.children == [child, text]
+    # Nodes keep no back-pointer, so a tree holds no reference cycle.
+    assert not hasattr(child, "parent")
 
 
 def test_iter_is_preorder():

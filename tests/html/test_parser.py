@@ -27,7 +27,10 @@ def test_void_elements_do_not_nest():
     root = parse_html("<div><br><img src='x.png'><p>after</p></div>")
     p = root.find("p")
     assert p.text_content() == "after"
-    assert root.find("img").parent.tag == "div"
+    div = root.find("div")
+    img = root.find("img")
+    assert any(child is img for child in div.children)
+    assert [c.tag for c in div.children] == ["br", "img", "p"]
 
 
 def test_self_closing_syntax():

@@ -95,8 +95,3 @@ class DeterminismHarness:
 @pytest.fixture(scope="session")
 def harness(serving_model, page_stream):
     return DeterminismHarness(serving_model, page_stream)
-
-
-@pytest.fixture()
-def regen_golden(request):
-    return request.config.getoption("--regen-golden")
